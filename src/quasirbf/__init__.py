@@ -18,7 +18,7 @@ from .particular import (SourceGrid, SpectralField, TaperSpec, eval_particular,
                          solve_particular, taper_weight)
 from .pipeline import (ConvergenceRow, InlineProblem, RunConfig, SolutionField,
                        convergence_study, error_metrics, residual_check,
-                       rows_to_csv, run_pipeline, solve_problem)
+                       rows_to_csv, run_pipeline)
 from .presets import ProblemPreset, all_presets, get_preset, preset_names
 from .specfun import bessel_i0, bessel_i1, bessel_j0, bessel_j1
 

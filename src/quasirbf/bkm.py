@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import ConfigurationError, SingularMatrixError
-from .geometry import BoundaryNode
+from .geometry import BoundaryNode, point_blocks
 from .operators import OperatorSpec, Poisson, kernel_gradient, kernel_value
 
 DEFAULT_TSVD_CUTOFF = 1e-12
@@ -92,24 +93,38 @@ class HomogeneousSolution:
     coefficients: np.ndarray
     centers: List[BoundaryNode]
 
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """Centre positions as an (N, 2) array."""
+        return np.array([node.position for node in self.centers]).reshape(-1, 2)
 
-def trefftz_terms(order: int, center, scale: float, x1: float, x2: float):
-    """Values and gradients of the 2*order+1 circular-harmonic basis terms."""
-    z = complex(x1 - center[0], x2 - center[1]) / scale
-    values = np.empty(2 * order + 1)
-    grads = np.empty((2 * order + 1, 2))
-    values[0] = 1.0
-    grads[0] = 0.0
-    zpow = 1.0 + 0.0j
+
+def trefftz_terms(order: int, center, scale: float, x1, x2):
+    """Values (..., 2*order+1) and gradients (..., 2*order+1, 2) of the
+    circular-harmonic basis terms at points with coordinates x1, x2 (...)."""
+    z = ((np.asarray(x1, dtype=float) - center[0])
+         + 1j * (np.asarray(x2, dtype=float) - center[1])) / scale
+    values = np.empty(z.shape + (2 * order + 1,))
+    grads = np.empty(z.shape + (2 * order + 1, 2))
+    values[..., 0] = 1.0
+    grads[..., 0, :] = 0.0
+    zpow = np.ones_like(z)
     for m in range(1, order + 1):
         dz = m * zpow / scale  # d/dz of z^m, in box coordinates
         zpow = zpow * z
-        values[2 * m - 1] = zpow.real
-        values[2 * m] = zpow.imag
+        values[..., 2 * m - 1] = zpow.real
+        values[..., 2 * m] = zpow.imag
         # for holomorphic f = u + i v: grad u = (Re f', -Im f'), grad v = (Im f', Re f')
-        grads[2 * m - 1] = (dz.real, -dz.imag)
-        grads[2 * m] = (dz.imag, dz.real)
+        grads[..., 2 * m - 1, :] = np.stack([dz.real, -dz.imag], axis=-1)
+        grads[..., 2 * m, :] = np.stack([dz.imag, dz.real], axis=-1)
     return values, grads
+
+
+def _pair_blocks(x: np.ndarray, centers: np.ndarray):
+    """Yield (slice, displacements x_p - s_j of shape (b, N, 2)) over the
+    points x (P, 2), in blocks of at most BLOCK_PAIRS point-centre pairs."""
+    for blk in point_blocks(x, len(centers))[1]:
+        yield blk, x[blk, None, :] - centers[None, :, :]
 
 
 def assemble(op: OperatorSpec, nodes: Sequence[BoundaryNode],
@@ -121,6 +136,10 @@ def assemble(op: OperatorSpec, nodes: Sequence[BoundaryNode],
     if n < 1 or len(bc) != n:
         raise ConfigurationError(
             f"need matching nodes and boundary conditions, got {n} and {len(bc)}")
+    pos = np.array([node.position for node in nodes])
+    normals = np.array([node.normal for node in nodes])
+    rhs = np.array([cond.value for cond in bc], dtype=float)
+    neumann = np.array([isinstance(cond, Neumann) for cond in bc])
     if isinstance(op, Poisson):
         if trefftz_order is None:
             raise ConfigurationError("Poisson requires a trefftz_order")
@@ -132,27 +151,19 @@ def assemble(op: OperatorSpec, nodes: Sequence[BoundaryNode],
         scale = 1.0 if trefftz_scale is None else float(trefftz_scale)
         if not scale > 0:
             raise ConfigurationError(f"Trefftz scale must be positive, got {scale}")
-        matrix = np.empty((n, m))
-        rhs = np.empty(n)
-        for i, (node, cond) in enumerate(zip(nodes, bc)):
-            values, grads = trefftz_terms(trefftz_order, center, scale,
-                                          node.position[0], node.position[1])
-            matrix[i] = values if isinstance(cond, Dirichlet) else grads @ node.normal
-            rhs[i] = cond.value
+        values, grads = trefftz_terms(trefftz_order, center, scale, pos[:, 0], pos[:, 1])
+        matrix = np.where(neumann[:, None], np.einsum("pjk,pk->pj", grads, normals), values)
         mode: Mode = TrefftzMode(order=trefftz_order, center=center, scale=scale)
         return CollocationSystem(matrix=matrix, rhs=rhs, centers=list(nodes), mode=mode)
 
     matrix = np.empty((n, n))
-    rhs = np.empty(n)
-    for i, (node, cond) in enumerate(zip(nodes, bc)):
-        if isinstance(cond, Dirichlet):
-            for j, cnode in enumerate(nodes):
-                matrix[i, j] = kernel_value(op, node.position - cnode.position)
-        else:
-            for j, cnode in enumerate(nodes):
-                matrix[i, j] = float(
-                    node.normal @ kernel_gradient(op, node.position - cnode.position))
-        rhs[i] = cond.value
+    rows = np.flatnonzero(~neumann)
+    for blk, d in _pair_blocks(pos[rows], pos):
+        matrix[rows[blk]] = kernel_value(op, d)
+    rows = np.flatnonzero(neumann)
+    for blk, d in _pair_blocks(pos[rows], pos):
+        matrix[rows[blk]] = np.einsum("pjk,pk->pj", kernel_gradient(op, d),
+                                      normals[rows[blk]])
     return CollocationSystem(matrix=matrix, rhs=rhs, centers=list(nodes),
                              mode=KernelMode(op=op))
 
@@ -204,25 +215,26 @@ def solve_dense(system: CollocationSystem,
     return coeffs, diag
 
 
-def eval_homogeneous(sol: HomogeneousSolution, x) -> float:
-    x = np.asarray(x, dtype=float)
-    if isinstance(sol.mode, KernelMode):
-        total = 0.0
-        for alpha, node in zip(sol.coefficients, sol.centers):
-            total += alpha * kernel_value(sol.mode.op, x - node.position)
-        return total
-    values, _ = trefftz_terms(sol.mode.order, sol.mode.center, sol.mode.scale,
-                              float(x[0]), float(x[1]))
-    return float(sol.coefficients @ values)
+def _evaluate(sol: HomogeneousSolution, x, gradient: bool) -> np.ndarray:
+    """u_h (shape (...)) or grad u_h (shape (..., 2)) at points x (2,) or (..., 2)."""
+    pts, _, shape = point_blocks(x, len(sol.coefficients))
+    if isinstance(sol.mode, TrefftzMode):
+        values, grads = trefftz_terms(sol.mode.order, sol.mode.center, sol.mode.scale,
+                                      pts[:, 0], pts[:, 1])
+        out = np.einsum("pj...,j->p...", grads if gradient else values, sol.coefficients)
+    else:
+        out = np.empty((len(pts), 2) if gradient else len(pts))
+        for blk, d in _pair_blocks(pts, sol.positions):
+            k = (kernel_gradient if gradient else kernel_value)(sol.mode.op, d)
+            out[blk] = np.einsum("pj...,j->p...", k, sol.coefficients)
+    return out.reshape(shape + out.shape[1:])
+
+
+def eval_homogeneous(sol: HomogeneousSolution, x):
+    """u_h at points x, (2,) or (..., 2); the result has shape (...)."""
+    return _evaluate(sol, x, gradient=False)[()]
 
 
 def eval_homogeneous_gradient(sol: HomogeneousSolution, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if isinstance(sol.mode, KernelMode):
-        total = np.zeros(2)
-        for alpha, node in zip(sol.coefficients, sol.centers):
-            total += alpha * kernel_gradient(sol.mode.op, x - node.position)
-        return total
-    _, grads = trefftz_terms(sol.mode.order, sol.mode.center, sol.mode.scale,
-                             float(x[0]), float(x[1]))
-    return grads.T @ sol.coefficients
+    """grad u_h at points x, (2,) or (..., 2); the result has x's shape."""
+    return _evaluate(sol, x, gradient=True)

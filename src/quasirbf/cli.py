@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .geometry import Circle, Ellipse, Star, StarDomain
+from .geometry import Circle, Ellipse, Star, StarDomain, stack_xy
 from .operators import (ConvectionDiffusion, Helmholtz, ModifiedHelmholtz,
                         OperatorSpec, Poisson, apply_operator_fd, kernel_value)
 from .pipeline import (InlineProblem, RunConfig, boundary_residual,
@@ -192,14 +192,11 @@ def _cmd_validate(_args) -> int:
     kernels = [Helmholtz(2.0), ModifiedHelmholtz(1.0),
                ConvectionDiffusion(1.0, (2.0, 0.0), 1.0)]
     for op in kernels:
-        worst = 0.0
-        for _ in range(20):
-            angle = rng.uniform(0, 2 * np.pi)
-            radius = rng.uniform(0.05, 1.0)
-            d = radius * np.array([np.cos(angle), np.sin(angle)])
-            shift = rng.uniform(-1, 1, size=2)
-            u = lambda x, y: kernel_value(op, np.array([x, y]) - shift)
-            worst = max(worst, abs(apply_operator_fd(op, u, shift + d, 1e-3)))
+        angle = rng.uniform(0, 2 * np.pi, size=20)
+        d = rng.uniform(0.05, 1.0, size=(20, 1)) * np.stack([np.cos(angle), np.sin(angle)], -1)
+        shift = rng.uniform(-1, 1, size=(20, 2))
+        u = lambda x, y: kernel_value(op, stack_xy(x, y) - shift)
+        worst = float(np.abs(apply_operator_fd(op, u, shift + d, 1e-3)).max())
         ok = worst <= 1e-4
         status = "PASS" if ok else "FAIL"
         failures += not ok

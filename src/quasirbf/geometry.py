@@ -17,6 +17,25 @@ from .errors import ConfigurationError
 
 _BOX_SAMPLES = 1024  # parameter samples used by bounding_box
 
+# Batched evaluations at many points work through blocks of at most this
+# many (point, basis function) pairs, which bounds their temporary memory.
+BLOCK_PAIRS = 16384
+
+
+def stack_xy(x1, x2) -> np.ndarray:
+    """Components x1, x2 (floats or arrays, broadcast together) stacked on a
+    last axis: points (..., 2) from coordinates, or vectors from components."""
+    return np.stack(np.broadcast_arrays(np.asarray(x1, dtype=float), x2), axis=-1)
+
+
+def point_blocks(x, width: int):
+    """Points (2,) or (..., 2) as a (P, 2) array, the slices that cut it into
+    blocks of at most BLOCK_PAIRS // width points, and the batch shape (...)."""
+    x = np.asarray(x, dtype=float)
+    step = max(1, BLOCK_PAIRS // max(width, 1))
+    blocks = [slice(i, i + step) for i in range(0, x.size // 2, step)]
+    return x.reshape(-1, 2), blocks, x.shape[:-1]
+
 
 def _as_point(p) -> np.ndarray:
     a = np.asarray(p, dtype=float)
@@ -111,6 +130,18 @@ class StarDomain:
         return np.stack([self.center[0] + r * np.cos(t),
                          self.center[1] + r * np.sin(t)], axis=-1)
 
+    def outward_normal(self, t):
+        """Unit outward normal at gamma(t), vectorized over t: the curve
+        tangent (counterclockwise parametrization) rotated by -90 degrees."""
+        t = np.asarray(t, dtype=float)
+        r = self.rho(t)
+        dr = self.rho_deriv(t)
+        # gamma'(t) = rho'(cos,sin) + rho(-sin,cos)
+        tx = dr * np.cos(t) - r * np.sin(t)
+        ty = dr * np.sin(t) + r * np.cos(t)
+        norm = np.hypot(tx, ty)
+        return np.stack([ty / norm, -tx / norm], axis=-1)
+
     def max_radius(self) -> float:
         t = np.linspace(0.0, 2.0 * np.pi, _BOX_SAMPLES, endpoint=False)
         return float(np.max(self.rho(t)))
@@ -138,9 +169,10 @@ class Box2:
     def side(self) -> np.ndarray:
         return self.max_corner - self.min_corner
 
-    def contains(self, p) -> bool:
-        p = _as_point(p)
-        return bool(np.all(p >= self.min_corner) and np.all(p <= self.max_corner))
+    def contains(self, p):
+        """Closed-box membership of a point (2,), or of each point in (..., 2)."""
+        p = np.asarray(p, dtype=float)
+        return np.all((p >= self.min_corner) & (p <= self.max_corner), axis=-1)
 
     @property
     def center(self) -> np.ndarray:
@@ -148,24 +180,14 @@ class Box2:
 
 
 def boundary_nodes(domain: StarDomain, n: int) -> List[BoundaryNode]:
-    """Place n knots at uniform parameter values t_i = 2*pi*i/n.
-
-    Outward normals come from rotating the curve tangent by -90 degrees
-    (the parametrization is counterclockwise) and normalizing.
-    """
+    """Place n knots at uniform parameter values t_i = 2*pi*i/n, with their
+    outward normals."""
     if n < 1:
         raise ConfigurationError(f"need at least one boundary node, got {n}")
     t = 2.0 * np.pi * np.arange(n) / n
-    r = domain.rho(t)
-    dr = domain.rho_deriv(t)
-    ct, st = np.cos(t), np.sin(t)
-    pos = np.stack([domain.center[0] + r * ct, domain.center[1] + r * st], axis=-1)
-    # gamma'(t) = rho'(cos,sin) + rho(-sin,cos)
-    tx = dr * ct - r * st
-    ty = dr * st + r * ct
-    norm = np.hypot(tx, ty)
-    nx, ny = ty / norm, -tx / norm
-    return [BoundaryNode(position=pos[i], normal=np.array([nx[i], ny[i]]), param=float(t[i]))
+    pos = domain.boundary_point(t)
+    normal = domain.outward_normal(t)
+    return [BoundaryNode(position=pos[i], normal=normal[i], param=float(t[i]))
             for i in range(n)]
 
 
@@ -201,8 +223,9 @@ def bounding_box(domain: StarDomain, margin_fraction: float) -> Box2:
     return Box2(min_corner=mid - half, max_corner=mid + half)
 
 
-def interior_eval_points(domain: StarDomain, rings: int, per_ring: int) -> List[np.ndarray]:
-    """Deterministic interior sample: scaled-down copies of the boundary.
+def interior_eval_points(domain: StarDomain, rings: int, per_ring: int) -> np.ndarray:
+    """Deterministic interior sample: scaled-down copies of the boundary,
+    as a (rings * per_ring, 2) array, ring by ring.
 
     Ring r (1-based) uses the radial scale r/(rings+1), so every point is
     strictly inside the domain.
@@ -211,11 +234,6 @@ def interior_eval_points(domain: StarDomain, rings: int, per_ring: int) -> List[
         raise ConfigurationError("rings and per_ring must both be >= 1")
     t = 2.0 * np.pi * np.arange(per_ring) / per_ring
     r = domain.rho(t)
-    ct, st = np.cos(t), np.sin(t)
-    points = []
-    for ring in range(1, rings + 1):
-        s = ring / (rings + 1)
-        for j in range(per_ring):
-            points.append(np.array([domain.center[0] + s * r[j] * ct[j],
-                                    domain.center[1] + s * r[j] * st[j]]))
-    return points
+    s = (np.arange(1, rings + 1) / (rings + 1))[:, None]
+    return np.stack([domain.center[0] + s * r * np.cos(t),
+                     domain.center[1] + s * r * np.sin(t)], axis=-1).reshape(-1, 2)

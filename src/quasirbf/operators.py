@@ -77,69 +77,78 @@ class ConvectionDiffusion:
 OperatorSpec = Union[Poisson, Helmholtz, ModifiedHelmholtz, ConvectionDiffusion]
 
 
-def fourier_symbol(op: OperatorSpec, omega) -> complex:
-    """sigma(omega) with L exp(i omega.x) = sigma(omega) exp(i omega.x)."""
+def fourier_symbol(op: OperatorSpec, omega):
+    """sigma(omega) with L exp(i omega.x) = sigma(omega) exp(i omega.x).
+
+    omega is one frequency (2,) or an array of them (..., 2); the result
+    is complex with shape (...).
+    """
     omega = np.asarray(omega, dtype=float)
-    w2 = float(omega @ omega)
+    w1, w2 = omega[..., 0], omega[..., 1]
+    ww = w1 ** 2 + w2 ** 2
     if isinstance(op, Poisson):
-        return complex(-w2)
+        return -ww + 0j
     if isinstance(op, Helmholtz):
-        return complex(op.k ** 2 - w2)
+        return op.k ** 2 - ww + 0j
     if isinstance(op, ModifiedHelmholtz):
-        return complex(-(op.k ** 2 + w2))
+        return -(op.k ** 2 + ww) + 0j
     if isinstance(op, ConvectionDiffusion):
-        return complex(-op.diffusivity * w2 - op.reaction, float(op.velocity @ omega))
+        return ((-op.diffusivity * ww - op.reaction)
+                + 1j * (op.velocity[0] * w1 + op.velocity[1] * w2))
     raise UnsupportedOperatorError(f"unknown operator {op!r}")
 
 
-def kernel_value(op: OperatorSpec, d) -> float:
-    """Nonsingular general-solution kernel evaluated at displacement d = x - s."""
+def _drift(op: ConvectionDiffusion, d: np.ndarray) -> np.ndarray:
+    """exp(-v.d / 2D) for displacements d (..., 2), with shape (..., 1)."""
+    return np.exp(-(op.velocity[0] * d[..., :1] + op.velocity[1] * d[..., 1:])
+                  / (2.0 * op.diffusivity))
+
+
+def kernel_value(op: OperatorSpec, d):
+    """Nonsingular general-solution kernel at displacements d = x - s,
+    (2,) or (..., 2); the result has shape (...)."""
     d = np.asarray(d, dtype=float)
-    r = float(np.hypot(d[0], d[1]))
+    r = np.hypot(d[..., 0], d[..., 1])
     if isinstance(op, Helmholtz):
         return bessel_j0(op.k * r)
     if isinstance(op, ModifiedHelmholtz):
         return bessel_i0(op.k * r)
     if isinstance(op, ConvectionDiffusion):
-        drift = math.exp(-float(op.velocity @ d) / (2.0 * op.diffusivity))
-        return drift * bessel_i0(op.mu * r)
+        return _drift(op, d)[..., 0] * bessel_i0(op.mu * r)
     raise UnsupportedOperatorError(
         "Poisson has no nonsingular radial kernel; use the Trefftz basis")
 
 
 def kernel_gradient(op: OperatorSpec, d) -> np.ndarray:
-    """Gradient of kernel_value with respect to x, with analytic r=0 limits."""
+    """Gradient of kernel_value with respect to x, with analytic r=0 limits,
+    at displacements d, (2,) or (..., 2); the result has d's shape."""
     d = np.asarray(d, dtype=float)
-    r = float(np.hypot(d[0], d[1]))
+    r = np.hypot(d[..., :1], d[..., 1:])  # (..., 1)
+    # every d / r term has a zero numerator at r = 0, where 1 is a safe divisor
+    safe_r = np.where(r == 0.0, 1.0, r)
     if isinstance(op, Helmholtz):
-        if r == 0.0:
-            return np.zeros(2)
-        return -op.k * bessel_j1(op.k * r) * d / r
+        return -op.k * bessel_j1(op.k * r) * d / safe_r
     if isinstance(op, ModifiedHelmholtz):
-        if r == 0.0:
-            return np.zeros(2)
-        return op.k * bessel_i1(op.k * r) * d / r
+        return op.k * bessel_i1(op.k * r) * d / safe_r
     if isinstance(op, ConvectionDiffusion):
         half_v = op.velocity / (2.0 * op.diffusivity)
-        if r == 0.0:
-            return -half_v
-        drift = math.exp(-float(op.velocity @ d) / (2.0 * op.diffusivity))
-        radial = op.mu * bessel_i1(op.mu * r) / r
-        return drift * (radial * d - half_v * bessel_i0(op.mu * r))
+        radial = op.mu * bessel_i1(op.mu * r) / safe_r
+        return _drift(op, d) * (radial * d - half_v * bessel_i0(op.mu * r))
     raise UnsupportedOperatorError(
         "Poisson has no nonsingular radial kernel; use the Trefftz basis")
 
 
-def apply_operator_fd(op: OperatorSpec, u: Callable[[float, float], float],
-                      x, h: float) -> float:
+def apply_operator_fd(op: OperatorSpec, u: Callable, x, h: float):
     """Second-order finite-difference application of L to a scalar field.
 
     5-point stencil for the Laplacian, centered differences for the
     convective term; error is O(h^2) for C^4 fields. Used as the
     independent check that kernels and solved fields satisfy L u = f.
+    x is one point (2,) or points (..., 2); u(x1, x2) is called once per
+    stencil offset with the coordinate arrays, and the result has shape (...).
     """
     x = np.asarray(x, dtype=float)
-    x1, x2 = float(x[0]), float(x[1])
+    x1, x2 = x[..., 0], x[..., 1]
     uc = u(x1, x2)
     ue, uw = u(x1 + h, x2), u(x1 - h, x2)
     un, us = u(x1, x2 + h), u(x1, x2 - h)

@@ -17,16 +17,15 @@ the solve with ResonantBoxError.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, ResonantBoxError
-from .geometry import Box2, StarDomain, bounding_box
-from .operators import (ConvectionDiffusion, Helmholtz, ModifiedHelmholtz,
-                        OperatorSpec, Poisson)
+from .geometry import Box2, StarDomain, bounding_box, point_blocks
+from .operators import (ConvectionDiffusion, Helmholtz, OperatorSpec, Poisson,
+                        fourier_symbol)
 
 RESONANCE_SYMBOL_TOL = 1e-8
 RESONANCE_SOURCE_TOL = 1e-10
@@ -51,11 +50,11 @@ class PoissonQuad:
     mean: float
     center: np.ndarray
 
-    def value(self, x1: float, x2: float) -> float:
+    def value(self, x1, x2):
         return self.mean * ((x1 - self.center[0]) ** 2 + (x2 - self.center[1]) ** 2) / 4.0
 
-    def gradient(self, x1: float, x2: float) -> np.ndarray:
-        return self.mean * np.array([x1 - self.center[0], x2 - self.center[1]]) / 2.0
+    def gradient(self, x1, x2) -> np.ndarray:
+        return self.mean * np.stack([x1 - self.center[0], x2 - self.center[1]], axis=-1) / 2.0
 
 
 @dataclass(frozen=True)
@@ -65,14 +64,14 @@ class ConvectionLinear:
     velocity: np.ndarray
     center: np.ndarray
 
-    def value(self, x1: float, x2: float) -> float:
+    def value(self, x1, x2):
         v = self.velocity
         return self.mean * (v[0] * (x1 - self.center[0]) + v[1] * (x2 - self.center[1])) \
             / float(v @ v)
 
-    def gradient(self, x1: float, x2: float) -> np.ndarray:
+    def gradient(self, x1, x2) -> np.ndarray:
         v = self.velocity
-        return self.mean * v / float(v @ v)
+        return np.broadcast_to(self.mean * v / float(v @ v), np.shape(x1) + (2,))
 
 
 Compensator = Union[None, PoissonQuad, ConvectionLinear]
@@ -107,27 +106,30 @@ class SpectralField:
     coeffs: np.ndarray
     compensator: Compensator = None
 
-    def _phase_vectors(self, x1: float, x2: float):
+    def _phases(self, x: np.ndarray):
+        """Mode frequencies w (n,) and phase factors exp(i w (x_k - min_k)), (P, n)
+        per axis k, at points x (P, 2) in the box (else DomainError)."""
+        inside = self.box.contains(x)
+        if not inside.all():
+            x1, x2 = x[np.argmin(inside)]
+            raise DomainError(f"point ({x1}, {x2}) lies outside the embedding box")
         side = float(self.box.side[0])
         m = np.fft.fftfreq(self.n) * self.n  # integer mode numbers
         w = 2.0 * np.pi * m / side
-        ex = np.exp(1j * w * (x1 - self.box.min_corner[0]))
-        ey = np.exp(1j * w * (x2 - self.box.min_corner[1]))
+        ex = np.exp(1j * w * (x[:, :1] - self.box.min_corner[0]))
+        ey = np.exp(1j * w * (x[:, 1:] - self.box.min_corner[1]))
         return w, ex, ey
 
-    def _require_inside(self, x1: float, x2: float):
-        if not self.box.contains((x1, x2)):
-            raise DomainError(f"point ({x1}, {x2}) lies outside the embedding box")
 
-
-def taper_weight(box: Box2, taper: TaperSpec, x) -> float:
-    """Separable C-infinity bump weight: 0 on the box edge, 1 on the plateau."""
+def taper_weight(box: Box2, taper: TaperSpec, x):
+    """Separable C-infinity bump weight at a point (2,) or points (..., 2):
+    0 on the box edge, 1 on the plateau."""
     x = np.asarray(x, dtype=float)
-    if not box.contains(x):
+    if not np.all(box.contains(x)):
         raise DomainError(f"taper_weight: point {x} lies outside the box")
     xi = (x - box.min_corner) / box.side
-    return float(_axis_weight(xi[0], taper.inner_fraction)
-                 * _axis_weight(xi[1], taper.inner_fraction))
+    return (_axis_weight(xi[..., 0], taper.inner_fraction)
+            * _axis_weight(xi[..., 1], taper.inner_fraction))[()]
 
 
 def _bump(s):
@@ -159,13 +161,14 @@ def required_margin(taper: TaperSpec) -> float:
     return t / (1.0 - 2.0 * t)
 
 
-def extend_source(f: Callable[[float, float], float], domain: StarDomain,
+def extend_source(f: Callable, domain: StarDomain,
                   box: Box2, n: int, taper: TaperSpec) -> SourceGrid:
     """Sample the tapered extension of f on the n x n periodic grid.
 
-    Inside the physical domain the taper weight is 1, so samples there
-    equal f exactly; the check below enforces that the domain's tight
-    bounding box lies within the taper plateau.
+    f(x1, x2) takes coordinate arrays and is called once, at the grid points
+    where the taper weight is nonzero. Inside the physical domain the taper
+    weight is 1, so samples there equal f exactly; the check below enforces
+    that the domain's tight bounding box lies within the taper plateau.
     """
     t = taper.inner_fraction
     tight = bounding_box(domain, 0.0)
@@ -176,20 +179,13 @@ def extend_source(f: Callable[[float, float], float], domain: StarDomain,
             "taper plateau does not contain the physical domain; "
             f"with inner_fraction={t} the box needs box_margin >= "
             f"{required_margin(taper):.4g}")
-    side = float(box.side[0])
-    coords = box.min_corner[0] + side * np.arange(n) / n, \
-        box.min_corner[1] + side * np.arange(n) / n
-    x1g, x2g = np.meshgrid(coords[0], coords[1], indexing="ij")
-    xi1 = (x1g - box.min_corner[0]) / side
-    xi2 = (x2g - box.min_corner[1]) / side
-    weight = _axis_weight(xi1, t) * _axis_weight(xi2, t)
-    samples = np.empty((n, n))
-    for i in range(n):
-        x1 = float(coords[0][i])
-        row = samples[i]
-        for j in range(n):
-            w = weight[i, j]
-            row[j] = w * f(x1, float(coords[1][j])) if w != 0.0 else 0.0
+    c = float(box.side[0]) * np.arange(n) / n
+    x1g, x2g = np.meshgrid(box.min_corner[0] + c, box.min_corner[1] + c, indexing="ij")
+    weight = taper_weight(box, taper, np.stack([x1g, x2g], axis=-1))
+    samples = np.zeros((n, n))
+    live = weight != 0.0
+    x1, x2 = x1g[live], x2g[live]
+    samples[live] = weight[live] * np.broadcast_to(f(x1, x2), x1.shape)
     return SourceGrid(box=box, n=n, samples=samples)
 
 
@@ -200,33 +196,18 @@ def solve_particular(op: OperatorSpec, grid: SourceGrid) -> SpectralField:
     fhat = np.fft.fft2(grid.samples)
     m = np.fft.fftfreq(n) * n
     w1 = 2.0 * np.pi * m / side
-    wx, wy = np.meshgrid(w1, w1, indexing="ij")
-    w2 = wx ** 2 + wy ** 2
+    sigma = fourier_symbol(op, np.stack(np.meshgrid(w1, w1, indexing="ij"), axis=-1))
 
     mean = float(grid.samples.mean())
     center = grid.box.center
     compensator: Compensator = None
-
     if isinstance(op, Poisson):
-        sigma = -w2.astype(complex)
-        fhat = fhat.copy()
+        compensator = PoissonQuad(mean=mean, center=center)
+    elif isinstance(op, ConvectionDiffusion) and op.reaction == 0.0:
+        compensator = ConvectionLinear(mean=mean, velocity=op.velocity, center=center)
+    if compensator is not None:
         fhat[0, 0] = 0.0
         sigma[0, 0] = 1.0  # placeholder; coefficient is zero anyway
-        compensator = PoissonQuad(mean=mean, center=center)
-    elif isinstance(op, ModifiedHelmholtz):
-        sigma = (-(op.k ** 2 + w2)).astype(complex)
-    elif isinstance(op, Helmholtz):
-        sigma = (op.k ** 2 - w2).astype(complex)
-    elif isinstance(op, ConvectionDiffusion):
-        sigma = (-op.diffusivity * w2 - op.reaction) \
-            + 1j * (op.velocity[0] * wx + op.velocity[1] * wy)
-        if op.reaction == 0.0:
-            fhat = fhat.copy()
-            fhat[0, 0] = 0.0
-            sigma[0, 0] = 1.0
-            compensator = ConvectionLinear(mean=mean, velocity=op.velocity, center=center)
-    else:
-        raise ConfigurationError(f"unknown operator {op!r}")
 
     coeffs = np.zeros_like(fhat)
     if isinstance(op, Helmholtz):
@@ -251,27 +232,27 @@ def solve_particular(op: OperatorSpec, grid: SourceGrid) -> SpectralField:
     return SpectralField(box=grid.box, n=n, coeffs=coeffs, compensator=compensator)
 
 
-def eval_particular(sf: SpectralField, x) -> float:
-    """Direct summation of the truncated Fourier series at an off-grid point."""
-    x = np.asarray(x, dtype=float)
-    x1, x2 = float(x[0]), float(x[1])
-    sf._require_inside(x1, x2)
-    _, ex, ey = sf._phase_vectors(x1, x2)
-    val = float(np.real(ex @ sf.coeffs @ ey))
+def eval_particular(sf: SpectralField, x):
+    """u_p at points x, (2,) or (..., 2): per block of points, the series is
+    summed as the row sums of (E_x C) * E_y."""
+    pts, blocks, shape = point_blocks(x, sf.n)
+    val = np.empty(len(pts))
+    for blk in blocks:
+        _, ex, ey = sf._phases(pts[blk])
+        val[blk] = np.real(np.sum((ex @ sf.coeffs) * ey, axis=1))
     if sf.compensator is not None:
-        val += sf.compensator.value(x1, x2)
-    return val
+        val += sf.compensator.value(pts[:, 0], pts[:, 1])
+    return val.reshape(shape)[()]
 
 
 def eval_particular_gradient(sf: SpectralField, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    x1, x2 = float(x[0]), float(x[1])
-    sf._require_inside(x1, x2)
-    w, ex, ey = sf._phase_vectors(x1, x2)
-    cey = sf.coeffs @ ey
-    gx = float(np.real((1j * w * ex) @ cey))
-    gy = float(np.real(ex @ (sf.coeffs @ (1j * w * ey))))
-    g = np.array([gx, gy])
+    """grad u_p at points x, (2,) or (..., 2); the result has x's shape."""
+    pts, blocks, shape = point_blocks(x, sf.n)
+    g = np.empty((len(pts), 2))
+    for blk in blocks:
+        w, ex, ey = sf._phases(pts[blk])
+        g[blk, 0] = np.real(np.sum(((1j * w * ex) @ sf.coeffs) * ey, axis=1))
+        g[blk, 1] = np.real(np.sum((ex @ sf.coeffs) * (1j * w * ey), axis=1))
     if sf.compensator is not None:
-        g = g + sf.compensator.gradient(x1, x2)
-    return g
+        g += sf.compensator.gradient(pts[:, 0], pts[:, 1])
+    return g.reshape(shape + (2,))

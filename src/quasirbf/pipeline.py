@@ -20,7 +20,7 @@ from .bkm import (LU, TSVD, Dirichlet, HomogeneousSolution, Neumann,
                   SolveDiagnostics, Strategy)
 from .errors import ConfigurationError, QuasiRbfError
 from .geometry import (StarDomain, boundary_nodes, bounding_box,
-                       interior_eval_points)
+                       interior_eval_points, stack_xy)
 from .operators import OperatorSpec, Poisson, apply_operator_fd
 from .particular import (SpectralField, TaperSpec, eval_particular,
                          eval_particular_gradient, extend_source,
@@ -94,21 +94,33 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class SolutionField:
-    """Composite evaluator u(x) = u_p(x) + u_h(x)."""
+    """Composite evaluator u(x) = u_p(x) + u_h(x).
+
+    evaluate and gradient take coordinates x1, x2 as floats or as arrays
+    of one shape (...); the value has shape (...), the gradient (..., 2).
+    """
     particular: Optional[SpectralField]
     homogeneous: HomogeneousSolution
 
-    def evaluate(self, x1: float, x2: float) -> float:
-        val = bkm.eval_homogeneous(self.homogeneous, (x1, x2))
+    def evaluate(self, x1, x2):
+        x = stack_xy(x1, x2)
+        val = bkm.eval_homogeneous(self.homogeneous, x)
         if self.particular is not None:
-            val += eval_particular(self.particular, (x1, x2))
+            val = val + eval_particular(self.particular, x)
         return val
 
-    def gradient(self, x1: float, x2: float) -> np.ndarray:
-        g = bkm.eval_homogeneous_gradient(self.homogeneous, (x1, x2))
+    def gradient(self, x1, x2) -> np.ndarray:
+        x = stack_xy(x1, x2)
+        g = bkm.eval_homogeneous_gradient(self.homogeneous, x)
         if self.particular is not None:
-            g = g + eval_particular_gradient(self.particular, (x1, x2))
+            g = g + eval_particular_gradient(self.particular, x)
         return g
+
+
+def _broadcast(value, shape) -> np.ndarray:
+    """A callback result (array or constant) as a float array of `shape`."""
+    return np.broadcast_to(np.asarray(value, dtype=float), shape)
+
 
 
 @dataclass(frozen=True)
@@ -161,22 +173,9 @@ def run_pipeline(config: RunConfig) -> RunResult:
     t0 = time.perf_counter()
     try:
         nodes = boundary_nodes(domain, config.knots)
-        bc = []
-        for node in nodes:
-            x1, x2 = float(node.position[0]), float(node.position[1])
-            if problem.bc_kind == "dirichlet":
-                g = problem.exact(x1, x2) if problem.exact is not None else 1.0
-                if sf is not None:
-                    g -= eval_particular(sf, node.position)
-                bc.append(Dirichlet(g))
-            else:
-                if problem.exact_gradient is not None:
-                    h = float(node.normal @ problem.exact_gradient(x1, x2))
-                else:
-                    h = 0.0
-                if sf is not None:
-                    h -= float(node.normal @ eval_particular_gradient(sf, node.position))
-                bc.append(Neumann(h))
+        bc = [Dirichlet(float(g)) if problem.bc_kind == "dirichlet" else Neumann(float(g))
+              for g in _boundary_data(problem, sf, np.array([n.position for n in nodes]),
+                                      np.array([n.normal for n in nodes]))]
         if isinstance(op, Poisson):
             order = config.trefftz_order
             if order is None:
@@ -206,41 +205,45 @@ def run_pipeline(config: RunConfig) -> RunResult:
                      problem=problem, config=config)
 
 
-def solve_problem(config: RunConfig) -> Tuple[SolutionField, SolveDiagnostics]:
-    result = run_pipeline(config)
-    return result.field, result.diagnostics
+def _boundary_data(problem: ProblemPreset, sf: Optional[SpectralField],
+                   pts: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Data left for u_h at boundary points (P, 2) with outward normals:
+    u* - u_p (Dirichlet) or n.grad(u* - u_p) (Neumann). Without an exact
+    solution u* is taken as 1 (Dirichlet) or zero-flux (Neumann)."""
+    x1, x2 = pts[:, 0], pts[:, 1]
+    if problem.bc_kind == "dirichlet":
+        g = _broadcast(problem.exact(x1, x2) if problem.exact is not None else 1.0, x1.shape)
+        return g - eval_particular(sf, pts) if sf is not None else g
+    grad = (_broadcast(problem.exact_gradient(x1, x2), pts.shape)
+            if problem.exact_gradient is not None else np.zeros(pts.shape))
+    if sf is not None:
+        grad = grad - eval_particular_gradient(sf, pts)
+    return np.einsum("pk,pk->p", normals, grad)
 
 
-def error_metrics(evaluate: Callable[[float, float], float],
-                  exact: Callable[[float, float], float],
-                  points: Sequence) -> Tuple[float, float]:
-    """Max and RMS error relative to max |exact| over the point set."""
-    if len(points) == 0:
+def error_metrics(evaluate: Callable, exact: Callable, points) -> Tuple[float, float]:
+    """Max and RMS error relative to max |exact| over the point set;
+    evaluate and exact are called once each, on the coordinate arrays."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if len(pts) == 0:
         raise ConfigurationError("error_metrics needs at least one point")
-    errs = []
-    scale = 0.0
-    for p in points:
-        x1, x2 = float(p[0]), float(p[1])
-        e = exact(x1, x2)
-        scale = max(scale, abs(e))
-        errs.append(abs(evaluate(x1, x2) - e))
+    x1, x2 = pts[:, 0], pts[:, 1]
+    e = _broadcast(exact(x1, x2), x1.shape)
+    scale = float(np.max(np.abs(e)))
     if scale == 0.0:
         raise ConfigurationError(
             "error_metrics: exact solution vanishes on the whole point set")
-    errs = np.asarray(errs) / scale
+    errs = np.abs(_broadcast(evaluate(x1, x2), x1.shape) - e) / scale
     return float(errs.max()), float(np.sqrt(np.mean(errs ** 2)))
 
 
 def residual_check(field: SolutionField, op: OperatorSpec,
-                   source: Optional[Callable[[float, float], float]],
-                   points: Sequence, h: float) -> float:
+                   source: Optional[Callable], points, h: float) -> float:
     """Max |L u - f| by finite differences over interior points."""
-    worst = 0.0
-    for p in points:
-        lu = apply_operator_fd(op, field.evaluate, p, h)
-        f = source(float(p[0]), float(p[1])) if source is not None else 0.0
-        worst = max(worst, abs(lu - f))
-    return worst
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    lu = apply_operator_fd(op, field.evaluate, pts, h)
+    f = source(pts[:, 0], pts[:, 1]) if source is not None else 0.0
+    return float(np.max(np.abs(lu - f), initial=0.0))
 
 
 def boundary_residual(result: RunResult, samples_per_knot: int = 4) -> float:
@@ -251,31 +254,19 @@ def boundary_residual(result: RunResult, samples_per_knot: int = 4) -> float:
     therefore cannot mask boundary error.
     """
     problem = result.problem
-    domain = problem.domain
     n = result.config.knots * samples_per_knot
     t = 2.0 * np.pi * (np.arange(n) + 0.5) / n
     pts = problem.domain.boundary_point(t)
-    # outward normals at the sample parameters, for Neumann data
-    dr = domain.rho_deriv(t)
-    r = domain.rho(t)
-    tx = dr * np.cos(t) - r * np.sin(t)
-    ty = dr * np.sin(t) + r * np.cos(t)
-    norm = np.hypot(tx, ty)
-    normals = np.stack([ty / norm, -tx / norm], axis=-1)
-    worst = 0.0
-    for p, nrm in zip(pts, normals):
-        x1, x2 = float(p[0]), float(p[1])
-        if problem.bc_kind == "dirichlet":
-            g = problem.exact(x1, x2) if problem.exact is not None else 1.0
-            worst = max(worst, abs(result.field.evaluate(x1, x2) - g))
-        else:
-            h = (float(nrm @ problem.exact_gradient(x1, x2))
-                 if problem.exact_gradient is not None else 0.0)
-            worst = max(worst, abs(float(nrm @ result.field.gradient(x1, x2)) - h))
-    return worst
+    normals = problem.domain.outward_normal(t)
+    data = _boundary_data(problem, None, pts, normals)
+    if problem.bc_kind == "dirichlet":
+        got = result.field.evaluate(pts[:, 0], pts[:, 1])
+    else:
+        got = np.einsum("pk,pk->p", normals, result.field.gradient(pts[:, 0], pts[:, 1]))
+    return float(np.max(np.abs(got - data)))
 
 
-def evaluation_points(config: RunConfig) -> List[np.ndarray]:
+def evaluation_points(config: RunConfig) -> np.ndarray:
     problem = config.resolve_problem()
     return interior_eval_points(problem.domain, config.rings, config.per_ring)
 

@@ -2,7 +2,9 @@
 
 Each preset carries a whole-plane analytic source f and (where known) the
 exact solution u* and its gradient, so boundary data comes from tracing
-u* and errors are measurable. Registration verifies L u* = f by finite
+u* and errors are measurable. The callbacks take coordinate arrays x1, x2
+(or floats) and return arrays of the same shape; exact_gradient adds a
+trailing axis of length 2. Registration verifies L u* = f by finite
 differences at interior probe points, so a preset with a typo cannot
 enter the registry.
 """
@@ -15,13 +17,14 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import Circle, Star, StarDomain, interior_eval_points
+from .geometry import Circle, Star, StarDomain, interior_eval_points, stack_xy
 from .operators import (ConvectionDiffusion, Helmholtz, ModifiedHelmholtz,
                         OperatorSpec, Poisson, apply_operator_fd,
                         kernel_gradient, kernel_value)
 
-Field = Callable[[float, float], float]
-VectorField = Callable[[float, float], np.ndarray]
+# (x1, x2) -> values of x1's shape (...); a VectorField returns (..., 2)
+Field = Callable[[np.ndarray, np.ndarray], np.ndarray]
+VectorField = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 _SELF_CONSISTENCY_H = 1e-3
 _SELF_CONSISTENCY_TOL = 1e-4
@@ -44,12 +47,10 @@ def check_self_consistency(preset: ProblemPreset, h: float = _SELF_CONSISTENCY_H
     """Max |L u* - f| over interior probe points (NaN if no exact solution)."""
     if preset.exact is None:
         return float("nan")
-    worst = 0.0
-    for p in interior_eval_points(preset.domain, rings=2, per_ring=4):
-        lu = apply_operator_fd(preset.operator, preset.exact, p, h)
-        f = preset.source(p[0], p[1]) if preset.source is not None else 0.0
-        worst = max(worst, abs(lu - f))
-    return worst
+    p = interior_eval_points(preset.domain, rings=2, per_ring=4)
+    lu = apply_operator_fd(preset.operator, preset.exact, p, h)
+    f = preset.source(p[:, 0], p[:, 1]) if preset.source is not None else 0.0
+    return float(np.max(np.abs(lu - f)))
 
 
 _REGISTRY: Dict[str, ProblemPreset] = {}
@@ -87,8 +88,8 @@ _register(ProblemPreset(
     description="Helmholtz k=2 on the unit disc, u* = sin(2 x1), homogeneous",
     operator=Helmholtz(2.0),
     domain=_unit_disc,
-    exact=lambda x, y: math.sin(2.0 * x),
-    exact_gradient=lambda x, y: np.array([2.0 * math.cos(2.0 * x), 0.0]),
+    exact=lambda x, y: np.sin(2.0 * x),
+    exact_gradient=lambda x, y: stack_xy(2.0 * np.cos(2.0 * x), 0.0),
     source=None,
 ))
 
@@ -97,8 +98,8 @@ _register(ProblemPreset(
     description="Helmholtz k=2 on a five-lobed star, u* = sin(2 x1), homogeneous",
     operator=Helmholtz(2.0),
     domain=_star5,
-    exact=lambda x, y: math.sin(2.0 * x),
-    exact_gradient=lambda x, y: np.array([2.0 * math.cos(2.0 * x), 0.0]),
+    exact=lambda x, y: np.sin(2.0 * x),
+    exact_gradient=lambda x, y: stack_xy(2.0 * np.cos(2.0 * x), 0.0),
     source=None,
 ))
 
@@ -111,8 +112,8 @@ _register(ProblemPreset(
                 "centered at (1, 0), so the exact field lies in the trial span",
     operator=_kt_op,
     domain=_unit_disc,
-    exact=lambda x, y: kernel_value(_kt_op, np.array([x, y]) - _kt_center),
-    exact_gradient=lambda x, y: kernel_gradient(_kt_op, np.array([x, y]) - _kt_center),
+    exact=lambda x, y: kernel_value(_kt_op, stack_xy(x, y) - _kt_center),
+    exact_gradient=lambda x, y: kernel_gradient(_kt_op, stack_xy(x, y) - _kt_center),
     source=None,
 ))
 
@@ -122,12 +123,12 @@ _register(ProblemPreset(
                 "u* = sin(pi x1) sin(pi x2)",
     operator=ModifiedHelmholtz(1.0),
     domain=_unit_disc,
-    exact=lambda x, y: math.sin(math.pi * x) * math.sin(math.pi * y),
-    exact_gradient=lambda x, y: np.array([
-        math.pi * math.cos(math.pi * x) * math.sin(math.pi * y),
-        math.pi * math.sin(math.pi * x) * math.cos(math.pi * y)]),
+    exact=lambda x, y: np.sin(math.pi * x) * np.sin(math.pi * y),
+    exact_gradient=lambda x, y: stack_xy(
+        math.pi * np.cos(math.pi * x) * np.sin(math.pi * y),
+        math.pi * np.sin(math.pi * x) * np.cos(math.pi * y)),
     source=lambda x, y: -(2.0 * math.pi ** 2 + 1.0)
-    * math.sin(math.pi * x) * math.sin(math.pi * y),
+    * np.sin(math.pi * x) * np.sin(math.pi * y),
 ))
 
 _register(ProblemPreset(
@@ -136,12 +137,12 @@ _register(ProblemPreset(
                 "circular-harmonic basis",
     operator=Poisson(),
     domain=_unit_disc,
-    exact=lambda x, y: math.sin(math.pi * x) * math.sin(math.pi * y),
-    exact_gradient=lambda x, y: np.array([
-        math.pi * math.cos(math.pi * x) * math.sin(math.pi * y),
-        math.pi * math.sin(math.pi * x) * math.cos(math.pi * y)]),
+    exact=lambda x, y: np.sin(math.pi * x) * np.sin(math.pi * y),
+    exact_gradient=lambda x, y: stack_xy(
+        math.pi * np.cos(math.pi * x) * np.sin(math.pi * y),
+        math.pi * np.sin(math.pi * x) * np.cos(math.pi * y)),
     source=lambda x, y: -2.0 * math.pi ** 2
-    * math.sin(math.pi * x) * math.sin(math.pi * y),
+    * np.sin(math.pi * x) * np.sin(math.pi * y),
     trefftz_order=12,
 ))
 
@@ -151,9 +152,9 @@ _register(ProblemPreset(
                 "u* = exp(x1)",
     operator=ConvectionDiffusion(diffusivity=1.0, velocity=(2.0, 0.0), reaction=1.0),
     domain=_unit_disc,
-    exact=lambda x, y: math.exp(x),
-    exact_gradient=lambda x, y: np.array([math.exp(x), 0.0]),
-    source=lambda x, y: 2.0 * math.exp(x),
+    exact=lambda x, y: np.exp(x),
+    exact_gradient=lambda x, y: stack_xy(np.exp(x), 0.0),
+    source=lambda x, y: 2.0 * np.exp(x),
 ))
 
 # Disc of radius pi/2: with box_margin = 0.5 the embedding box is exactly
@@ -165,7 +166,7 @@ _register(ProblemPreset(
                 "box_margin 0.5 the embedding box is resonant",
     operator=Helmholtz(1.0),
     domain=StarDomain(Circle(math.pi / 2.0)),
-    exact=lambda x, y: 0.5 * x * math.sin(x),
-    exact_gradient=lambda x, y: np.array([0.5 * (math.sin(x) + x * math.cos(x)), 0.0]),
-    source=lambda x, y: math.cos(x),
+    exact=lambda x, y: 0.5 * x * np.sin(x),
+    exact_gradient=lambda x, y: stack_xy(0.5 * (np.sin(x) + x * np.cos(x)), 0.0),
+    source=lambda x, y: np.cos(x),
 ))

@@ -11,11 +11,17 @@ asymptotic expansion beyond a fixed switch point:
 
 Absolute accuracy for J and relative accuracy for I is ~1e-12 or better
 on [0, 50].
+
+Each function takes a float or an array of any shape; an array runs the
+same iterations as a float, and each element of the result equals the
+float result for that element.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import accumulate
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -23,131 +29,115 @@ J_SWITCH = 12.0
 I_SWITCH = 15.0
 I_OVERFLOW_LIMIT = 700.0
 
-_SERIES = "series"
-_ASYMPTOTIC = "asymptotic"
+
+def _iterate(step, state, limit: int, n_out: int):
+    """Apply `state, done = step(k, *state)` for k = 0 .. limit-1 and return
+    the first n_out entries of the state at the first `done`: for array
+    state, the state of each element at its own first `done`."""
+    if np.ndim(state[0]) == 0:
+        for k in range(limit):
+            state, done = step(k, *state)
+            if done:
+                break
+        return state[:n_out]
+    out = [a.copy() for a in state[:n_out]]
+    running = np.ones(state[0].shape, dtype=bool)
+    for k in range(limit):
+        state, done = step(k, *state)
+        for o, a in zip(out, state):
+            np.copyto(o, a, where=running)
+        running &= ~done
+        if not running.any():
+            break
+    return out
 
 
-@dataclass(frozen=True)
-class SpecfunResult:
-    value: float
-    method: str
-
-
-def _check_arg(name: str, x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"{name} requires a finite argument, got {x!r}")
-    if x < 0.0:
-        raise DomainError(f"{name} is defined for x >= 0, got {x}")
-    return x
-
-
-def _series_bessel(nu: int, x: float, sign: float) -> float:
+def _series_bessel(nu: int, x, sign: float):
     """Ascending series for J_nu (sign=-1) or I_nu (sign=+1), nu in {0, 1}.
 
     Kahan-compensated summation; terms generated by the two-term recurrence.
     """
-    q = 0.25 * x * x
-    t = x * 0.5 if nu == 1 else 1.0
-    s = t
-    c = 0.0
-    for m in range(1, 400):
-        t = sign * t * q / (m * (m + nu))
+    def step(k, s, c, t, sq):
+        m = k + 1
+        t = t * sq / (m * (m + nu))  # sign * t * q, exactly: sign is +-1
         y = t - c
         u = s + y
         c = (u - s) - y
-        s = u
-        if abs(t) <= 1e-18 * abs(s) + 1e-300:
-            break
-    return s
+        return (u, c, t, sq), abs(t) <= 1e-18 * abs(u) + 1e-300
+
+    t = x * 0.5 if nu == 1 else 1.0 + 0.0 * x
+    return _iterate(step, (t, 0.0 * x, t, sign * (0.25 * x * x)), 399, 1)[0]
 
 
-def _hankel_pq(nu: int, x: float):
-    """P and Q sums of the Hankel large-argument expansion, truncated at
-    the smallest term."""
-    a = 1.0
-    p = 0.0
-    q = 0.0
-    prev = math.inf
-    for k in range(60):
-        t = a / x ** k
-        if abs(t) > prev:
-            break
-        prev = abs(t)
+def _hankel_coefficients(nu: int):
+    """a_0 .. a_60 of the large-argument expansions of J_nu and I_nu."""
+    return list(accumulate(range(60), lambda a, k: a * (4 * nu * nu - (2 * k + 1) ** 2)
+                           / ((k + 1) * 8.0), initial=1.0))
+
+
+_HANKEL_A = (_hankel_coefficients(0), _hankel_coefficients(1))
+
+
+def _asymptotic(nu: int, x, modified: bool):
+    """Large-argument form of I_nu (modified) or J_nu, with the series of
+    terms t_k = a_k / x^k truncated at its smallest term: Hankel's P and Q
+    for J_nu, the alternating sum S for I_nu."""
+    def step(k, p, q, s, t, xk, x):
+        sign = -1 if k % 4 >= 2 else 1
         if k % 2 == 0:
-            p += (-1) ** (k // 2) * t
+            p = p + sign * t
         else:
-            q += (-1) ** ((k - 1) // 2) * t
-        a = a * (4 * nu * nu - (2 * k + 1) ** 2) / ((k + 1) * 8.0)
-    return p, q
+            q = q + sign * t
+        s = s + (-1) ** k * t
+        xk = xk * x
+        nxt = _HANKEL_A[nu][k + 1] / xk
+        return (p, q, s, nxt, xk, x), abs(nxt) > abs(t)
 
-
-def _asymptotic_j(nu: int, x: float) -> float:
-    p, q = _hankel_pq(nu, x)
+    zero = 0.0 * x
+    p, q, s = _iterate(step, (zero, zero, zero, 1.0 + zero, 1.0 + zero, x), 60, 3)
+    if modified:
+        return np.exp(x) / np.sqrt(2.0 * math.pi * x) * s
     omega = x - nu * math.pi / 2 - math.pi / 4
-    return math.sqrt(2.0 / (math.pi * x)) * (math.cos(omega) * p - math.sin(omega) * q)
+    return np.sqrt(2.0 / (math.pi * x)) * (np.cos(omega) * p - np.sin(omega) * q)
 
 
-def _asymptotic_i(nu: int, x: float) -> float:
-    a = 1.0
-    s = 0.0
-    prev = math.inf
-    for k in range(60):
-        t = (-1) ** k * a / x ** k
-        if abs(t) > prev:
-            break
-        prev = abs(t)
-        s += t
-        a = a * (4 * nu * nu - (2 * k + 1) ** 2) / ((k + 1) * 8.0)
-    return math.exp(x) / math.sqrt(2.0 * math.pi * x) * s
+def _bessel(name: str, nu: int, x, modified: bool):
+    """J_nu or (modified) I_nu on a float or an array."""
+    sign, switch, limit = ((1.0, I_SWITCH, I_OVERFLOW_LIMIT) if modified
+                           else (-1.0, J_SWITCH, math.inf))
+    a = np.asarray(x, dtype=float)
+    flat = a.ravel()
+    if a.ndim == 0:
+        lo = hi = float(a)
+    else:
+        lo, hi = (float(flat.min()), float(flat.max())) if flat.size else (0.0, 0.0)
+    if not (lo >= 0.0 and hi < math.inf):
+        raise DomainError(f"{name} is defined for finite x >= 0, got {lo if not lo >= 0.0 else hi}")
+    if hi > limit:
+        raise OverflowError(f"{name} overflows double precision for x > {limit}, got {hi}")
+    if a.ndim == 0:
+        return float(_series_bessel(nu, lo, sign) if lo < switch
+                     else _asymptotic(nu, lo, modified))
+    out = np.empty_like(flat)
+    small = flat < switch
+    if small.any():
+        out[small] = _series_bessel(nu, flat[small], sign)
+    if not small.all():
+        out[~small] = _asymptotic(nu, flat[~small], modified)
+    return out.reshape(a.shape)
 
 
-def j0_result(x: float) -> SpecfunResult:
-    x = _check_arg("bessel_j0", x)
-    if x < J_SWITCH:
-        return SpecfunResult(_series_bessel(0, x, -1.0), _SERIES)
-    return SpecfunResult(_asymptotic_j(0, x), _ASYMPTOTIC)
+def bessel_j0(x):
+    return _bessel("bessel_j0", 0, x, False)
 
 
-def j1_result(x: float) -> SpecfunResult:
-    x = _check_arg("bessel_j1", x)
-    if x < J_SWITCH:
-        return SpecfunResult(_series_bessel(1, x, -1.0), _SERIES)
-    return SpecfunResult(_asymptotic_j(1, x), _ASYMPTOTIC)
+def bessel_j1(x):
+    return _bessel("bessel_j1", 1, x, False)
 
 
-def _check_i_arg(name: str, x: float) -> float:
-    x = _check_arg(name, x)
-    if x > I_OVERFLOW_LIMIT:
-        raise OverflowError(f"{name} overflows double precision for x > {I_OVERFLOW_LIMIT}, got {x}")
-    return x
+def bessel_i0(x):
+    return _bessel("bessel_i0", 0, x, True)
 
 
-def i0_result(x: float) -> SpecfunResult:
-    x = _check_i_arg("bessel_i0", x)
-    if x < I_SWITCH:
-        return SpecfunResult(_series_bessel(0, x, 1.0), _SERIES)
-    return SpecfunResult(_asymptotic_i(0, x), _ASYMPTOTIC)
-
-
-def i1_result(x: float) -> SpecfunResult:
-    x = _check_i_arg("bessel_i1", x)
-    if x < I_SWITCH:
-        return SpecfunResult(_series_bessel(1, x, 1.0), _SERIES)
-    return SpecfunResult(_asymptotic_i(1, x), _ASYMPTOTIC)
-
-
-def bessel_j0(x: float) -> float:
-    return j0_result(x).value
-
-
-def bessel_j1(x: float) -> float:
-    return j1_result(x).value
-
-
-def bessel_i0(x: float) -> float:
-    return i0_result(x).value
-
-
-def bessel_i1(x: float) -> float:
-    return i1_result(x).value
+def bessel_i1(x):
+    return _bessel("bessel_i1", 1, x, True)

@@ -1,19 +1,24 @@
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quasirbf.bkm import KernelMode, trefftz_terms
 from quasirbf.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, load_config,
                           parse_config, run_cli)
 from quasirbf.errors import ConfigurationError, ResonantBoxError
 from quasirbf.geometry import Circle, StarDomain
-from quasirbf.operators import Helmholtz, ModifiedHelmholtz
+from quasirbf.operators import (Helmholtz, ModifiedHelmholtz, kernel_gradient,
+                                kernel_value)
 from quasirbf.pipeline import (CSV_HEADER, ConvergenceRow, InlineProblem,
                                RunConfig, boundary_residual,
                                convergence_study, error_metrics,
                                evaluation_points, residual_check,
-                               rows_to_csv, run_pipeline, solve_problem)
+                               rows_to_csv, run_pipeline)
 from quasirbf.presets import (all_presets, check_self_consistency, get_preset,
                               preset_names)
 
@@ -74,10 +79,10 @@ class TestRunPipeline:
             run_pipeline(RunConfig(preset="helmholtz_resonant", knots=16,
                                    grid=64, box_margin=0.5))
 
-    def test_solve_problem_accuracy(self):
-        field, diag = solve_problem(RunConfig(preset="helmholtz_disc", knots=32))
-        assert abs(field.evaluate(0.3, 0.4) - math.sin(0.6)) <= 1e-6
-        assert diag.condition_estimate > 1.0
+    def test_run_pipeline_accuracy(self):
+        result = run_pipeline(RunConfig(preset="helmholtz_disc", knots=32))
+        assert abs(result.field.evaluate(0.3, 0.4) - math.sin(0.6)) <= 1e-6
+        assert result.diagnostics.condition_estimate > 1.0
 
     def test_poisson_uses_trefftz(self):
         result = run_pipeline(RunConfig(preset="poisson_disc", knots=48, grid=128))
@@ -257,3 +262,101 @@ class TestCli:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "PASS" in out
+
+
+# Reordered float64 sums over N <= 64 terms differ by at most ~N eps of the
+# sum of the terms' magnitudes; 1e-12 (about 4500 eps) bounds that with room.
+BATCH_TOL = 1e-12
+
+
+def _reference_value_and_gradient(field, x1, x2):
+    """Per-point loop: u and grad u at one point as sums of per-term
+    scalar calls, with the sum of the terms' magnitudes as the scale."""
+    sol = field.homogeneous
+    if isinstance(sol.mode, KernelMode):
+        terms = [(alpha * kernel_value(sol.mode.op, (x1 - c.position[0], x2 - c.position[1])),
+                  alpha * kernel_gradient(sol.mode.op, (x1 - c.position[0], x2 - c.position[1])))
+                 for alpha, c in zip(sol.coefficients, sol.centers)]
+    else:
+        values, grads = trefftz_terms(sol.mode.order, sol.mode.center, sol.mode.scale,
+                                      x1, x2)
+        terms = [(a * v, a * g) for a, v, g in zip(sol.coefficients, values, grads)]
+    value = sum(t[0] for t in terms)
+    grad = sum(t[1] for t in terms)
+    scale_v = sum(abs(t[0]) for t in terms)
+    scale_g = sum(np.abs(t[1]).max() for t in terms)
+    sf = field.particular
+    if sf is not None:
+        side = float(sf.box.side[0])
+        w = 2.0 * np.pi * (np.fft.fftfreq(sf.n) * sf.n) / side
+        ex = np.exp(1j * w * (x1 - sf.box.min_corner[0]))
+        ey = np.exp(1j * w * (x2 - sf.box.min_corner[1]))
+        v = float(np.real(ex @ sf.coeffs @ ey))
+        g = np.array([np.real((1j * w * ex) @ sf.coeffs @ ey),
+                      np.real(ex @ sf.coeffs @ (1j * w * ey))])
+        if sf.compensator is not None:
+            v += sf.compensator.value(x1, x2)
+            g = g + sf.compensator.gradient(x1, x2)
+        value += v
+        grad = grad + g
+        scale_v += float(np.abs(sf.coeffs).sum())
+        scale_g += float((np.abs(sf.coeffs) * np.abs(w)[:, None]).sum()
+                         + (np.abs(sf.coeffs) * np.abs(w)[None, :]).sum())
+    return value, grad, scale_v, scale_g
+
+
+class TestBatchedEvaluation:
+    """SolutionField.evaluate/gradient on arrays against the per-point loop."""
+
+    @pytest.fixture(scope="class", params=["helmholtz_disc", "convdiff_disc",
+                                           "modhelm_source", "poisson_disc"])
+    def field(self, request):
+        return run_pipeline(RunConfig(preset=request.param, knots=32, grid=64)).field
+
+    def _check(self, field, pts):
+        pts = np.asarray(pts, dtype=float)
+        values = field.evaluate(pts[:, 0], pts[:, 1])
+        grads = field.gradient(pts[:, 0], pts[:, 1])
+        assert values.shape == (len(pts),) and grads.shape == (len(pts), 2)
+        for (x1, x2), v, g in zip(pts, values, grads):
+            want_v, want_g, scale_v, scale_g = _reference_value_and_gradient(field, x1, x2)
+            assert abs(v - want_v) <= BATCH_TOL * scale_v
+            assert np.abs(g - want_g).max() <= BATCH_TOL * scale_g
+            assert abs(field.evaluate(x1, x2) - v) <= BATCH_TOL * scale_v
+            assert np.abs(field.gradient(x1, x2) - g).max() <= BATCH_TOL * scale_g
+
+    def test_interior_points(self, field):
+        rng = np.random.default_rng(77)
+        self._check(field, rng.uniform(-0.7, 0.7, size=(30, 2)))
+
+    def test_many_blocks(self, field):
+        # 1200 points span several blocks of BLOCK_PAIRS point-basis pairs
+        # (32 centres or 64 modes per point); check both ends of every block
+        pts = np.random.default_rng(78).uniform(-0.7, 0.7, size=(1200, 2))
+        values = field.evaluate(pts[:, 0], pts[:, 1])
+        grads = field.gradient(pts[:, 0], pts[:, 1])
+        for i in [i for i in range(1200) if i % 64 in (0, 63)]:
+            want_v, want_g, scale_v, scale_g = _reference_value_and_gradient(field, *pts[i])
+            assert abs(values[i] - want_v) <= BATCH_TOL * scale_v
+            assert np.abs(grads[i] - want_g).max() <= BATCH_TOL * scale_g
+
+    def test_grid_shape_preserved(self, field):
+        x1, x2 = np.meshgrid(np.linspace(-0.5, 0.5, 3), np.linspace(-0.4, 0.4, 4))
+        values = field.evaluate(x1, x2)
+        grads = field.gradient(x1, x2)
+        assert values.shape == (4, 3) and grads.shape == (4, 3, 2)
+        flat = field.evaluate(x1.ravel(), x2.ravel())
+        assert np.array_equal(values.ravel(), flat)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)),
+                min_size=1, max_size=12))
+def test_batch_matches_point_loop_property(points):
+    field = _property_field()
+    TestBatchedEvaluation()._check(field, points)
+
+
+@functools.lru_cache(maxsize=1)
+def _property_field():
+    return run_pipeline(RunConfig(preset="convdiff_disc", knots=16, grid=32)).field

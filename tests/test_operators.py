@@ -162,3 +162,35 @@ class TestKernelAnnihilation:
         assert np.max(np.abs(r1)) <= 1e-3 * max(1.0, scale)
         rms = lambda v: math.sqrt(float(np.mean(v ** 2)))
         assert 3.4 <= rms(r1) / rms(r2) <= 4.6
+
+
+class TestBatched:
+    """Array arguments agree with per-element calls."""
+
+    def test_fourier_symbol(self):
+        w = np.random.default_rng(2).uniform(-5.0, 5.0, size=(6, 7, 2))
+        for op in [Poisson()] + KERNEL_OPS:
+            got = fourier_symbol(op, w)
+            assert got.shape == (6, 7)
+            want = np.array([[fourier_symbol(op, w[i, j]) for j in range(7)]
+                             for i in range(6)])
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("op", KERNEL_OPS)
+    def test_kernels(self, op):
+        d = np.random.default_rng(8).uniform(-2.0, 2.0, size=(5, 9, 2))
+        d[0, 0] = 0.0
+        values = kernel_value(op, d)
+        grads = kernel_gradient(op, d)
+        assert values.shape == (5, 9) and grads.shape == (5, 9, 2)
+        for idx in np.ndindex(5, 9):
+            assert abs(values[idx] - kernel_value(op, d[idx])) <= 1e-15 * abs(values[idx])
+            assert np.allclose(grads[idx], kernel_gradient(op, d[idx]), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("op", [Poisson()] + KERNEL_OPS)
+    def test_apply_operator_fd(self, op):
+        u = lambda a, b: np.sin(a) * np.exp(0.5 * b)
+        pts = np.random.default_rng(1).uniform(-1.0, 1.0, size=(12, 2))
+        got = apply_operator_fd(op, u, pts, 1e-3)
+        want = [apply_operator_fd(op, u, p, 1e-3) for p in pts]
+        assert np.array_equal(got, want)

@@ -115,7 +115,7 @@ class TestExtendSource:
 
     def test_determinism(self):
         box = bounding_box(UNIT_DISC, 1.0)
-        f = lambda a, b: math.sin(a) * math.cos(b)
+        f = lambda a, b: np.sin(a) * np.cos(b)
         g1 = extend_source(f, UNIT_DISC, box, 64, TaperSpec(0.1))
         g2 = extend_source(f, UNIT_DISC, box, 64, TaperSpec(0.1))
         assert np.array_equal(g1.samples, g2.samples)
@@ -250,16 +250,58 @@ class TestEndToEndResidual:
         return worst
 
     def test_modhelm_residual_small(self):
-        f = lambda a, b: math.sin(math.pi * a) * math.sin(math.pi * b)
+        f = lambda a, b: np.sin(math.pi * a) * np.sin(math.pi * b)
         assert self._residual(ModifiedHelmholtz(1.0), f, 128) <= 1e-3
 
     def test_convdiff_residual_small(self):
         op = ConvectionDiffusion(diffusivity=1.0, velocity=(2.0, 0.0), reaction=1.0)
-        f = lambda a, b: 2.0 * math.exp(a)
+        f = lambda a, b: 2.0 * np.exp(a)
         assert self._residual(op, f, 128) <= 1e-3
 
     def test_refinement_improves_residual(self):
-        f = lambda a, b: math.sin(math.pi * a) * math.sin(math.pi * b)
+        f = lambda a, b: np.sin(math.pi * a) * np.sin(math.pi * b)
         coarse = self._residual(ModifiedHelmholtz(1.0), f, 64)
         fine = self._residual(ModifiedHelmholtz(1.0), f, 128)
         assert fine <= coarse
+
+
+class TestBatched:
+    def _field(self):
+        f = lambda a, b: np.cos(a) * np.sin(2.0 * b) + 0.5 * np.cos(3.0 * a + b)
+        return solve_particular(ModifiedHelmholtz(1.0), _grid_samples(_pi_box(), 32, f))
+
+    def test_one_outside_point_raises(self):
+        sf = self._field()
+        pts = np.random.default_rng(4).uniform(-2.0, 2.0, size=(40, 2))
+        pts[17] = (0.5, 3.5)
+        with pytest.raises(DomainError, match="outside the embedding box"):
+            eval_particular(sf, pts)
+        with pytest.raises(DomainError):
+            eval_particular_gradient(sf, pts)
+
+    def test_matches_point_calls(self):
+        sf = self._field()
+        pts = np.random.default_rng(6).uniform(-3.0, 3.0, size=(25, 2))
+        values = eval_particular(sf, pts)
+        grads = eval_particular_gradient(sf, pts)
+        scale = float(np.abs(sf.coeffs).sum())
+        for p, v, g in zip(pts, values, grads):
+            assert abs(v - eval_particular(sf, p)) <= 1e-12 * scale
+            # |w| <= n/2 = 16 on the 2*pi box bounds the gradient terms
+            assert np.abs(g - eval_particular_gradient(sf, p)).max() <= 1e-12 * 16 * scale
+
+    def test_extend_source_skips_zero_weight(self):
+        box = bounding_box(UNIT_DISC, 1.0)
+        taper = TaperSpec(0.1)
+        seen = []
+
+        def f(a, b):
+            seen.append(np.stack([a, b], axis=-1))
+            return np.ones_like(a)
+
+        grid = extend_source(f, UNIT_DISC, box, 32, taper)
+        assert len(seen) == 1
+        points = seen[0].reshape(-1, 2)
+        assert np.all(taper_weight(box, taper, points) > 0.0)
+        assert len(points) == np.count_nonzero(grid.samples)
+        assert np.count_nonzero(grid.samples) < 32 * 32

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from quasirbf.errors import DomainError
-from quasirbf.specfun import (SpecfunResult, bessel_i0, bessel_i1, bessel_j0,
-                              bessel_j1, i0_result, j0_result)
+from quasirbf.specfun import bessel_i0, bessel_i1, bessel_j0, bessel_j1
 
 from oracles import (j0_first_zero, oracle_i0, oracle_i1, oracle_j0,
                      oracle_j1)
@@ -64,19 +63,6 @@ class TestErrors:
         with pytest.raises(OverflowError):
             fn(701.0)
         assert math.isfinite(fn(700.0))
-
-
-class TestMethodTag:
-    def test_switches(self):
-        assert j0_result(1.0).method == "series"
-        assert j0_result(20.0).method == "asymptotic"
-        assert i0_result(1.0).method == "series"
-        assert i0_result(20.0).method == "asymptotic"
-
-    def test_result_type(self):
-        res = j0_result(3.0)
-        assert isinstance(res, SpecfunResult)
-        assert res.value == bessel_j0(3.0)
 
 
 class TestOracleAgreement:
@@ -142,3 +128,46 @@ class TestGlobalProperties:
     def test_j0_bounded_by_one(self):
         xs = np.linspace(0.0, 200.0, 2000)
         assert all(abs(bessel_j0(x)) <= 1.0 + 1e-15 for x in xs)
+
+
+class TestArrays:
+    """An array argument must give, element by element, what the float
+    call gives: bitwise for J, within 2 ulp for I."""
+
+    XS = np.concatenate([np.linspace(0.0, 60.0, 601),
+                         np.random.default_rng(12).uniform(0.0, 700.0, 400),
+                         [1e-300, 5e-324, 11.999999999999998, 12.0, 14.999999999999998, 15.0]])
+
+    @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1])
+    def test_j_bitwise(self, fn):
+        got = fn(self.XS)
+        want = np.array([fn(float(x)) for x in self.XS])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("fn", [bessel_i0, bessel_i1])
+    def test_i_within_two_ulp(self, fn):
+        got = fn(self.XS)
+        want = np.array([fn(float(x)) for x in self.XS])
+        assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)))
+
+    @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1, bessel_i0, bessel_i1])
+    def test_shape_preserved(self, fn):
+        xs = self.XS[:12].reshape(3, 4)
+        got = fn(xs)
+        assert got.shape == (3, 4)
+        assert np.array_equal(got.ravel(), fn(xs.ravel()))
+        assert fn(np.empty((0, 2))).shape == (0, 2)
+        assert isinstance(fn(1.5), float)
+
+    @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1, bessel_i0, bessel_i1])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_one_bad_element_raises(self, fn, bad):
+        xs = np.linspace(0.0, 5.0, 10)
+        xs[7] = bad
+        with pytest.raises(DomainError):
+            fn(xs)
+
+    @pytest.mark.parametrize("fn", [bessel_i0, bessel_i1])
+    def test_one_overflowing_element_raises(self, fn):
+        with pytest.raises(OverflowError):
+            fn(np.array([1.0, 701.0, 2.0]))
