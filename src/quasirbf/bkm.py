@@ -29,7 +29,6 @@ from .geometry import BoundaryNode, point_blocks
 from .operators import OperatorSpec, Poisson, kernel_gradient, kernel_value
 
 DEFAULT_TSVD_CUTOFF = 1e-12
-_COND_SIZE_LIMIT = 512  # compute SVD-based condition estimates up to this N
 
 
 @dataclass(frozen=True)
@@ -176,10 +175,6 @@ def solve_dense(system: CollocationSystem,
     b = system.rhs
     n, m = a.shape
 
-    svals = None
-    if max(n, m) <= _COND_SIZE_LIMIT or isinstance(strategy, TSVD):
-        u, svals, vt = np.linalg.svd(a, full_matrices=False)
-
     if isinstance(strategy, LU):
         if n != m:
             raise ConfigurationError("LU requires a square system; use TSVD")
@@ -193,11 +188,10 @@ def solve_dense(system: CollocationSystem,
             raise SingularMatrixError(
                 "LU solve produced non-finite coefficients; retry with TSVD")
         strategy_name = "lu"
-        if svals is not None:
-            eff_rank = int(np.sum(svals > svals[0] * np.finfo(float).eps * max(n, m)))
-        else:
-            eff_rank = min(n, m)
+        svals = np.linalg.svd(a, compute_uv=False)  # for the condition and rank only
+        eff_rank = int(np.sum(svals > svals[0] * np.finfo(float).eps * n))
     else:
+        u, svals, vt = np.linalg.svd(a, full_matrices=False)
         keep = svals > strategy.cutoff * svals[0]
         eff_rank = int(np.sum(keep))
         inv = np.zeros_like(svals)
@@ -205,13 +199,8 @@ def solve_dense(system: CollocationSystem,
         coeffs = vt.T @ (inv * (u.T @ b))
         strategy_name = f"tsvd(cutoff={strategy.cutoff:g})"
 
-    if svals is not None and svals[-1] > 0:
-        cond = float(svals[0] / svals[-1])
-    elif svals is not None:
-        cond = math.inf
-    else:
-        cond = float("nan")
-    if isinstance(strategy, LU) and svals is not None and eff_rank < n:
+    cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
+    if isinstance(strategy, LU) and eff_rank < n:
         warnings.warn(
             f"LU solve at N={n} is rank-deficient (effective rank {eff_rank}, "
             f"condition estimate {cond:.3g}); its coefficients are dominated by "

@@ -177,6 +177,17 @@ class TestSolveDense:
         assert diag.effective_rank == 21
         assert np.array_equal(coeffs, np.linalg.solve(system.matrix, system.rhs))
 
+    def test_lu_warns_when_rank_deficient_above_512(self):
+        """Condition and rank come from the singular values at every N. At
+        N=600 the threshold eps*N still lies below J_10(2)^2/J_1(2)^2, so the
+        same 21 modes survive as at N=32."""
+        system = self._disc_system(600)
+        with pytest.warns(RankDeficientWarning, match="N=600.*rank 21"):
+            coeffs, diag = solve_dense(system, LU())
+        assert math.isfinite(diag.condition_estimate)
+        assert diag.effective_rank == 21
+        assert np.array_equal(coeffs, np.linalg.solve(system.matrix, system.rhs))
+
     @pytest.mark.parametrize("n", [8, 16, 20])
     def test_lu_silent_while_full_rank(self, n):
         with warnings.catch_warnings():

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from quasirbf.errors import (ConfigurationError, DomainError,
                              ResonantBoxError)
-from quasirbf.geometry import Box2, Circle, StarDomain, bounding_box
+from quasirbf.geometry import Box2, Circle, Star, StarDomain, bounding_box
 from quasirbf.operators import (ConvectionDiffusion, Helmholtz,
                                 ModifiedHelmholtz, Poisson, apply_operator_fd)
 from quasirbf.particular import (ConvectionLinear, PoissonQuad, SourceGrid,
@@ -112,6 +113,23 @@ class TestExtendSource:
         box = bounding_box(UNIT_DISC, 0.0)
         with pytest.raises(ConfigurationError, match="box_margin"):
             extend_source(lambda a, b: 1.0, UNIT_DISC, box, 64, TaperSpec(0.1))
+
+    @pytest.mark.parametrize("domain", [UNIT_DISC, StarDomain(Star(1.0, 0.2, 5), (0.1, -0.2))],
+                             ids=["disc", "star"])
+    def test_samples_are_weight_times_source(self, domain):
+        # the separable sampling equals the point-wise taper times f, bitwise
+        box = bounding_box(domain, 1.0)
+        taper = TaperSpec(0.1)
+        f = lambda a, b: np.sin(3.0 * a) * np.exp(b) + a * b
+        n = 64
+        c = float(box.side[0]) * np.arange(n) / n
+        x1, x2 = np.meshgrid(box.min_corner[0] + c, box.min_corner[1] + c, indexing="ij")
+        weight = taper_weight(box, taper, np.stack([x1, x2], axis=-1))
+        live = weight != 0.0
+        samples = extend_source(f, domain, box, n, taper).samples
+        assert np.array_equal(samples[live], weight[live] * f(x1, x2)[live])
+        assert np.all(samples[~live] == 0.0)
+        assert np.count_nonzero(~live) > 0
 
     def test_determinism(self):
         box = bounding_box(UNIT_DISC, 1.0)
@@ -230,6 +248,33 @@ class TestEvaluation:
             eval_particular(sf, (10.0, 0.0))
         with pytest.raises(DomainError):
             eval_particular_gradient(sf, (0.0, -10.0))
+
+
+class TestFoldedEvaluation:
+    """The half-spectrum fold is exact for any coefficient array, including
+    the Nyquist row and column, which have no conjugate partner."""
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_matches_double_sum(self, n):
+        rng = np.random.default_rng(n)
+        coeffs = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        sf = SpectralField(box=_pi_box(), n=n, coeffs=coeffs)
+        w = np.fft.fftfreq(n) * n  # integer frequencies on the 2*pi box
+        pts = rng.uniform(-math.pi, math.pi, size=(12, 2))
+        values = eval_particular(sf, pts)
+        grads = eval_particular_gradient(sf, pts)
+        scale = float(np.abs(coeffs).sum())
+        for (x1, x2), v, g in zip(pts, values, grads):
+            terms = [(coeffs[i, j] * cmath.exp(1j * w[i] * (x1 + math.pi))
+                      * cmath.exp(1j * w[j] * (x2 + math.pi)), w[i], w[j])
+                     for i in range(n) for j in range(n)]
+            want_v = sum(t.real for t, _, _ in terms)
+            want_g = (sum((1j * wi * t).real for t, wi, _ in terms),
+                      sum((1j * wj * t).real for t, _, wj in terms))
+            assert abs(v - want_v) <= 1e-13 * scale
+            assert abs(eval_particular(sf, (x1, x2)) - v) <= 1e-13 * scale
+            # |w| <= n/2 on the 2*pi box bounds the gradient terms
+            assert np.abs(g - want_g).max() <= 1e-13 * (n / 2) * scale
 
 
 class TestEndToEndResidual:
