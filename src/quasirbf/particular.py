@@ -7,6 +7,11 @@ coefficients by the operator's Fourier symbol. The resulting field
 satisfies the governing equation exactly on the physical domain (where
 the taper is 1), which is all a particular solution has to do.
 
+u_p is real, so it is evaluated in real arithmetic: the coefficients are
+folded once onto the modes 0..n/2 of each axis into one real matrix M, and
+each block of points costs one GEMM of its cos/sin phase factors with M
+(see SpectralField); the gradient uses M with the derivative phases.
+
 Zero-symbol modes are repaired by closed-form compensators:
 
     Poisson:                u_c = mean * |x - c|^2 / 4
@@ -17,6 +22,7 @@ the solve with ResonantBoxError.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Union
@@ -103,10 +109,11 @@ class SpectralField:
     """Truncated Fourier series u_p(x) = Re sum_m c_m exp(i w_m.(x - min_corner))
     plus an optional zero-mode compensator.
 
-    u_p is the real part of the series, so it is evaluated from the series
-    folded onto the half spectrum of the second axis: for 0 < j < n/2 the
-    column n-j carries the conjugate phase of column j, and Re(z) = Re(conj z)
-    moves its coefficients onto column j (see `folded`).
+    u_p is the real part of the series, so it is summed in real arithmetic
+    over the modes k = 0..n/2 of each axis: with a_k, b_k the phases of mode
+    k on the two axes, u_p = [cos a, sin a] M [cos b, -sin b] for one real
+    (n+2) x (n+2) matrix M folded from the coefficients (`real_matrix`). The
+    gradient uses the same M with the derivative phases.
     """
     box: Box2
     n: int
@@ -114,53 +121,82 @@ class SpectralField:
     compensator: Compensator = None
 
     @cached_property
-    def frequencies(self) -> np.ndarray:
-        return _frequencies(self.n, self.box)
+    def omega(self) -> np.ndarray:
+        """Frequencies 2 pi k / side of the modes k = 0..n/2 of one axis."""
+        return np.abs(_frequencies(self.n, self.box)[:self.n // 2 + 1])
 
     @cached_property
-    def folded(self):
-        """Half-spectrum coefficients D (n, n/2+1) and Nyquist tail t (n/2-1,).
+    def real_matrix(self) -> np.ndarray:
+        """M (n+2, n+2) with Re sum_ij c_ij E_i F_j = [cos a, sin a] M [cos b, -sin b].
 
-        With E_i, F_j the phase factors of the two axes, F_{n-j} = conj(F_j)
-        and, for every row i but the Nyquist row h = n/2, conj(E_i) = E_{-i}.
-        Hence, for any coefficient array c,
-            Re sum_ij c_ij E_i F_j = Re sum_{j<=h} (E D)_j F_j
-                                     + Re E_h sum_{0<k<h} conj(t_k F_k),
-        where D[:, j] = c[:, j] + conj(c[-i mod n, n-j]) for 0 < j < h and
-        i != h, D = c elsewhere, and t_k = conj(c[h, n-k]): the Nyquist row's
-        phase conj(E_h) is no grid mode, so its columns above h stay a tail.
-        The same D serves the gradient, whose phases i w E and i w F pair up
-        the same way.
+        Grid mode i of an axis has integer frequency m_i with |m_i| = k <= h =
+        n/2 (the Nyquist mode i = h has m_h = -h), so E_i = cos a_k + i
+        sign(m_i) sin a_k. With the row fold (F_s c)_k = c_k + s c_{n-k} for
+        0 < k < h, c_0 at k = 0 and s c_h at k = h,
+            sum_i c_ij E_i = sum_k cos a_k (F_+ c)_kj + sin a_k i (F_- c)_kj.
+        Along the second axis F_{n-l} = conj(F_l) and F_h = conj(exp(i b_h)),
+        and Re z = Re conj z, so for any complex row v
+            Re sum_j v_j F_j = Re sum_{l<=h} (G_+ v)_l exp(i b_l),
+        with the column fold (G_s v)_l = v_l + s conj(v_{n-l}) for 0 < l < h,
+        v_0 at l = 0 and s conj(v_h) at l = h; G_+(i v) = i G_-(v). Finally
+        Re(w exp(i b)) = [Re w, Im w].[cos b, -sin b]. So row (k, cos) of M is
+        G_+(F_+ c)_k and row (k, sin) is i G_-(F_- c)_k, exactly, for any
+        coefficient array. Rows and columns interleave the cos and sin of each
+        mode, so phase factors exp(i a_k) viewed as floats are its row vector.
         """
-        c = self.coeffs
-        h = self.n // 2
-        d = c[:, :h + 1].copy()
-        mirror = np.roll(c[::-1, :h:-1], 1, axis=0)  # mirror[i, j-1] = c[-i mod n, n-j]
-        d[:, 1:h] += np.conj(mirror)
-        d[h, 1:h] = c[h, 1:h]
-        return d, np.conj(c[h, :h:-1])
+        c, n, h = self.coeffs, self.n, self.n // 2
+        m = np.empty((h + 1, 2, h + 1), dtype=complex)
+        rows = np.empty((h + 1, n), dtype=complex)
+        for a, (op, s) in enumerate(((np.add, 1.0), (np.subtract, -1.0))):
+            # rows = F_s c; then G_s folds its conjugated columns above h
+            rows[0] = c[0]
+            op(c[1:h], c[:h:-1], out=rows[1:h])
+            np.multiply(c[h], s, out=rows[h])
+            np.conjugate(rows[:, h + 1:], out=rows[:, h + 1:])
+            m[:, a, 0] = rows[:, 0]
+            op(rows[:, 1:h], rows[:, :h:-1], out=m[:, a, 1:h])
+            np.multiply(np.conj(rows[:, h]), s, out=m[:, a, h])
+        m[:, 1] *= 1j
+        return m.view(np.float64).reshape(n + 2, n + 2)
 
-    def _phases(self, x: np.ndarray):
-        """Phase factors exp(i w (x_k - min_k)) at points x (P, 2) in the box
-        (else DomainError): all n modes on axis 1, (P, n), and the n/2+1
-        modes of the folded half spectrum on axis 2, (P, n/2+1). Only the
-        half spectrum is exponentiated: mode n-k of axis 1 is conj(mode k)."""
+    @cached_property
+    def _split_tables(self):
+        """Fine frequencies w_q, q < L, and coarse turns L p / side for the
+        modes L p <= n/2 (in extended precision), L = isqrt(n/2 + 1)."""
+        step = math.isqrt(self.n // 2 + 1)
+        return (self.omega[:step],
+                np.arange(0, self.n // 2 + 1, step, dtype=np.longdouble) / self.box.side[0])
+
+    def _phases(self, x: np.ndarray) -> np.ndarray:
+        """Phase factors exp(i w_k (x - min_corner)) of the modes k = 0..n/2
+        at points x (P, 2) in the box (else DomainError), (2, P, n/2+1).
+
+        Mode k = L p + q, L = isqrt(n/2 + 1), is the product of a coarse
+        factor (w_{Lp}) and a fine one (w_q), so each axis exponentiates
+        about 2 sqrt(n/2) phases instead of n/2 + 1. Coarse phases reach
+        pi n; their turns L p (x - min_corner) / side are reduced mod 1 in
+        extended precision (np.longdouble) before the exponential: in double
+        precision the rounding of such arguments alone costs up to ~1e-12 at
+        n = 1024, as it does for a direct exp(i w_k (x - min_corner))."""
         inside = self.box.contains(x)
         if not inside.all():
             x1, x2 = x[np.argmin(inside)]
             raise DomainError(f"point ({x1}, {x2}) lies outside the embedding box")
-        h = self.n // 2
-        half = np.exp(1j * self.frequencies[:h + 1] * (x - self.box.min_corner)[:, :, None])
-        ex = np.concatenate([half[:, 0], np.conj(half[:, 0, h - 1:0:-1])], axis=1)
-        return ex, half[:, 1]
+        fine_w, coarse_turns = self._split_tables
+        d = (x - self.box.min_corner).T[:, :, None]
+        turns = d.astype(np.longdouble) * coarse_turns
+        turns -= np.round(turns)
+        coarse = np.exp(2j * np.pi * turns.astype(float))
+        fine = np.exp(1j * fine_w * d)
+        z = coarse[..., None] * fine[:, :, None, :]
+        return z.reshape(2, len(x), -1)[..., :self.n // 2 + 1]
 
     def _series(self, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
-        """Re sum_ij c_ij ex_i ey_j per point, for phases ex (P, n) and the half
-        spectrum ey (P, n/2+1) of the axes (or of their derivatives)."""
-        d, tail = self.folded
-        h = self.n // 2
-        nyquist = ex[:, h] * np.conj(ey[:, 1:h] @ tail)
-        return np.real(np.sum((ex @ d) * ey, axis=1) + nyquist)
+        """Re sum_kl (ex M)_k ey_l per point for phase factors ex, ey (P, n/2+1)
+        of the two axes, or their derivatives: one real GEMM ex M, then a row
+        dot with [cos b, -sin b] = conj(ey) viewed as floats."""
+        rows = ex.view(np.float64) @ self.real_matrix
+        return np.einsum("pk,pk->p", rows, np.conj(ey).view(np.float64))
 
 
 def _frequencies(n: int, box: Box2) -> np.ndarray:
@@ -286,9 +322,9 @@ def solve_particular(op: OperatorSpec, grid: SourceGrid) -> SpectralField:
 
 
 def eval_particular(sf: SpectralField, x):
-    """u_p at points x, (2,) or (..., 2): per block of points, the folded
-    series is summed as the row sums of (E_x D) * F_y."""
-    pts, blocks, shape = point_blocks(x, sf.n)
+    """u_p at points x, (2,) or (..., 2): per block of points, one real GEMM
+    of the phase factors with the folded matrix (see SpectralField)."""
+    pts, blocks, shape = point_blocks(x, sf.n // 2 + 1)
     val = np.empty(len(pts))
     for blk in blocks:
         val[blk] = sf._series(*sf._phases(pts[blk]))
@@ -298,14 +334,15 @@ def eval_particular(sf: SpectralField, x):
 
 
 def eval_particular_gradient(sf: SpectralField, x) -> np.ndarray:
-    """grad u_p at points x, (2,) or (..., 2); the result has x's shape."""
-    pts, blocks, shape = point_blocks(x, sf.n)
+    """grad u_p at points x, (2,) or (..., 2); the result has x's shape. The
+    derivative phases i w exp(i w x) go through the same matrix."""
+    pts, blocks, shape = point_blocks(x, sf.n // 2 + 1)
     g = np.empty((len(pts), 2))
-    iw = 1j * sf.frequencies
+    iw = 1j * sf.omega
     for blk in blocks:
         ex, ey = sf._phases(pts[blk])
         g[blk, 0] = sf._series(iw * ex, ey)
-        g[blk, 1] = sf._series(ex, iw[:sf.n // 2 + 1] * ey)
+        g[blk, 1] = sf._series(ex, iw * ey)
     if sf.compensator is not None:
         g += sf.compensator.gradient(pts[:, 0], pts[:, 1])
     return g.reshape(shape + (2,))

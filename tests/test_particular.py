@@ -277,6 +277,49 @@ class TestFoldedEvaluation:
             assert np.abs(g - want_g).max() <= 1e-13 * (n / 2) * scale
 
 
+class TestRealEvaluation:
+    """The real cos/sin evaluation at n = 256, where each axis's phase table
+    is built from several coarse and fine exponential factors."""
+
+    def test_matches_vectorised_double_sum(self):
+        n = 256
+        rng = np.random.default_rng(256)
+        coeffs = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        sf = SpectralField(box=_pi_box(), n=n, coeffs=coeffs)
+        side = rng.uniform(-math.pi, math.pi, size=4)
+        edges = [(-math.pi, side[0]), (math.pi, side[1]), (side[2], -math.pi),
+                 (side[3], math.pi), (-math.pi, -math.pi), (-math.pi, math.pi),
+                 (math.pi, -math.pi), (math.pi, math.pi)]
+        # more points than one block of BLOCK_PAIRS // (n/2 + 1) = 127
+        pts = np.concatenate([rng.uniform(-math.pi, math.pi, size=(300, 2)), edges])
+        w = np.fft.fftfreq(n) * n  # integer frequencies on the 2*pi box
+        ex = np.exp(1j * w * (pts[:, :1] + math.pi))  # (P, n)
+        ey = np.exp(1j * w * (pts[:, 1:] + math.pi))
+        rows = ex @ coeffs  # sum_i c_ij E_i, per point
+        want_v = np.sum(rows * ey, axis=1).real
+        want_g = np.stack([np.sum(((1j * w * ex) @ coeffs) * ey, axis=1).real,
+                           np.sum(rows * (1j * w * ey), axis=1).real], axis=-1)
+        scale = float(np.abs(coeffs).sum())
+        assert np.abs(eval_particular(sf, pts) - want_v).max() <= 1e-13 * scale
+        # |w| <= n/2 on the 2*pi box bounds the gradient terms
+        assert np.abs(eval_particular_gradient(sf, pts) - want_g).max() \
+            <= 1e-13 * (n / 2) * scale
+
+    def test_split_phases_match_direct_exponential(self):
+        # Both forms are limited by the rounding of phase arguments up to
+        # pi n ~ 3217 at n = 1024 (ulp 4.5e-13); the direct form also rounds
+        # w_k, and alone differs from the exact phase by up to about 8e-13.
+        n = 1024
+        box = Box2(np.array([-1.3, -0.7]), np.array([2.1, 2.7]))
+        sf = SpectralField(box=box, n=n, coeffs=np.zeros((n, n), dtype=complex))
+        t = np.linspace(0.0, 1.0, 2001)  # both axes span the box, edges included
+        xi = np.stack([t, np.random.default_rng(3).permutation(t)], axis=-1)
+        pts = np.minimum(box.min_corner + xi * box.side, box.max_corner)
+        w = 2.0 * np.pi * np.arange(n // 2 + 1) / float(box.side[0])
+        direct = np.exp(1j * w * (pts - box.min_corner).T[:, :, None])
+        assert np.abs(sf._phases(pts) - direct).max() <= 1e-12
+
+
 class TestEndToEndResidual:
     """extend_source + solve_particular must satisfy L u_p = f inside the
     physical domain, where the taper weight is identically one."""
