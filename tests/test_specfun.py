@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from quasirbf.errors import DomainError
-from quasirbf.specfun import bessel_i0, bessel_i1, bessel_j0, bessel_j1
+from quasirbf.specfun import (I_SWITCH, _I_SERIES, bessel_i0, bessel_i1,
+                              bessel_j0, bessel_j1)
 
-from oracles import (j0_first_zero, oracle_i0, oracle_i1, oracle_j0,
-                     oracle_j1)
+from oracles import (_decimal_series, j0_first_zero, oracle_i0, oracle_i1,
+                     oracle_j0, oracle_j1)
 
 
 class TestPointValues:
@@ -89,6 +90,24 @@ class TestOracleAgreement:
                     for x in self.XS)
         assert worst <= 1e-12
 
+    @pytest.mark.parametrize("nu, fn", [(0, bessel_i0), (1, bessel_i1)])
+    @pytest.mark.parametrize("x", [15.0, 15.5, 20.0, 60.0, 100.0, 200.0, 400.0, 700.0])
+    def test_i_large_argument(self, nu, fn, x):
+        want = _decimal_series(nu, x, 1, terms=2500)
+        assert abs(fn(x) - want) <= 1e-14 * want
+
+
+class TestSeriesTables:
+    @pytest.mark.parametrize("nu", [0, 1])
+    def test_i_series_degree_is_smallest_converged(self, nu):
+        # the last term at I_SWITCH is within 1e-18 of the sum; the one
+        # before it is not, so no shorter table would do
+        q = 0.25 * I_SWITCH * I_SWITCH
+        terms = [c * q ** k for k, c in enumerate(_I_SERIES[nu])]
+        total = math.fsum(terms)
+        assert terms[-1] <= 1e-18 * total
+        assert terms[-2] > 1e-18 * total
+
 
 class TestDerivativeIdentities:
     """J0' = -J1 and I0' = I1, checked by central differences with two
@@ -132,13 +151,13 @@ class TestGlobalProperties:
 
 class TestArrays:
     """An array argument must give, element by element, what the float
-    call gives: bitwise for J, within 2 ulp for I."""
+    call gives, bit for bit."""
 
     XS = np.concatenate([np.linspace(0.0, 60.0, 601),
                          np.random.default_rng(12).uniform(0.0, 700.0, 400),
                          [1e-300, 5e-324, 11.999999999999998, 12.0, 14.999999999999998, 15.0]])
 
-    @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1])
+    @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1, bessel_i0, bessel_i1])
     def test_j_bitwise(self, fn):
         got = fn(self.XS)
         want = np.array([fn(float(x)) for x in self.XS])
