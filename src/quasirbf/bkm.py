@@ -19,29 +19,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
-from typing import List, Sequence, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
 from .errors import ConfigurationError, RankDeficientWarning, SingularMatrixError
-from .geometry import BoundaryNode, point_blocks
+from .geometry import BoundaryKnots, point_blocks
 from .operators import OperatorSpec, Poisson, kernel_gradient, kernel_value
 
 DEFAULT_TSVD_CUTOFF = 1e-12
-
-
-@dataclass(frozen=True)
-class Dirichlet:
-    value: float
-
-
-@dataclass(frozen=True)
-class Neumann:
-    value: float
-
-
-BoundaryCondition = Union[Dirichlet, Neumann]
 
 
 @dataclass(frozen=True)
@@ -76,7 +62,7 @@ Strategy = Union[LU, TSVD]
 class CollocationSystem:
     matrix: np.ndarray
     rhs: np.ndarray
-    centers: List[BoundaryNode]
+    centers: np.ndarray  # (N, 2) centre positions
     mode: Mode
 
 
@@ -92,12 +78,7 @@ class SolveDiagnostics:
 class HomogeneousSolution:
     mode: Mode
     coefficients: np.ndarray
-    centers: List[BoundaryNode]
-
-    @cached_property
-    def positions(self) -> np.ndarray:
-        """Centre positions as an (N, 2) array."""
-        return np.array([node.position for node in self.centers]).reshape(-1, 2)
+    centers: np.ndarray  # (N, 2) centre positions
 
 
 def trefftz_terms(order: int, center, scale: float, x1, x2):
@@ -128,19 +109,22 @@ def _pair_blocks(x: np.ndarray, centers: np.ndarray):
         yield blk, x[blk, None, :] - centers[None, :, :]
 
 
-def assemble(op: OperatorSpec, nodes: Sequence[BoundaryNode],
-             bc: Sequence[BoundaryCondition],
+def assemble(op: OperatorSpec, knots: BoundaryKnots, bc_kind: str, data,
              trefftz_order: int = None,
              trefftz_center=None, trefftz_scale: float = None) -> CollocationSystem:
-    """Build the dense collocation system for the homogeneous solve."""
-    n = len(nodes)
-    if n < 1 or len(bc) != n:
+    """Build the dense collocation system for the homogeneous solve.
+
+    bc_kind ("dirichlet" or "neumann") applies to every row: row i
+    collocates u_h or n_i . grad u_h at knot i against data[i]."""
+    n = len(knots)
+    if bc_kind not in ("dirichlet", "neumann"):
+        raise ConfigurationError(f"bc_kind must be 'dirichlet' or 'neumann', got {bc_kind!r}")
+    rhs = np.asarray(data, dtype=float)
+    if n < 1 or rhs.shape != (n,):
         raise ConfigurationError(
-            f"need matching nodes and boundary conditions, got {n} and {len(bc)}")
-    pos = np.array([node.position for node in nodes])
-    normals = np.array([node.normal for node in nodes])
-    rhs = np.array([cond.value for cond in bc], dtype=float)
-    neumann = np.array([isinstance(cond, Neumann) for cond in bc])
+            f"need matching knots and boundary data, got {n} and shape {rhs.shape}")
+    pos, normals = knots.points, knots.normals
+    neumann = bc_kind == "neumann"
     if isinstance(op, Poisson):
         if trefftz_order is None:
             raise ConfigurationError("Poisson requires a trefftz_order")
@@ -153,20 +137,15 @@ def assemble(op: OperatorSpec, nodes: Sequence[BoundaryNode],
         if not scale > 0:
             raise ConfigurationError(f"Trefftz scale must be positive, got {scale}")
         values, grads = trefftz_terms(trefftz_order, center, scale, pos[:, 0], pos[:, 1])
-        matrix = np.where(neumann[:, None], np.einsum("pjk,pk->pj", grads, normals), values)
+        matrix = np.einsum("pjk,pk->pj", grads, normals) if neumann else values
         mode: Mode = TrefftzMode(order=trefftz_order, center=center, scale=scale)
-        return CollocationSystem(matrix=matrix, rhs=rhs, centers=list(nodes), mode=mode)
+        return CollocationSystem(matrix=matrix, rhs=rhs, centers=pos, mode=mode)
 
     matrix = np.empty((n, n))
-    rows = np.flatnonzero(~neumann)
-    for blk, d in _pair_blocks(pos[rows], pos):
-        matrix[rows[blk]] = kernel_value(op, d)
-    rows = np.flatnonzero(neumann)
-    for blk, d in _pair_blocks(pos[rows], pos):
-        matrix[rows[blk]] = np.einsum("pjk,pk->pj", kernel_gradient(op, d),
-                                      normals[rows[blk]])
-    return CollocationSystem(matrix=matrix, rhs=rhs, centers=list(nodes),
-                             mode=KernelMode(op=op))
+    for blk, d in _pair_blocks(pos, pos):
+        matrix[blk] = (np.einsum("pjk,pk->pj", kernel_gradient(op, d), normals[blk])
+                       if neumann else kernel_value(op, d))
+    return CollocationSystem(matrix=matrix, rhs=rhs, centers=pos, mode=KernelMode(op=op))
 
 
 def solve_dense(system: CollocationSystem,
@@ -221,7 +200,7 @@ def _evaluate(sol: HomogeneousSolution, x, gradient: bool) -> np.ndarray:
         out = np.einsum("pj...,j->p...", grads if gradient else values, sol.coefficients)
     else:
         out = np.empty((len(pts), 2) if gradient else len(pts))
-        for blk, d in _pair_blocks(pts, sol.positions):
+        for blk, d in _pair_blocks(pts, sol.centers):
             k = (kernel_gradient if gradient else kernel_value)(sol.mode.op, d)
             out[blk] = np.einsum("pj...,j->p...", k, sol.coefficients)
     return out.reshape(shape + out.shape[1:])

@@ -2,14 +2,14 @@
 
 A domain is described by a radial function rho(t) > 0 about a center point,
 so the boundary curve is gamma(t) = center + rho(t) * (cos t, sin t) for
-t in [0, 2*pi). Everything downstream (knot placement, point-in-domain
-tests, interior sampling) reduces to evaluating rho and its derivative.
+t in [0, 2*pi). Everything downstream (knot placement, normals, embedding
+boxes, interior sampling) reduces to evaluating rho and its derivative.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Union
+from typing import Union
 
 import numpy as np
 
@@ -148,10 +148,18 @@ class StarDomain:
 
 
 @dataclass(frozen=True)
-class BoundaryNode:
-    position: np.ndarray
-    normal: np.ndarray
-    param: float
+class BoundaryKnots:
+    """N boundary knots as arrays: parameters t (N,), points gamma(t) (N, 2)
+    and unit outward normals (N, 2). Iterating yields the points."""
+    param: np.ndarray
+    points: np.ndarray
+    normals: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.param)
+
+    def __iter__(self):
+        return iter(self.points)
 
 
 @dataclass(frozen=True)
@@ -179,27 +187,14 @@ class Box2:
         return 0.5 * (self.min_corner + self.max_corner)
 
 
-def boundary_nodes(domain: StarDomain, n: int) -> List[BoundaryNode]:
+def boundary_nodes(domain: StarDomain, n: int) -> BoundaryKnots:
     """Place n knots at uniform parameter values t_i = 2*pi*i/n, with their
     outward normals."""
     if n < 1:
         raise ConfigurationError(f"need at least one boundary node, got {n}")
     t = 2.0 * np.pi * np.arange(n) / n
-    pos = domain.boundary_point(t)
-    normal = domain.outward_normal(t)
-    return [BoundaryNode(position=pos[i], normal=normal[i], param=float(t[i]))
-            for i in range(n)]
-
-
-def contains(domain: StarDomain, p) -> bool:
-    """Strict interior test; boundary points report False."""
-    p = _as_point(p)
-    d = p - domain.center
-    r = math.hypot(d[0], d[1])
-    if r == 0.0:
-        return True
-    t = math.atan2(d[1], d[0])
-    return r < float(domain.rho(t))
+    return BoundaryKnots(param=t, points=domain.boundary_point(t),
+                         normals=domain.outward_normal(t))
 
 
 def bounding_box(domain: StarDomain, margin_fraction: float) -> Box2:

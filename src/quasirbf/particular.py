@@ -205,17 +205,6 @@ def _frequencies(n: int, box: Box2) -> np.ndarray:
     return 2.0 * np.pi * (np.fft.fftfreq(n) * n) / float(box.side[0])
 
 
-def taper_weight(box: Box2, taper: TaperSpec, x):
-    """Separable C-infinity bump weight at a point (2,) or points (..., 2):
-    0 on the box edge, 1 on the plateau."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(box.contains(x)):
-        raise DomainError(f"taper_weight: point {x} lies outside the box")
-    xi = (x - box.min_corner) / box.side
-    return (_axis_weight(xi[..., 0], taper.inner_fraction)
-            * _axis_weight(xi[..., 1], taper.inner_fraction))[()]
-
-
 def _bump(s):
     """exp(-1/s) for s > 0, else 0; vectorized."""
     s = np.asarray(s, dtype=float)
@@ -233,6 +222,8 @@ def _eta(s):
 
 
 def _axis_weight(xi, t: float):
+    """Taper weight along one axis at xi = (x - min) / side in [0, 1]:
+    0 on both box edges, 1 on the plateau [t, 1 - t]."""
     xi = np.asarray(xi, dtype=float)
     rise = _eta(xi / t)
     fall = _eta((1.0 - xi) / t)

@@ -16,8 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import bkm
-from .bkm import (LU, TSVD, Dirichlet, HomogeneousSolution, Neumann,
-                  SolveDiagnostics, Strategy)
+from .bkm import LU, TSVD, HomogeneousSolution, SolveDiagnostics, Strategy
 from .errors import ConfigurationError, QuasiRbfError
 from .geometry import (StarDomain, boundary_nodes, bounding_box,
                        interior_eval_points, stack_xy)
@@ -172,19 +171,17 @@ def run_pipeline(config: RunConfig) -> RunResult:
 
     t0 = time.perf_counter()
     try:
-        nodes = boundary_nodes(domain, config.knots)
-        bc = [Dirichlet(float(g)) if problem.bc_kind == "dirichlet" else Neumann(float(g))
-              for g in _boundary_data(problem, sf, np.array([n.position for n in nodes]),
-                                      np.array([n.normal for n in nodes]))]
+        knots = boundary_nodes(domain, config.knots)
+        data = _boundary_data(problem, sf, knots.points, knots.normals)
         if isinstance(op, Poisson):
             order = config.trefftz_order
             if order is None:
                 order = problem.trefftz_order
-            system = bkm.assemble(op, nodes, bc, trefftz_order=order,
+            system = bkm.assemble(op, knots, problem.bc_kind, data, trefftz_order=order,
                                   trefftz_center=domain.center,
                                   trefftz_scale=domain.max_radius())
         else:
-            system = bkm.assemble(op, nodes, bc)
+            system = bkm.assemble(op, knots, problem.bc_kind, data)
     except QuasiRbfError as exc:
         raise type(exc)(f"assembly stage: {exc}") from exc
     assemble_ms = (time.perf_counter() - t0) * 1e3

@@ -10,6 +10,8 @@ These deliberately avoid the code paths they check:
   known low-rank factorization via normal equations, never via an SVD.
 * Geometry oracles: finite-difference tangents of the boundary curve and
   even-odd ray casting against a dense polygon.
+* The taper oracle evaluates the separable bump weight point by point from
+  its definition, without the package's per-axis sampling.
 """
 from __future__ import annotations
 
@@ -91,17 +93,28 @@ def fd_tangent(domain, t: float, h: float = 1e-7) -> np.ndarray:
 def polygon_contains(domain, p, sides: int = 4096) -> bool:
     """Even-odd ray casting against a dense polygonal boundary sample."""
     t = 2.0 * np.pi * np.arange(sides) / sides
-    poly = domain.boundary_point(t)
+    x1, y1 = domain.boundary_point(t).T
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
     x, y = float(p[0]), float(p[1])
-    inside = False
-    for i in range(sides):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % sides]
-        if (y1 > y) != (y2 > y):
-            x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if x < x_cross:
-                inside = not inside
-    return inside
+    straddle = (y1 > y) != (y2 > y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+    return bool(np.count_nonzero(straddle & (x < x_cross)) % 2)
+
+
+def taper_weight(box, t: float, x) -> np.ndarray:
+    """Taper weight at points x (..., 2) of the box: the product over both
+    axes of min(eta(xi/t), eta((1-xi)/t)), xi = (x - min_corner)/side, with
+    eta(s) = b(s)/(b(s) + b(1-s)) and b(s) = exp(-1/s) for s > 0, else 0."""
+    def b(s):
+        return np.where(s > 0, np.exp(-1.0 / np.where(s > 0, s, 1.0)), 0.0)
+
+    def eta(s):
+        return b(s) / (b(s) + b(1.0 - s))
+
+    xi = (np.asarray(x, dtype=float) - box.min_corner) / box.side
+    w = np.minimum(eta(xi / t), eta((1.0 - xi) / t))
+    return w[..., 0] * w[..., 1]
 
 
 def central_gradient(f, x1: float, x2: float, h: float = 1e-6) -> np.ndarray:

@@ -4,13 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from quasirbf.bkm import (LU, TSVD, Dirichlet, HomogeneousSolution,
-                          KernelMode, Neumann, TrefftzMode, assemble,
-                          eval_homogeneous, eval_homogeneous_gradient,
-                          solve_dense, trefftz_terms)
+from quasirbf.bkm import (LU, TSVD, HomogeneousSolution, KernelMode,
+                          TrefftzMode, assemble, eval_homogeneous,
+                          eval_homogeneous_gradient, solve_dense,
+                          trefftz_terms)
 from quasirbf.errors import (ConfigurationError, RankDeficientWarning,
                              SingularMatrixError)
-from quasirbf.geometry import (BoundaryNode, Circle, Star, StarDomain,
+from quasirbf.geometry import (BoundaryKnots, Circle, Star, StarDomain,
                                boundary_nodes)
 from quasirbf.operators import (ConvectionDiffusion, Helmholtz,
                                 ModifiedHelmholtz, Poisson, kernel_value)
@@ -19,31 +19,27 @@ from quasirbf.presets import get_preset
 from oracles import min_norm_from_factors, oracle_i0
 
 UNIT_DISC = StarDomain(Circle(1.0))
-
-
-def _node(x, y, nx=1.0, ny=0.0, param=0.0):
-    n = np.array([nx, ny])
-    return BoundaryNode(position=np.array([x, y]), normal=n / np.linalg.norm(n),
-                        param=param)
+ONE_KNOT = BoundaryKnots(param=np.zeros(1), points=np.array([[1.0, 0.0]]),
+                         normals=np.array([[1.0, 0.0]]))
 
 
 class TestAssemble:
     def test_single_node_identity(self):
-        system = assemble(Helmholtz(2.0), [_node(1.0, 0.0)], [Dirichlet(5.0)])
+        system = assemble(Helmholtz(2.0), ONE_KNOT, "dirichlet", [5.0])
         assert np.array_equal(system.matrix, [[1.0]])
         assert np.array_equal(system.rhs, [5.0])
         assert isinstance(system.mode, KernelMode)
 
     def test_modhelm_two_nodes(self):
-        nodes = [_node(0.0, 0.0), _node(1.0, 0.0)]
-        system = assemble(ModifiedHelmholtz(1.0), nodes,
-                          [Dirichlet(0.0), Dirichlet(0.0)])
+        knots = BoundaryKnots(param=np.zeros(2), points=np.array([[0.0, 0.0], [1.0, 0.0]]),
+                              normals=np.array([[1.0, 0.0], [1.0, 0.0]]))
+        system = assemble(ModifiedHelmholtz(1.0), knots, "dirichlet", np.zeros(2))
         i0 = oracle_i0(1.0)
         assert np.allclose(system.matrix, [[1.0, i0], [i0, 1.0]], atol=1e-12)
 
     def test_trefftz_constant_column(self):
         nodes = boundary_nodes(UNIT_DISC, 9)
-        system = assemble(Poisson(), nodes, [Dirichlet(0.0)] * 9,
+        system = assemble(Poisson(), nodes, "dirichlet", np.zeros(9),
                           trefftz_order=0, trefftz_center=(0.0, 0.0),
                           trefftz_scale=1.0)
         assert system.matrix.shape == (9, 1)
@@ -53,22 +49,29 @@ class TestAssemble:
     def test_poisson_requires_order(self):
         nodes = boundary_nodes(UNIT_DISC, 4)
         with pytest.raises(ConfigurationError):
-            assemble(Poisson(), nodes, [Dirichlet(0.0)] * 4)
+            assemble(Poisson(), nodes, "dirichlet", np.zeros(4))
 
     def test_trefftz_basis_cannot_exceed_nodes(self):
         nodes = boundary_nodes(UNIT_DISC, 4)
         with pytest.raises(ConfigurationError):
-            assemble(Poisson(), nodes, [Dirichlet(0.0)] * 4, trefftz_order=5)
+            assemble(Poisson(), nodes, "dirichlet", np.zeros(4), trefftz_order=5)
 
     def test_mismatched_bc_count(self):
         nodes = boundary_nodes(UNIT_DISC, 4)
         with pytest.raises(ConfigurationError):
-            assemble(Helmholtz(1.0), nodes, [Dirichlet(0.0)] * 3)
+            assemble(Helmholtz(1.0), nodes, "dirichlet", np.zeros(3))
+
+    @pytest.mark.parametrize("kind", ["Dirichlet", "robin"])
+    def test_unknown_bc_kind_rejected(self, kind):
+        # any kind other than "dirichlet" used to assemble Neumann rows
+        nodes = boundary_nodes(UNIT_DISC, 4)
+        with pytest.raises(ConfigurationError, match="bc_kind"):
+            assemble(Helmholtz(1.0), nodes, kind, np.zeros(4))
 
     @pytest.mark.parametrize("op", [Helmholtz(2.0), ModifiedHelmholtz(1.0)])
     def test_dirichlet_matrix_symmetric(self, op):
         nodes = boundary_nodes(UNIT_DISC, 16)
-        system = assemble(op, nodes, [Dirichlet(0.0)] * 16)
+        system = assemble(op, nodes, "dirichlet", np.zeros(16))
         assert np.allclose(system.matrix, system.matrix.T, atol=1e-14)
 
 
@@ -107,7 +110,7 @@ class TestTrefftzTerms:
 
 class TestSolveDense:
     def test_identity_system(self):
-        system = assemble(Helmholtz(2.0), [_node(1.0, 0.0)], [Dirichlet(5.0)])
+        system = assemble(Helmholtz(2.0), ONE_KNOT, "dirichlet", [5.0])
         coeffs, diag = solve_dense(system, LU())
         assert np.allclose(coeffs, [5.0])
         assert diag.strategy_used == "lu"
@@ -115,21 +118,21 @@ class TestSolveDense:
         assert diag.effective_rank == 1
 
     def test_tsvd_min_norm_on_rank_one(self):
-        system = assemble(Helmholtz(2.0), [_node(1.0, 0.0)], [Dirichlet(5.0)])
+        system = assemble(Helmholtz(2.0), ONE_KNOT, "dirichlet", [5.0])
         system = type(system)(matrix=np.ones((2, 2)), rhs=np.array([2.0, 2.0]),
-                              centers=system.centers * 2, mode=system.mode)
+                              centers=np.tile(system.centers, (2, 1)), mode=system.mode)
         coeffs, diag = solve_dense(system, TSVD())
         assert np.allclose(coeffs, [1.0, 1.0])
         assert diag.effective_rank == 1
 
     def test_lu_rejects_rectangular(self):
         nodes = boundary_nodes(UNIT_DISC, 9)
-        system = assemble(Poisson(), nodes, [Dirichlet(0.0)] * 9, trefftz_order=2)
+        system = assemble(Poisson(), nodes, "dirichlet", np.zeros(9), trefftz_order=2)
         with pytest.raises(ConfigurationError, match="TSVD"):
             solve_dense(system, LU())
 
     def test_lu_singular_matrix(self):
-        system = assemble(Helmholtz(2.0), [_node(1.0, 0.0)], [Dirichlet(5.0)])
+        system = assemble(Helmholtz(2.0), ONE_KNOT, "dirichlet", [5.0])
         system = type(system)(matrix=np.zeros((1, 1)), rhs=np.array([1.0]),
                               centers=system.centers, mode=system.mode)
         with pytest.raises(SingularMatrixError):
@@ -141,8 +144,8 @@ class TestSolveDense:
         right = rng.standard_normal((3, 8))
         a = left @ right  # rank 3 by construction
         b = rng.standard_normal(8)
-        system = assemble(Helmholtz(2.0), [_node(1.0, 0.0)], [Dirichlet(0.0)])
-        system = type(system)(matrix=a, rhs=b, centers=system.centers * 8,
+        system = assemble(Helmholtz(2.0), ONE_KNOT, "dirichlet", [0.0])
+        system = type(system)(matrix=a, rhs=b, centers=np.tile(system.centers, (8, 1)),
                               mode=system.mode)
         coeffs, diag = solve_dense(system, TSVD(cutoff=1e-10))
         want = min_norm_from_factors(left, right, b)
@@ -151,8 +154,7 @@ class TestSolveDense:
 
     def test_lu_tsvd_agree_when_well_conditioned(self):
         nodes = boundary_nodes(UNIT_DISC, 12)
-        bc = [Dirichlet(math.sin(2.0 * n.position[0])) for n in nodes]
-        system = assemble(Helmholtz(2.0), nodes, bc)
+        system = assemble(Helmholtz(2.0), nodes, "dirichlet", np.sin(2.0 * nodes.points[:, 0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RankDeficientWarning)
             lu_c, lu_d = solve_dense(system, LU())
@@ -164,8 +166,8 @@ class TestSolveDense:
     def _disc_system(n):
         problem = get_preset("helmholtz_disc")
         nodes = boundary_nodes(problem.domain, n)
-        bc = [Dirichlet(float(problem.exact(*node.position))) for node in nodes]
-        return assemble(problem.operator, nodes, bc)
+        return assemble(problem.operator, nodes, "dirichlet",
+                        problem.exact(nodes.points[:, 0], nodes.points[:, 1]))
 
     def test_lu_warns_when_rank_deficient(self):
         """helmholtz_disc at N=32: the circulant kernel matrix has eigenvalues
@@ -201,14 +203,14 @@ class TestEvalHomogeneous:
         op = Helmholtz(2.0)
         sol = HomogeneousSolution(mode=KernelMode(op=op),
                                   coefficients=np.array([3.0]),
-                                  centers=[_node(1.0, 0.0)])
+                                  centers=ONE_KNOT.points)
         want = 3.0 * kernel_value(op, np.array([-1.0, 0.0]))
         assert abs(eval_homogeneous(sol, (0.0, 0.0)) - want) <= 1e-14
 
     def test_trefftz_linear_term(self):
         sol = HomogeneousSolution(
             mode=TrefftzMode(order=1, center=np.zeros(2), scale=1.0),
-            coefficients=np.array([0.0, 1.0, 0.0]), centers=[])
+            coefficients=np.array([0.0, 1.0, 0.0]), centers=np.empty((0, 2)))
         assert eval_homogeneous(sol, (0.7, -0.3)) == 0.7
         assert np.allclose(eval_homogeneous_gradient(sol, (0.7, -0.3)),
                            (1.0, 0.0))
@@ -223,13 +225,13 @@ class TestEvalHomogeneous:
         every knot to solver accuracy. N = 12 keeps the condition number
         around 1e9 so LU backward error stays below 1e-10."""
         nodes = boundary_nodes(UNIT_DISC, 12)
-        data = [math.sin(2.0 * n.position[0]) for n in nodes]
-        system = assemble(op, nodes, [Dirichlet(v) for v in data])
+        data = np.sin(2.0 * nodes.points[:, 0])
+        system = assemble(op, nodes, "dirichlet", data)
         coeffs, _ = solve_dense(system, LU())
         sol = HomogeneousSolution(mode=system.mode, coefficients=coeffs,
-                                  centers=nodes)
-        for node, v in zip(nodes, data):
-            assert abs(eval_homogeneous(sol, node.position) - v) <= 1e-8
+                                  centers=system.centers)
+        for p, v in zip(nodes.points, data):
+            assert abs(eval_homogeneous(sol, p) - v) <= 1e-8
 
     def test_gradient_matches_finite_differences(self):
         op = ModifiedHelmholtz(1.0)
@@ -237,7 +239,7 @@ class TestEvalHomogeneous:
         rng = np.random.default_rng(7)
         sol = HomogeneousSolution(mode=KernelMode(op=op),
                                   coefficients=rng.standard_normal(10),
-                                  centers=nodes)
+                                  centers=nodes.points)
         h = 1e-6
         for p in [(0.2, 0.1), (-0.4, 0.3)]:
             p = np.array(p)
@@ -250,10 +252,10 @@ class TestEvalHomogeneous:
     def test_neumann_rows_use_normal_derivative(self):
         op = ModifiedHelmholtz(1.0)
         nodes = boundary_nodes(UNIT_DISC, 12)
-        system = assemble(op, nodes, [Neumann(1.0)] * 12)
+        system = assemble(op, nodes, "neumann", np.ones(12))
         coeffs, _ = solve_dense(system, TSVD())
         sol = HomogeneousSolution(mode=system.mode, coefficients=coeffs,
-                                  centers=nodes)
-        for node in nodes[:4]:
-            g = eval_homogeneous_gradient(sol, node.position)
-            assert abs(float(node.normal @ g) - 1.0) <= 1e-8
+                                  centers=system.centers)
+        for p, normal in zip(nodes.points[:4], nodes.normals[:4]):
+            g = eval_homogeneous_gradient(sol, p)
+            assert abs(float(normal @ g) - 1.0) <= 1e-8

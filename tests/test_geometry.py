@@ -1,12 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 
 from quasirbf.errors import ConfigurationError
-from quasirbf.geometry import (BoundaryNode, Box2, Circle, Ellipse, Star,
-                               StarDomain, boundary_nodes, bounding_box,
-                               contains, interior_eval_points)
+from quasirbf.geometry import (Box2, Circle, Ellipse, Star, StarDomain,
+                               boundary_nodes, bounding_box,
+                               interior_eval_points)
 
 from oracles import fd_tangent, polygon_contains
 
@@ -34,68 +32,51 @@ class TestShapeValidation:
 
 class TestBoundaryNodes:
     def test_circle_four_nodes(self):
-        nodes = boundary_nodes(UNIT_DISC, 4)
+        knots = boundary_nodes(UNIT_DISC, 4)
         expected = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-        for node, want in zip(nodes, expected):
-            assert np.allclose(node.position, want, atol=1e-14)
-            assert np.allclose(node.normal, want, atol=1e-14)
+        assert knots.points.shape == knots.normals.shape == (4, 2)
+        assert np.allclose(knots.points, expected, atol=1e-14)
+        assert np.allclose(knots.normals, expected, atol=1e-14)
 
     def test_single_node(self):
-        (node,) = boundary_nodes(StarDomain(Circle(2.0)), 1)
-        assert np.allclose(node.position, (2.0, 0.0))
-        assert np.allclose(node.normal, (1.0, 0.0))
-        assert node.param == 0.0
+        knots = boundary_nodes(StarDomain(Circle(2.0)), 1)
+        assert len(knots) == 1
+        assert np.allclose(knots.points, [(2.0, 0.0)])
+        assert np.allclose(knots.normals, [(1.0, 0.0)])
+        assert np.array_equal(knots.param, [0.0])
+
+    @pytest.mark.parametrize("domain", ALL_DOMAINS)
+    def test_arrays_match_curve(self, domain):
+        knots = boundary_nodes(domain, 13)
+        assert np.array_equal(knots.param, 2.0 * np.pi * np.arange(13) / 13)
+        assert np.array_equal(knots.points, domain.boundary_point(knots.param))
+        assert np.array_equal(knots.normals, domain.outward_normal(knots.param))
+        # iterating yields the points, so list(knots) can serve as centres
+        assert np.array_equal(np.array(list(knots)), knots.points)
 
     def test_star_node_normal_matches_fd_tangent(self):
-        nodes = boundary_nodes(STAR5, 8)
-        assert np.allclose(nodes[0].position, (1.2, 0.0), atol=1e-14)
-        for node in nodes:
-            tangent = fd_tangent(STAR5, node.param)
+        knots = boundary_nodes(STAR5, 8)
+        assert np.allclose(knots.points[0], (1.2, 0.0), atol=1e-14)
+        for t, normal in zip(knots.param, knots.normals):
+            tangent = fd_tangent(STAR5, t)
             tangent /= np.linalg.norm(tangent)
             oracle_normal = np.array([tangent[1], -tangent[0]])
-            assert np.allclose(node.normal, oracle_normal, atol=1e-6)
+            assert np.allclose(normal, oracle_normal, atol=1e-6)
 
     @pytest.mark.parametrize("domain", ALL_DOMAINS)
     def test_normals_unit_and_outward(self, domain):
-        eps = 1e-6 * 2.0 * domain.max_radius()
-        for node in boundary_nodes(domain, 17):
-            assert abs(np.linalg.norm(node.normal) - 1.0) <= 1e-12
-            assert not contains(domain, node.position + eps * node.normal)
-            assert contains(domain, node.position - eps * node.normal)
+        # the step must exceed the oracle polygon's chord error, which is
+        # below 2e-6 of the radius for these shapes at 4096 sides
+        eps = 1e-5 * domain.max_radius()
+        knots = boundary_nodes(domain, 17)
+        assert np.all(np.abs(np.linalg.norm(knots.normals, axis=1) - 1.0) <= 1e-12)
+        for p, normal in zip(knots.points, knots.normals):
+            assert not polygon_contains(domain, p + eps * normal)
+            assert polygon_contains(domain, p - eps * normal)
 
     def test_zero_nodes_rejected(self):
         with pytest.raises(ConfigurationError):
             boundary_nodes(UNIT_DISC, 0)
-
-
-class TestContains:
-    def test_circle_center(self):
-        assert contains(UNIT_DISC, (0.0, 0.0))
-
-    def test_circle_outside(self):
-        assert not contains(UNIT_DISC, (2.0, 0.0))
-
-    def test_boundary_reports_false(self):
-        assert not contains(UNIT_DISC, (1.0, 0.0))
-
-    def test_star_lobe_point(self):
-        assert contains(STAR5, (1.1, 0.0))
-        assert polygon_contains(STAR5, (1.1, 0.0))
-
-    @pytest.mark.parametrize("domain", ALL_DOMAINS)
-    def test_agrees_with_polygon_oracle(self, domain):
-        rng = np.random.default_rng(42)
-        scale = domain.max_radius()
-        for _ in range(40):
-            p = domain.center + rng.uniform(-1.3, 1.3, size=2) * scale
-            # skip points within 1e-6 of the boundary where the oracle's
-            # polygonal approximation may disagree
-            d = p - domain.center
-            r = math.hypot(*d)
-            t = math.atan2(d[1], d[0])
-            if abs(r - float(domain.rho(t))) < 1e-3 * scale:
-                continue
-            assert contains(domain, p) == polygon_contains(domain, p)
 
 
 class TestBoundingBox:
@@ -118,8 +99,7 @@ class TestBoundingBox:
     @pytest.mark.parametrize("margin", [0.0, 0.1, 0.5])
     def test_contains_all_boundary_nodes(self, domain, margin):
         box = bounding_box(domain, margin)
-        for node in boundary_nodes(domain, 64):
-            assert box.contains(node.position)
+        assert np.all(box.contains(boundary_nodes(domain, 64).points))
 
     def test_negative_margin_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -136,23 +116,23 @@ class TestInteriorEvalPoints:
     def test_star_single_point(self):
         (p,) = interior_eval_points(STAR5, rings=1, per_ring=1)
         assert np.allclose(p, (0.6, 0.0), atol=1e-14)
-        assert contains(STAR5, p)
+        assert polygon_contains(STAR5, p)
 
     @pytest.mark.parametrize("domain", ALL_DOMAINS)
     def test_count_and_containment(self, domain):
         pts = interior_eval_points(domain, rings=2, per_ring=3)
         assert len(pts) == 6
         for p in pts:
-            assert contains(domain, p)
+            assert polygon_contains(domain, p)
 
 
 def test_determinism_bit_identical():
     for domain in ALL_DOMAINS:
         a = boundary_nodes(domain, 13)
         b = boundary_nodes(domain, 13)
-        for na, nb in zip(a, b):
-            assert np.array_equal(na.position, nb.position)
-            assert np.array_equal(na.normal, nb.normal)
+        assert np.array_equal(a.param, b.param)
+        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a.normals, b.normals)
         pa = interior_eval_points(domain, 3, 5)
         pb = interior_eval_points(domain, 3, 5)
         assert np.array_equal(np.array(pa), np.array(pb))
