@@ -19,6 +19,6 @@ from .pipeline import (ConvergenceRow, InlineProblem, RunConfig, SolutionField,
                        convergence_study, error_metrics, residual_check,
                        rows_to_csv, run_pipeline)
 from .presets import ProblemPreset, all_presets, get_preset, preset_names
-from .specfun import bessel_i0, bessel_i1, bessel_j0, bessel_j1
+from .specfun import bessel_i0, bessel_i0_i1, bessel_i1, bessel_j0, bessel_j1
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import ConfigurationError, UnsupportedOperatorError
-from .specfun import bessel_i0, bessel_i1, bessel_j0, bessel_j1
+from .specfun import bessel_i0, bessel_i0_i1, bessel_i1, bessel_j0, bessel_j1
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,8 @@ def kernel_gradient(op: OperatorSpec, d) -> np.ndarray:
         return op.k * bessel_i1(op.k * r) * d / safe_r
     if isinstance(op, ConvectionDiffusion):
         half_v = op.velocity / (2.0 * op.diffusivity)
-        radial = op.mu * bessel_i1(op.mu * r) / safe_r
-        return _drift(op, d) * (radial * d - half_v * bessel_i0(op.mu * r))
+        i0, i1 = bessel_i0_i1(op.mu * r)
+        return _drift(op, d) * (op.mu * i1 / safe_r * d - half_v * i0)
     raise UnsupportedOperatorError(
         "Poisson has no nonsingular radial kernel; use the Trefftz basis")
 

@@ -7,10 +7,10 @@ coefficients by the operator's Fourier symbol. The resulting field
 satisfies the governing equation exactly on the physical domain (where
 the taper is 1), which is all a particular solution has to do.
 
-u_p is real, so it is evaluated in real arithmetic: the coefficients are
-folded once onto the modes 0..n/2 of each axis into one real matrix M, and
-each block of points costs one GEMM of its cos/sin phase factors with M
-(see SpectralField); the gradient uses M with the derivative phases.
+The samples are real and sigma(-w) = conj sigma(w), so only the rfft2 half
+spectrum is divided. u_p is evaluated in real arithmetic from one real matrix
+M folded from it: per block of points, two narrow GEMMs of the cos/sin phases
+with a seeded low-rank factor of M, or one with M itself (see SpectralField).
 
 Zero-symbol modes are repaired by closed-form compensators:
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -104,21 +104,31 @@ class SourceGrid:
             raise ConfigurationError("embedding box must be square")
 
 
-@dataclass(frozen=True)
 class SpectralField:
     """Truncated Fourier series u_p(x) = Re sum_m c_m exp(i w_m.(x - min_corner))
     plus an optional zero-mode compensator.
 
-    u_p is the real part of the series, so it is summed in real arithmetic
-    over the modes k = 0..n/2 of each axis: with a_k, b_k the phases of mode
-    k on the two axes, u_p = [cos a, sin a] M [cos b, -sin b] for one real
-    (n+2) x (n+2) matrix M folded from the coefficients (`real_matrix`). The
-    gradient uses the same M with the derivative phases.
+    The coefficients are a general (n, n) array `coeffs`, or the half spectrum
+    `half` (columns 0..n/2, the last at -n/2) of a Hermitian one, completed into
+    `coeffs` on first read (for conv-diff, whose symbol is not even, it differs
+    from a full fft2 division on the Nyquist ring). With phases a_k, b_k of
+    mode k = 0..n/2 on the two axes, u_p = [cos a, sin a] M [cos b, sin b]
+    (`real_matrix`) = row dot of [cos a, sin a] U and [cos b, sin b] V (`_factor`).
     """
-    box: Box2
-    n: int
-    coeffs: np.ndarray
-    compensator: Compensator = None
+
+    def __init__(self, box: Box2, n: int, coeffs: Optional[np.ndarray] = None,
+                 compensator: Compensator = None, half: Optional[np.ndarray] = None):
+        if (coeffs is None) == (half is None):
+            raise ConfigurationError("a spectral field takes exactly one of coeffs and half")
+        self.box, self.n, self.compensator, self.half = box, n, compensator, half
+        if coeffs is not None:
+            self.coeffs = coeffs  # in place of the completion
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """The full (n, n) coefficients: the Hermitian completion of `half`."""
+        tail = np.conj(self.half[-np.arange(self.n) % self.n, self.n // 2 - 1:0:-1])
+        return np.concatenate([self.half, tail], axis=1)
 
     @cached_property
     def omega(self) -> np.ndarray:
@@ -127,7 +137,7 @@ class SpectralField:
 
     @cached_property
     def real_matrix(self) -> np.ndarray:
-        """M (n+2, n+2) with Re sum_ij c_ij E_i F_j = [cos a, sin a] M [cos b, -sin b].
+        """M (n+2, n+2) with Re sum_ij c_ij E_i F_j = [cos a, sin a] M [cos b, sin b].
 
         Grid mode i of an axis has integer frequency m_i with |m_i| = k <= h =
         n/2 (the Nyquist mode i = h has m_h = -h), so E_i = cos a_k + i
@@ -139,25 +149,48 @@ class SpectralField:
             Re sum_j v_j F_j = Re sum_{l<=h} (G_+ v)_l exp(i b_l),
         with the column fold (G_s v)_l = v_l + s conj(v_{n-l}) for 0 < l < h,
         v_0 at l = 0 and s conj(v_h) at l = h; G_+(i v) = i G_-(v). Finally
-        Re(w exp(i b)) = [Re w, Im w].[cos b, -sin b]. So row (k, cos) of M is
-        G_+(F_+ c)_k and row (k, sin) is i G_-(F_- c)_k, exactly, for any
-        coefficient array. Rows and columns interleave the cos and sin of each
-        mode, so phase factors exp(i a_k) viewed as floats are its row vector.
+        Re(w exp(i b)) = [Re w, -Im w].[cos b, sin b]. So rows (k, cos), (k,
+        sin) of M are conj G_+(F_+ c)_k, conj(i G_-(F_- c)_k), for any c; rows
+        and columns interleave the cos and sin of each mode. On a half spectrum
+        G_s doubles columns 0 < l < h, or cancels them on the sin rows of k = 0,
+        h: bitwise the general fold of `coeffs`. Row and column (0, sin) are 0.
         """
-        c, n, h = self.coeffs, self.n, self.n // 2
+        c, n, h = self.coeffs if self.half is None else self.half, self.n, self.n // 2
         m = np.empty((h + 1, 2, h + 1), dtype=complex)
-        rows = np.empty((h + 1, n), dtype=complex)
+        rows = np.empty((h + 1, c.shape[1]), dtype=complex)
         for a, (op, s) in enumerate(((np.add, 1.0), (np.subtract, -1.0))):
-            # rows = F_s c; then G_s folds its conjugated columns above h
-            rows[0] = c[0]
+            rows[0] = c[0]  # rows = F_s c
             op(c[1:h], c[:h:-1], out=rows[1:h])
             np.multiply(c[h], s, out=rows[h])
-            np.conjugate(rows[:, h + 1:], out=rows[:, h + 1:])
             m[:, a, 0] = rows[:, 0]
-            op(rows[:, 1:h], rows[:, :h:-1], out=m[:, a, 1:h])
+            if self.half is None:  # G_s folds the conjugated columns above h
+                np.conjugate(rows[:, h + 1:], out=rows[:, h + 1:])
+                op(rows[:, 1:h], rows[:, :h:-1], out=m[:, a, 1:h])
+            else:
+                np.multiply(rows[:, 1:h], 2.0, out=m[:, a, 1:h])
+                if s < 0:
+                    m[[0, h], a, 1:h] = 0.0
             np.multiply(np.conj(rows[:, h]), s, out=m[:, a, h])
-        m[:, 1] *= 1j
-        return m.view(np.float64).reshape(n + 2, n + 2)
+        np.conjugate(m, out=m)
+        m[:, 1] *= -1j
+        mat = m.view(np.float64).reshape(n + 2, n + 2)
+        mat[1] = mat[:, 1] = 0.0
+        return mat
+
+    @cached_property
+    def _factor(self):
+        """(U, V), (n+2, 32), with U = D^-1 Q, V = (D M)^T Q and Q R = D M Omega
+        for a seeded Gaussian Omega (Halko et al. 2011, Alg. 4.1), when that is
+        M to rounding: |R_32,32| <= 1e-15 |D M omega_32|, so the probe column
+        omega_32 adds nothing to the others. Else, or for n < 62, None: one
+        product with M costs less. D = diag(1 + k) on the rows of mode k
+        scales Q's rounding in U by 1 / (1 + k), as d/dx weights them by w_k."""
+        mat, d = self.real_matrix, 1.0 + np.arange(self.n + 2)[:, None] // 2
+        y = d * (mat @ np.random.default_rng(20110).standard_normal((self.n + 2, 32)))
+        q, r = np.linalg.qr(y)
+        if self.n >= 62 and abs(r[-1, -1]) <= 1e-15 * np.linalg.norm(y[:, -1]):
+            return q / d, mat.T @ (d * q)
+        return None
 
     @cached_property
     def _split_tables(self):
@@ -193,10 +226,11 @@ class SpectralField:
 
     def _series(self, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
         """Re sum_kl (ex M)_k ey_l per point for phase factors ex, ey (P, n/2+1)
-        of the two axes, or their derivatives: one real GEMM ex M, then a row
-        dot with [cos b, -sin b] = conj(ey) viewed as floats."""
-        rows = ex.view(np.float64) @ self.real_matrix
-        return np.einsum("pk,pk->p", rows, np.conj(ey).view(np.float64))
+        of the two axes, or their derivatives, viewed as floats: the row dot
+        of ex M and ey, or of ex U and ey V."""
+        a, b = ex.view(np.float64), ey.view(np.float64)
+        u, v = self._factor or (self.real_matrix, None)
+        return np.einsum("pk,pk->p", a @ u, b if v is None else b @ v)
 
 
 def _frequencies(n: int, box: Box2) -> np.ndarray:
@@ -256,27 +290,28 @@ def extend_source(f: Callable, domain: StarDomain,
             "taper plateau does not contain the physical domain; "
             f"with inner_fraction={t} the box needs box_margin >= "
             f"{required_margin(taper):.4g}")
-    # the weight is the outer product of the per-axis weights on the grid
+    # the weight is the outer product of per-axis weights, each nonzero on one interval
     axes = box.min_corner[:, None] + float(box.side[0]) * np.arange(n) / n  # (2, n)
     axis_w = _axis_weight((axes - box.min_corner[:, None]) / box.side[:, None], t)
-    rows, cols = np.flatnonzero(axis_w[0]), np.flatnonzero(axis_w[1])
-    x1, x2 = np.meshgrid(axes[0, rows], axes[1, cols], indexing="ij")
+    (r0, r1), (c0, c1) = (np.flatnonzero(w)[[0, -1]] + (0, 1) for w in axis_w)
+    x1, x2 = np.meshgrid(axes[0, r0:r1], axes[1, c0:c1], indexing="ij")
     samples = np.zeros((n, n))
-    samples[np.ix_(rows, cols)] = (np.multiply.outer(axis_w[0, rows], axis_w[1, cols])
-                                   * np.broadcast_to(f(x1, x2), x1.shape))
+    block = np.multiply.outer(axis_w[0, r0:r1], axis_w[1, c0:c1], out=samples[r0:r1, c0:c1])
+    block *= np.broadcast_to(f(x1, x2), x1.shape)
     return SourceGrid(box=box, n=n, samples=samples)
 
 
 def solve_particular(op: OperatorSpec, grid: SourceGrid) -> SpectralField:
-    """Divide FFT coefficients by the Fourier symbol; O(n^2 log n)."""
-    n = grid.n
-    fhat = np.fft.fft2(grid.samples)
+    """Divide the rfft2 half spectrum by the Fourier symbol; O(n^2 log n)."""
+    n, h = grid.n, grid.n // 2
+    fhat = np.fft.rfft2(grid.samples)
     m = np.fft.fftfreq(n) * n
     w = _frequencies(n, grid.box)
     # no operator has a mixed w1*w2 term, so the symbol on the grid is the
     # outer sum sigma(w1, 0) + sigma(0, w2) - sigma(0, 0)
     sigma = np.add.outer(fourier_symbol(op, stack_xy(w, 0.0)),
-                         fourier_symbol(op, stack_xy(0.0, w)) - fourier_symbol(op, (0.0, 0.0)))
+                         fourier_symbol(op, stack_xy(0.0, w[:h + 1]))
+                         - fourier_symbol(op, (0.0, 0.0)))
 
     mean = float(grid.samples.mean())
     center = grid.box.center
@@ -289,8 +324,8 @@ def solve_particular(op: OperatorSpec, grid: SourceGrid) -> SpectralField:
         fhat[0, 0] = 0.0
         sigma[0, 0] = 1.0  # placeholder; coefficient is zero anyway
 
-    safe = None
     if isinstance(op, Helmholtz):
+        # |fhat| and the symbol are even: the half grid sees every mode
         near = np.abs(sigma) <= RESONANCE_SYMBOL_TOL * max(1.0, op.k ** 2)
         if np.any(near):
             fmax = float(np.abs(fhat).max())
@@ -301,20 +336,17 @@ def solve_particular(op: OperatorSpec, grid: SourceGrid) -> SpectralField:
                     f"Fourier mode {tuple(int(m[i]) for i in idx)} of the embedding box "
                     f"is resonant for Helmholtz k={op.k} and carries source energy; "
                     "change box_margin or the grid size to detune the box")
-            safe = ~near
+            fhat[near] = 0.0
+            sigma[near] = 1.0  # clamped: the mode carries no source energy
 
     sigma *= n * n  # the series coefficients are fft2 / (sigma n^2)
-    if safe is None:
-        coeffs = np.divide(fhat, sigma, out=fhat)
-    else:
-        coeffs = np.zeros_like(fhat)
-        coeffs[safe] = fhat[safe] / sigma[safe]
-    return SpectralField(box=grid.box, n=n, coeffs=coeffs, compensator=compensator)
+    half = np.divide(fhat, sigma, out=fhat)
+    return SpectralField(box=grid.box, n=n, half=half, compensator=compensator)
 
 
 def eval_particular(sf: SpectralField, x):
-    """u_p at points x, (2,) or (..., 2): per block of points, one real GEMM
-    of the phase factors with the folded matrix (see SpectralField)."""
+    """u_p at points x, (2,) or (..., 2): per block of points, real GEMMs of
+    the phase factors with the folded matrix or its factor (see SpectralField)."""
     pts, blocks, shape = point_blocks(x, sf.n // 2 + 1)
     val = np.empty(len(pts))
     for blk in blocks:
@@ -326,7 +358,7 @@ def eval_particular(sf: SpectralField, x):
 
 def eval_particular_gradient(sf: SpectralField, x) -> np.ndarray:
     """grad u_p at points x, (2,) or (..., 2); the result has x's shape. The
-    derivative phases i w exp(i w x) go through the same matrix."""
+    derivative phases i w exp(i w x) go through the same matrices."""
     pts, blocks, shape = point_blocks(x, sf.n // 2 + 1)
     g = np.empty((len(pts), 2))
     iw = 1j * sf.omega

@@ -132,20 +132,22 @@ def _horner(coeffs, t):
     return p
 
 
-def _i_series(nu: int, x):
-    s = _horner(_I_SERIES[nu], 0.25 * x * x)
-    return s if nu == 0 else 0.5 * x * s
+def _i_series(nus, x):
+    q = 0.25 * x * x
+    return [(0.5 * x if nu else 1.0) * _horner(_I_SERIES[nu], q) for nu in nus]
 
 
-def _i_asymptotic(nu: int, x):
-    return np.exp(x) / np.sqrt(2.0 * math.pi * x) * _horner(_I_ASYMPTOTIC[nu], 1.0 / x)
+def _i_asymptotic(nus, x):
+    scale, t = np.exp(x) / np.sqrt(2.0 * math.pi * x), 1.0 / x
+    return [scale * _horner(_I_ASYMPTOTIC[nu], t) for nu in nus]
 
 
-def _bessel(name: str, nu: int, x, modified: bool):
-    """J_nu or (modified) I_nu on a float or an array."""
+def _bessel(name: str, nus, x, modified: bool):
+    """[J_nu or (modified) I_nu for nu in nus] on a float or an array."""
     switch, limit, series, asymptotic = (
         (I_SWITCH, I_OVERFLOW_LIMIT, _i_series, _i_asymptotic) if modified
-        else (J_SWITCH, math.inf, _series_bessel, _asymptotic))
+        else (J_SWITCH, math.inf, lambda nus, x: [_series_bessel(nu, x) for nu in nus],
+              lambda nus, x: [_asymptotic(nu, x) for nu in nus]))
     a = np.asarray(x, dtype=float)
     flat = a.ravel()
     if a.ndim == 0:
@@ -157,29 +159,35 @@ def _bessel(name: str, nu: int, x, modified: bool):
     if hi > limit:
         raise OverflowError(f"{name} overflows double precision for x > {limit}, got {hi}")
     if a.ndim == 0:
-        return float(series(nu, lo) if lo < switch else asymptotic(nu, lo))
+        return [float(v) for v in (series(nus, lo) if lo < switch else asymptotic(nus, lo))]
     if hi < switch:
-        return series(nu, flat).reshape(a.shape)
+        return [v.reshape(a.shape) for v in series(nus, flat)]
     if lo >= switch:
-        return asymptotic(nu, flat).reshape(a.shape)
-    out = np.empty_like(flat)
-    small = flat < switch
-    out[small] = series(nu, flat[small])
-    out[~small] = asymptotic(nu, flat[~small])
-    return out.reshape(a.shape)
+        return [v.reshape(a.shape) for v in asymptotic(nus, flat)]
+    out = np.empty((len(nus),) + flat.shape)
+    part = flat < switch
+    for form in (series, asymptotic):
+        out[:, part] = form(nus, flat[part])
+        np.logical_not(part, out=part)
+    return list(out.reshape((len(nus),) + a.shape))
 
 
 def bessel_j0(x):
-    return _bessel("bessel_j0", 0, x, False)
+    return _bessel("bessel_j0", (0,), x, False)[0]
 
 
 def bessel_j1(x):
-    return _bessel("bessel_j1", 1, x, False)
+    return _bessel("bessel_j1", (1,), x, False)[0]
 
 
 def bessel_i0(x):
-    return _bessel("bessel_i0", 0, x, True)
+    return _bessel("bessel_i0", (0,), x, True)[0]
 
 
 def bessel_i1(x):
-    return _bessel("bessel_i1", 1, x, True)
+    return _bessel("bessel_i1", (1,), x, True)[0]
+
+
+def bessel_i0_i1(x):
+    """(I0(x), I1(x)), one argument check, q = x^2/4 or e^x/sqrt(2 pi x)."""
+    return tuple(_bessel("bessel_i0_i1", (0, 1), x, True))

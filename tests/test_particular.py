@@ -6,14 +6,17 @@ import pytest
 
 from quasirbf.errors import (ConfigurationError, DomainError,
                              ResonantBoxError)
-from quasirbf.geometry import Box2, Circle, Star, StarDomain, bounding_box
+from quasirbf.geometry import (Box2, Circle, Star, StarDomain, bounding_box,
+                               stack_xy)
 from quasirbf.operators import (ConvectionDiffusion, Helmholtz,
-                                ModifiedHelmholtz, Poisson, apply_operator_fd)
+                                ModifiedHelmholtz, Poisson, apply_operator_fd,
+                                fourier_symbol)
 from quasirbf.particular import (ConvectionLinear, PoissonQuad, SourceGrid,
                                  SpectralField, TaperSpec, _axis_weight,
                                  eval_particular, eval_particular_gradient,
                                  extend_source, required_margin,
                                  solve_particular)
+from quasirbf.presets import get_preset
 
 from oracles import taper_weight
 
@@ -383,3 +386,123 @@ class TestBatched:
         assert np.all(taper_weight(box, taper.inner_fraction, points) > 0.0)
         assert len(points) == np.count_nonzero(grid.samples)
         assert np.count_nonzero(grid.samples) < 32 * 32
+
+
+class TestHalfSpectrum:
+    """solve_particular divides the rfft2 half spectrum; `coeffs` is its
+    Hermitian completion, filled on first read."""
+
+    N = 64
+
+    def _grid(self, seed=64):
+        # random real samples put energy in every mode, the Nyquist ones too
+        samples = np.random.default_rng(seed).standard_normal((self.N, self.N))
+        return SourceGrid(box=_pi_box(), n=self.N, samples=samples)
+
+    @pytest.mark.parametrize("op", [Poisson(), Helmholtz(1.5), ModifiedHelmholtz(2.0),
+                                    ConvectionDiffusion(1.0, (2.0, -1.5), 0.5)],
+                             ids=["poisson", "helmholtz", "modhelm", "convdiff"])
+    def test_matrix_is_general_fold_of_coeffs(self, op):
+        sf = solve_particular(op, self._grid())
+        general = SpectralField(box=sf.box, n=sf.n, coeffs=sf.coeffs)
+        assert np.array_equal(sf.real_matrix, general.real_matrix)
+        # the sin of mode 0 is zero on both axes: its row and column are too
+        assert not sf.real_matrix[1].any() and not sf.real_matrix[:, 1].any()
+
+    def test_coeffs_are_hermitian_completion(self):
+        n, h = self.N, self.N // 2
+        sf = solve_particular(ModifiedHelmholtz(2.0), self._grid())
+        c = sf.coeffs
+        assert c.shape == (n, n) and c.dtype == complex
+        assert np.array_equal(c[:, :h + 1], sf.half)
+        mirror = np.conj(c[-np.arange(n) % n][:, -np.arange(n) % n])
+        assert np.array_equal(c[:, h + 1:], mirror[:, h + 1:])
+        # columns 0 and n/2 are their own mirrors, Hermitian to rounding
+        assert np.abs(c - mirror).max() <= 1e-15 * np.abs(c).max()
+
+    def test_convdiff_matches_fft2_reference(self):
+        # The conv-diff symbol is not even in w. Row n/2 of the completion
+        # mirrors mode (+n/2, -w2) into the column of w2, where fft2's row
+        # n/2 divides by sigma(-n/2, w2): the two differ there by exactly the
+        # ratio of the two symbols, and agree to rounding everywhere else.
+        op = ConvectionDiffusion(diffusivity=1.0, velocity=(2.0, -1.5), reaction=0.5)
+        n, h = self.N, self.N // 2
+        grid = self._grid()
+        sf = solve_particular(op, grid)
+        m = np.fft.fftfreq(n) * n  # integer frequencies on the 2*pi box
+        sigma = fourier_symbol(op, np.stack(np.meshgrid(m, m, indexing="ij"), axis=-1))
+        ref = np.fft.fft2(grid.samples) / (sigma * n * n)
+        want = ref.copy()
+        want[h, h + 1:] *= sigma[h, h + 1:] / fourier_symbol(op, stack_xy(h, m[h + 1:]))
+        assert np.abs(sf.coeffs - want).max() <= 1e-15 * np.abs(ref).max()
+        ring = ref[h, h + 1:]
+        assert np.abs(sf.coeffs[h, h + 1:] - ring).max() > 1e-2 * np.abs(ring).max()
+
+    def test_resonant_pair_across_the_half_raises(self):
+        # modes (1, -1) and (-1, 1) of cos(x1 - x2) are resonant for k^2 = 2;
+        # only the second has its column m2 = 1 in the half spectrum
+        grid = _grid_samples(_pi_box(), 32, lambda a, b: np.cos(a - b))
+        with pytest.raises(ResonantBoxError, match="resonant"):
+            solve_particular(Helmholtz(math.sqrt(2.0)), grid)
+
+    def test_resonant_modes_without_energy_clamped(self):
+        # (+-1, +-1) are resonant for k^2 = 2 but cos(x1 + 2 x2) puts no energy
+        # there; sigma(1, 2) = 2 - 5
+        grid = _grid_samples(_pi_box(), 32, lambda a, b: np.cos(a + 2.0 * b))
+        sf = solve_particular(Helmholtz(math.sqrt(2.0)), grid)
+        assert np.all(sf.coeffs[np.ix_([1, -1], [1, -1])] == 0.0)
+        p = np.array([0.3, -1.1])
+        assert abs(eval_particular(sf, p) + math.cos(p[0] + 2.0 * p[1]) / 3.0) <= 1e-12
+
+
+class TestLowRankFactor:
+    """u_p's matrix M is factored as U V^T on the source presets; a field
+    whose M has no such factor keeps the exact series."""
+
+    @staticmethod
+    def _preset_field(name, n=512):
+        preset = get_preset(name)
+        box = bounding_box(preset.domain, 1.0)
+        grid = extend_source(preset.source, preset.domain, box, n, TaperSpec(0.1))
+        return solve_particular(preset.operator, grid), grid
+
+    @staticmethod
+    def _exact_series(sf, ex, ey):
+        rows = ex.view(np.float64) @ sf.real_matrix
+        return np.einsum("pk,pk->p", rows, ey.view(np.float64))
+
+    @pytest.mark.parametrize("name", ["modhelm_source", "convdiff_disc", "poisson_disc"])
+    def test_factored_matches_exact_series(self, name):
+        sf, _ = self._preset_field(name)
+        assert sf._factor is not None
+        rng = np.random.default_rng(700)
+        pts = sf.box.min_corner + rng.uniform(0.0, 1.0, size=(700, 2)) * sf.box.side
+        ex, ey = sf._phases(pts)
+        iw = 1j * sf.omega
+        exact_v = self._exact_series(sf, ex, ey)
+        exact_g = np.stack([self._exact_series(sf, iw * ex, ey),
+                            self._exact_series(sf, ex, iw * ey)], axis=-1)
+        if sf.compensator is not None:
+            exact_v += sf.compensator.value(pts[:, 0], pts[:, 1])
+            exact_g += sf.compensator.gradient(pts[:, 0], pts[:, 1])
+        values = eval_particular(sf, pts)
+        grads = eval_particular_gradient(sf, pts)
+        assert np.abs(values - exact_v).max() <= 1e-14 * np.abs(exact_v).max()
+        assert np.abs(grads - exact_g).max() <= 1e-14 * np.abs(exact_g).max()
+
+    def test_seeded_factor_is_deterministic(self):
+        sf, grid = self._preset_field("convdiff_disc", n=128)
+        again = solve_particular(get_preset("convdiff_disc").operator, grid)
+        pts = np.random.default_rng(5).uniform(-0.9, 0.9, size=(50, 2))
+        assert np.array_equal(eval_particular(sf, pts), eval_particular(again, pts))
+        assert np.array_equal(eval_particular_gradient(sf, pts),
+                              eval_particular_gradient(again, pts))
+
+    def test_random_coefficients_keep_exact_series(self):
+        n = 64
+        rng = np.random.default_rng(1)
+        coeffs = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        sf = SpectralField(box=_pi_box(), n=n, coeffs=coeffs)
+        assert sf._factor is None
+        pts = rng.uniform(-math.pi, math.pi, size=(20, 2))
+        assert np.array_equal(eval_particular(sf, pts), self._exact_series(sf, *sf._phases(pts)))

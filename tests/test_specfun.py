@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from quasirbf.errors import DomainError
-from quasirbf.specfun import (I_SWITCH, _I_SERIES, bessel_i0, bessel_i1,
-                              bessel_j0, bessel_j1)
+from quasirbf.specfun import (I_SWITCH, _I_SERIES, bessel_i0, bessel_i0_i1,
+                              bessel_i1, bessel_j0, bessel_j1)
 
 from oracles import (_decimal_series, j0_first_zero, oracle_i0, oracle_i1,
                      oracle_j0, oracle_j1)
@@ -190,3 +190,25 @@ class TestArrays:
     def test_one_overflowing_element_raises(self, fn):
         with pytest.raises(OverflowError):
             fn(np.array([1.0, 701.0, 2.0]))
+
+    def test_i_pair_bitwise(self):
+        # one argument check and shared q or e^x / sqrt(2 pi x) must not
+        # change a bit of either order, for arrays (mixed and one-sided
+        # around I_SWITCH, any shape) and for floats
+        for xs in (self.XS, self.XS[self.XS < I_SWITCH], self.XS[self.XS >= I_SWITCH],
+                   self.XS[:12].reshape(3, 4)):
+            i0, i1 = bessel_i0_i1(xs)
+            assert np.array_equal(i0, bessel_i0(xs)) and np.array_equal(i1, bessel_i1(xs))
+            assert i0.shape == i1.shape == xs.shape
+        for x in self.XS:
+            i0, i1 = bessel_i0_i1(float(x))
+            assert isinstance(i0, float) and isinstance(i1, float)
+            assert (i0, i1) == (bessel_i0(float(x)), bessel_i1(float(x)))
+
+    @pytest.mark.parametrize("bad, error", [(float("nan"), DomainError), (-1.0, DomainError),
+                                            (701.0, OverflowError)])
+    def test_i_pair_checks_argument(self, bad, error):
+        xs = np.linspace(0.0, 5.0, 10)
+        xs[7] = bad
+        with pytest.raises(error):
+            bessel_i0_i1(xs)
