@@ -8,6 +8,7 @@ uses the circular-harmonic (Trefftz) basis
     { 1, (rho/R)^m cos(m theta), (rho/R)^m sin(m theta) },  m = 1..order,
 
 about a given center with scale R, every member of which is harmonic.
+assemble alone makes that choice; assembly and evaluation share _terms.
 
 Dense solves are LU with partial pivoting, or truncated SVD for
 ill-conditioned systems; condition estimates are always reported so the
@@ -53,6 +54,10 @@ class LU:
 @dataclass(frozen=True)
 class TSVD:
     cutoff: float = DEFAULT_TSVD_CUTOFF
+
+    def __post_init__(self):
+        if not 0.0 <= self.cutoff < 1.0:  # NaN fails too
+            raise ConfigurationError(f"svd_cutoff must lie in [0, 1), got {self.cutoff}")
 
 
 Strategy = Union[LU, TSVD]
@@ -102,20 +107,24 @@ def trefftz_terms(order: int, center, scale: float, x1, x2):
     return values, grads
 
 
-def _pair_blocks(x: np.ndarray, centers: np.ndarray):
-    """Yield (slice, displacements x_p - s_j of shape (b, N, 2)) over the
-    points x (P, 2), in blocks of at most BLOCK_PAIRS point-centre pairs."""
-    for blk in point_blocks(x, len(centers))[1]:
-        yield blk, x[blk, None, :] - centers[None, :, :]
+def _terms(mode: Mode, centers: np.ndarray, x: np.ndarray, gradient: bool) -> np.ndarray:
+    """Basis values (P, M) or gradients (P, M, 2) at points x (P, 2): the
+    kernel about each of the M centres, or the M circular harmonics."""
+    if isinstance(mode, TrefftzMode):
+        values, grads = trefftz_terms(mode.order, mode.center, mode.scale, x[:, 0], x[:, 1])
+        return grads if gradient else values
+    d = x[:, None, :] - centers[None, :, :]
+    return (kernel_gradient if gradient else kernel_value)(mode.op, d)
 
 
 def assemble(op: OperatorSpec, knots: BoundaryKnots, bc_kind: str, data,
-             trefftz_order: int = None,
-             trefftz_center=None, trefftz_scale: float = None) -> CollocationSystem:
+             trefftz: TrefftzMode = None) -> CollocationSystem:
     """Build the dense collocation system for the homogeneous solve.
 
     bc_kind ("dirichlet" or "neumann") applies to every row: row i
-    collocates u_h or n_i . grad u_h at knot i against data[i]."""
+    collocates u_h or n_i . grad u_h at knot i against data[i]. Poisson
+    takes the basis `trefftz`, every other operator its kernel about each
+    knot; the system is N x (2 order + 1) or N x N."""
     n = len(knots)
     if bc_kind not in ("dirichlet", "neumann"):
         raise ConfigurationError(f"bc_kind must be 'dirichlet' or 'neumann', got {bc_kind!r}")
@@ -123,29 +132,22 @@ def assemble(op: OperatorSpec, knots: BoundaryKnots, bc_kind: str, data,
     if n < 1 or rhs.shape != (n,):
         raise ConfigurationError(
             f"need matching knots and boundary data, got {n} and shape {rhs.shape}")
-    pos, normals = knots.points, knots.normals
-    neumann = bc_kind == "neumann"
+    mode: Mode = KernelMode(op=op)
+    width, neumann = n, bc_kind == "neumann"
     if isinstance(op, Poisson):
-        if trefftz_order is None:
-            raise ConfigurationError("Poisson requires a trefftz_order")
-        m = 2 * trefftz_order + 1
-        if m > n:
+        if trefftz is None:
+            raise ConfigurationError("Poisson requires a Trefftz basis")
+        if not (0 <= trefftz.order <= (n - 1) / 2 and trefftz.scale > 0):
             raise ConfigurationError(
-                f"Trefftz basis size 2*order+1 = {m} exceeds node count {n}")
-        center = np.zeros(2) if trefftz_center is None else np.asarray(trefftz_center, float)
-        scale = 1.0 if trefftz_scale is None else float(trefftz_scale)
-        if not scale > 0:
-            raise ConfigurationError(f"Trefftz scale must be positive, got {scale}")
-        values, grads = trefftz_terms(trefftz_order, center, scale, pos[:, 0], pos[:, 1])
-        matrix = np.einsum("pjk,pk->pj", grads, normals) if neumann else values
-        mode: Mode = TrefftzMode(order=trefftz_order, center=center, scale=scale)
-        return CollocationSystem(matrix=matrix, rhs=rhs, centers=pos, mode=mode)
-
-    matrix = np.empty((n, n))
-    for blk, d in _pair_blocks(pos, pos):
-        matrix[blk] = (np.einsum("pjk,pk->pj", kernel_gradient(op, d), normals[blk])
-                       if neumann else kernel_value(op, d))
-    return CollocationSystem(matrix=matrix, rhs=rhs, centers=pos, mode=KernelMode(op=op))
+                f"Trefftz basis needs 0 <= order <= (N-1)/2 = {(n - 1) // 2} and scale > 0, "
+                f"got order {trefftz.order} and scale {trefftz.scale}")
+        mode, width = trefftz, 2 * trefftz.order + 1
+    pos, normals = knots.points, knots.normals
+    matrix = np.empty((n, width))
+    for blk in point_blocks(pos, width)[1]:
+        t = _terms(mode, pos, pos[blk], neumann)
+        matrix[blk] = np.einsum("pjk,pk->pj", t, normals[blk]) if neumann else t
+    return CollocationSystem(matrix=matrix, rhs=rhs, centers=pos, mode=mode)
 
 
 def solve_dense(system: CollocationSystem,
@@ -193,16 +195,11 @@ def solve_dense(system: CollocationSystem,
 
 def _evaluate(sol: HomogeneousSolution, x, gradient: bool) -> np.ndarray:
     """u_h (shape (...)) or grad u_h (shape (..., 2)) at points x (2,) or (..., 2)."""
-    pts, _, shape = point_blocks(x, len(sol.coefficients))
-    if isinstance(sol.mode, TrefftzMode):
-        values, grads = trefftz_terms(sol.mode.order, sol.mode.center, sol.mode.scale,
-                                      pts[:, 0], pts[:, 1])
-        out = np.einsum("pj...,j->p...", grads if gradient else values, sol.coefficients)
-    else:
-        out = np.empty((len(pts), 2) if gradient else len(pts))
-        for blk, d in _pair_blocks(pts, sol.centers):
-            k = (kernel_gradient if gradient else kernel_value)(sol.mode.op, d)
-            out[blk] = np.einsum("pj...,j->p...", k, sol.coefficients)
+    pts, blocks, shape = point_blocks(x, len(sol.coefficients))
+    out = np.empty((len(pts), 2) if gradient else len(pts))
+    for blk in blocks:
+        out[blk] = np.einsum("pj...,j->p...", _terms(sol.mode, sol.centers, pts[blk], gradient),
+                             sol.coefficients)
     return out.reshape(shape + out.shape[1:])
 
 

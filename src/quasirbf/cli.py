@@ -42,25 +42,36 @@ def _reject_unknown(obj: dict, allowed: set, what: str):
             raise ConfigurationError(f"unknown {what} key {key!r}")
 
 
+def _read(obj: dict, key: str, conv, what: str, default=None):
+    """conv(obj[key]), or conv(default) for an absent key; errors name the key."""
+    if key not in obj and default is None:
+        raise ConfigurationError(f"{what} needs key {key!r}")
+    try:
+        return conv(obj.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{what} key {key!r}: bad value {obj[key]!r}") from exc
+
+
 def _parse_operator(obj: dict) -> OperatorSpec:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ConfigurationError("operator must be an object with a 'type' key")
     kind = obj["type"]
+    what = f"{kind} operator"
     if kind == "poisson":
         _reject_unknown(obj, {"type"}, "operator")
         return Poisson()
     if kind == "helmholtz":
         _reject_unknown(obj, {"type", "k"}, "operator")
-        return Helmholtz(float(obj["k"]))
+        return Helmholtz(_read(obj, "k", float, what))
     if kind == "modified_helmholtz":
         _reject_unknown(obj, {"type", "k"}, "operator")
-        return ModifiedHelmholtz(float(obj["k"]))
+        return ModifiedHelmholtz(_read(obj, "k", float, what))
     if kind == "convection_diffusion":
         _reject_unknown(obj, {"type", "diffusivity", "velocity", "reaction"}, "operator")
         return ConvectionDiffusion(
-            diffusivity=float(obj["diffusivity"]),
-            velocity=[float(c) for c in obj["velocity"]],
-            reaction=float(obj.get("reaction", 0.0)))
+            diffusivity=_read(obj, "diffusivity", float, what),
+            velocity=_read(obj, "velocity", lambda v: [float(c) for c in v], what),
+            reaction=_read(obj, "reaction", float, what, 0.0))
     raise ConfigurationError(f"unknown operator type {kind!r}")
 
 
@@ -68,18 +79,20 @@ def _parse_domain(obj: dict) -> StarDomain:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ConfigurationError("domain must be an object with a 'type' key")
     kind = obj["type"]
-    center = obj.get("center", (0.0, 0.0))
+    what = f"{kind} domain"
+    center = _read(obj, "center", lambda c: [float(v) for v in c], what, (0.0, 0.0))
     if kind == "circle":
         _reject_unknown(obj, {"type", "radius", "center"}, "domain")
-        return StarDomain(Circle(float(obj["radius"])), center=center)
+        return StarDomain(Circle(_read(obj, "radius", float, what)), center=center)
     if kind == "ellipse":
         _reject_unknown(obj, {"type", "a", "b", "center"}, "domain")
-        return StarDomain(Ellipse(float(obj["a"]), float(obj["b"])), center=center)
+        return StarDomain(Ellipse(_read(obj, "a", float, what), _read(obj, "b", float, what)),
+                          center=center)
     if kind == "star":
         _reject_unknown(obj, {"type", "base", "amplitude", "lobes", "center"}, "domain")
-        return StarDomain(Star(base=float(obj["base"]),
-                               amplitude=float(obj["amplitude"]),
-                               lobes=int(obj["lobes"])), center=center)
+        return StarDomain(Star(base=_read(obj, "base", float, what),
+                               amplitude=_read(obj, "amplitude", float, what),
+                               lobes=_read(obj, "lobes", int, what)), center=center)
     raise ConfigurationError(f"unknown domain type {kind!r}")
 
 
@@ -107,7 +120,7 @@ def parse_config(obj: dict) -> RunConfig:
                       ("svd_cutoff", float), ("strategy", str),
                       ("rings", int), ("per_ring", int)]:
         if key in obj:
-            kwargs[key] = conv(obj[key])
+            kwargs[key] = _read(obj, key, conv, "config")
     return RunConfig(**kwargs)
 
 

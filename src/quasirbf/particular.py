@@ -8,14 +8,14 @@ satisfies the governing equation exactly on the physical domain (where
 the taper is 1), which is all a particular solution has to do.
 
 The samples are real and sigma(-w) = conj sigma(w), so only the rfft2 half
-spectrum is divided. u_p is evaluated in real arithmetic from one real matrix
-M folded from it: per block of points, two narrow GEMMs of the cos/sin phases
-with a seeded low-rank factor of M, or one with M itself (see SpectralField).
+spectrum is divided and kept. u_p is evaluated in real arithmetic from one real
+matrix M folded from it: per block of points, two narrow GEMMs of the cos/sin
+phases with a seeded low-rank factor of M, or one with M itself (see SpectralField).
 
-Zero-symbol modes are repaired by closed-form compensators:
+A zero-symbol mode is repaired by the compensator u_c = quad |x - c|^2 + lin.(x - c):
 
-    Poisson:                u_c = mean * |x - c|^2 / 4
-    conv-diff, kappa = 0:   u_c = mean * v.(x - c) / |v|^2
+    Poisson:                quad = mean / 4
+    conv-diff, kappa = 0:   lin = mean * v / |v|^2
 
 Near-resonant Helmholtz modes with non-negligible source energy abort
 the solve with ResonantBoxError.
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -52,36 +52,20 @@ class TaperSpec:
 
 
 @dataclass(frozen=True)
-class PoissonQuad:
-    """Compensator u_c = mean * |x - center|^2 / 4 with laplace(u_c) = mean."""
-    mean: float
+class Compensator:
+    """u_c = quad |x - center|^2 + lin.(x - center), which the operator maps to
+    the source mean that the dropped zero mode carried."""
     center: np.ndarray
+    quad: float = 0.0
+    lin: Tuple[float, float] = (0.0, 0.0)
 
     def value(self, x1, x2):
-        return self.mean * ((x1 - self.center[0]) ** 2 + (x2 - self.center[1]) ** 2) / 4.0
+        d1, d2 = x1 - self.center[0], x2 - self.center[1]
+        return self.quad * (d1 ** 2 + d2 ** 2) + (self.lin[0] * d1 + self.lin[1] * d2)
 
     def gradient(self, x1, x2) -> np.ndarray:
-        return self.mean * np.stack([x1 - self.center[0], x2 - self.center[1]], axis=-1) / 2.0
-
-
-@dataclass(frozen=True)
-class ConvectionLinear:
-    """Compensator u_c = mean * v.(x - center) / |v|^2 with v.grad(u_c) = mean."""
-    mean: float
-    velocity: np.ndarray
-    center: np.ndarray
-
-    def value(self, x1, x2):
-        v = self.velocity
-        return self.mean * (v[0] * (x1 - self.center[0]) + v[1] * (x2 - self.center[1])) \
-            / float(v @ v)
-
-    def gradient(self, x1, x2) -> np.ndarray:
-        v = self.velocity
-        return np.broadcast_to(self.mean * v / float(v @ v), np.shape(x1) + (2,))
-
-
-Compensator = Union[None, PoissonQuad, ConvectionLinear]
+        d = np.stack([x1 - self.center[0], x2 - self.center[1]], axis=-1)
+        return d * (2.0 * self.quad) + self.lin
 
 
 @dataclass(frozen=True)
@@ -108,21 +92,17 @@ class SpectralField:
     """Truncated Fourier series u_p(x) = Re sum_m c_m exp(i w_m.(x - min_corner))
     plus an optional zero-mode compensator.
 
-    The coefficients are a general (n, n) array `coeffs`, or the half spectrum
-    `half` (columns 0..n/2, the last at -n/2) of a Hermitian one, completed into
-    `coeffs` on first read (for conv-diff, whose symbol is not even, it differs
-    from a full fft2 division on the Nyquist ring). With phases a_k, b_k of
-    mode k = 0..n/2 on the two axes, u_p = [cos a, sin a] M [cos b, sin b]
-    (`real_matrix`) = row dot of [cos a, sin a] U and [cos b, sin b] V (`_factor`).
+    The coefficients c are the half spectrum `half` (columns 0..n/2, the last
+    at -n/2) of a Hermitian (n, n) array `coeffs`, completed on first read (for
+    conv-diff, whose symbol is not even, it differs from a full fft2 division
+    on the Nyquist ring). With phases a_k, b_k of mode k = 0..n/2 on the two
+    axes, u_p = [cos a, sin a] M [cos b, sin b] (`real_matrix`) = row dot of
+    [cos a, sin a] U and [cos b, sin b] V (`_factor`).
     """
 
-    def __init__(self, box: Box2, n: int, coeffs: Optional[np.ndarray] = None,
-                 compensator: Compensator = None, half: Optional[np.ndarray] = None):
-        if (coeffs is None) == (half is None):
-            raise ConfigurationError("a spectral field takes exactly one of coeffs and half")
-        self.box, self.n, self.compensator, self.half = box, n, compensator, half
-        if coeffs is not None:
-            self.coeffs = coeffs  # in place of the completion
+    def __init__(self, box: Box2, n: int, half: np.ndarray,
+                 compensator: Optional[Compensator] = None):
+        self.box, self.n, self.half, self.compensator = box, n, half, compensator
 
     @cached_property
     def coeffs(self) -> np.ndarray:
@@ -150,26 +130,23 @@ class SpectralField:
         with the column fold (G_s v)_l = v_l + s conj(v_{n-l}) for 0 < l < h,
         v_0 at l = 0 and s conj(v_h) at l = h; G_+(i v) = i G_-(v). Finally
         Re(w exp(i b)) = [Re w, -Im w].[cos b, sin b]. So rows (k, cos), (k,
-        sin) of M are conj G_+(F_+ c)_k, conj(i G_-(F_- c)_k), for any c; rows
-        and columns interleave the cos and sin of each mode. On a half spectrum
-        G_s doubles columns 0 < l < h, or cancels them on the sin rows of k = 0,
-        h: bitwise the general fold of `coeffs`. Row and column (0, sin) are 0.
+        sin) of M are conj G_+(F_+ c)_k, conj(i G_-(F_- c)_k); rows and columns
+        interleave the cos and sin of each mode. Column n - l of `coeffs` holds
+        conj(c_{n-k,l}) in row k, so G_s doubles columns 0 < l < h, or cancels
+        them on the sin rows of k = 0, h, which are their own partners. Row and
+        column (0, sin) are 0.
         """
-        c, n, h = self.coeffs if self.half is None else self.half, self.n, self.n // 2
+        c, n, h = self.half, self.n, self.n // 2
         m = np.empty((h + 1, 2, h + 1), dtype=complex)
-        rows = np.empty((h + 1, c.shape[1]), dtype=complex)
+        rows = np.empty((h + 1, h + 1), dtype=complex)
         for a, (op, s) in enumerate(((np.add, 1.0), (np.subtract, -1.0))):
             rows[0] = c[0]  # rows = F_s c
             op(c[1:h], c[:h:-1], out=rows[1:h])
             np.multiply(c[h], s, out=rows[h])
             m[:, a, 0] = rows[:, 0]
-            if self.half is None:  # G_s folds the conjugated columns above h
-                np.conjugate(rows[:, h + 1:], out=rows[:, h + 1:])
-                op(rows[:, 1:h], rows[:, :h:-1], out=m[:, a, 1:h])
-            else:
-                np.multiply(rows[:, 1:h], 2.0, out=m[:, a, 1:h])
-                if s < 0:
-                    m[[0, h], a, 1:h] = 0.0
+            np.multiply(rows[:, 1:h], 2.0, out=m[:, a, 1:h])
+            if s < 0:
+                m[[0, h], a, 1:h] = 0.0
             np.multiply(np.conj(rows[:, h]), s, out=m[:, a, h])
         np.conjugate(m, out=m)
         m[:, 1] *= -1j
@@ -314,12 +291,12 @@ def solve_particular(op: OperatorSpec, grid: SourceGrid) -> SpectralField:
                          - fourier_symbol(op, (0.0, 0.0)))
 
     mean = float(grid.samples.mean())
-    center = grid.box.center
-    compensator: Compensator = None
+    compensator = None
     if isinstance(op, Poisson):
-        compensator = PoissonQuad(mean=mean, center=center)
+        compensator = Compensator(grid.box.center, quad=mean / 4.0)
     elif isinstance(op, ConvectionDiffusion) and op.reaction == 0.0:
-        compensator = ConvectionLinear(mean=mean, velocity=op.velocity, center=center)
+        v = op.velocity
+        compensator = Compensator(grid.box.center, lin=tuple(mean * v / float(v @ v)))
     if compensator is not None:
         fhat[0, 0] = 0.0
         sigma[0, 0] = 1.0  # placeholder; coefficient is zero anyway
@@ -344,28 +321,32 @@ def solve_particular(op: OperatorSpec, grid: SourceGrid) -> SpectralField:
     return SpectralField(box=grid.box, n=n, half=half, compensator=compensator)
 
 
-def eval_particular(sf: SpectralField, x):
-    """u_p at points x, (2,) or (..., 2): per block of points, real GEMMs of
-    the phase factors with the folded matrix or its factor (see SpectralField)."""
+def _evaluate(sf: SpectralField, x, gradient: bool) -> np.ndarray:
+    """u_p (shape (...)) or grad u_p (shape (..., 2)) at points x (2,) or (..., 2):
+    per block of points, real GEMMs of the phase factors with the folded matrix
+    or its factor (see SpectralField). The derivative phases i w exp(i w x) go
+    through the same matrices."""
     pts, blocks, shape = point_blocks(x, sf.n // 2 + 1)
-    val = np.empty(len(pts))
-    for blk in blocks:
-        val[blk] = sf._series(*sf._phases(pts[blk]))
-    if sf.compensator is not None:
-        val += sf.compensator.value(pts[:, 0], pts[:, 1])
-    return val.reshape(shape)[()]
-
-
-def eval_particular_gradient(sf: SpectralField, x) -> np.ndarray:
-    """grad u_p at points x, (2,) or (..., 2); the result has x's shape. The
-    derivative phases i w exp(i w x) go through the same matrices."""
-    pts, blocks, shape = point_blocks(x, sf.n // 2 + 1)
-    g = np.empty((len(pts), 2))
+    out = np.empty((len(pts), 2) if gradient else len(pts))
     iw = 1j * sf.omega
     for blk in blocks:
         ex, ey = sf._phases(pts[blk])
-        g[blk, 0] = sf._series(iw * ex, ey)
-        g[blk, 1] = sf._series(ex, iw * ey)
+        if gradient:
+            out[blk, 0], out[blk, 1] = sf._series(iw * ex, ey), sf._series(ex, iw * ey)
+        else:
+            out[blk] = sf._series(ex, ey)
+        del ex, ey  # frees this block's phases before the next block's are built
     if sf.compensator is not None:
-        g += sf.compensator.gradient(pts[:, 0], pts[:, 1])
-    return g.reshape(shape + (2,))
+        c = sf.compensator
+        out += (c.gradient if gradient else c.value)(pts[:, 0], pts[:, 1])
+    return out.reshape(shape + out.shape[1:])
+
+
+def eval_particular(sf: SpectralField, x):
+    """u_p at points x, (2,) or (..., 2); the result has shape (...)."""
+    return _evaluate(sf, x, gradient=False)[()]
+
+
+def eval_particular_gradient(sf: SpectralField, x) -> np.ndarray:
+    """grad u_p at points x, (2,) or (..., 2); the result has x's shape."""
+    return _evaluate(sf, x, gradient=True)

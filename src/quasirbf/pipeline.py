@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .bkm import LU, TSVD, HomogeneousSolution, SolveDiagnostics, Strategy
 from .errors import ConfigurationError, QuasiRbfError
 from .geometry import (StarDomain, boundary_nodes, bounding_box,
                        interior_eval_points, stack_xy)
-from .operators import OperatorSpec, Poisson, apply_operator_fd
+from .operators import OperatorSpec, apply_operator_fd
 from .particular import (SpectralField, TaperSpec, eval_particular,
                          eval_particular_gradient, extend_source,
                          solve_particular)
@@ -65,10 +66,9 @@ class RunConfig:
     taper: float = 0.1
     strategy: str = "tsvd"
     svd_cutoff: float = bkm.DEFAULT_TSVD_CUTOFF
-    trefftz_order: Optional[int] = None
+    trefftz_order: int = 12
     rings: int = 4
     per_ring: int = 50
-    output: Optional[str] = None
 
     def __post_init__(self):
         if (self.preset is None) == (self.problem is None):
@@ -81,6 +81,7 @@ class RunConfig:
             raise ConfigurationError("rings and per_ring must both be >= 1")
         if self.box_margin < 0:
             raise ConfigurationError(f"box_margin must be >= 0, got {self.box_margin}")
+        TSVD(cutoff=self.svd_cutoff)  # rejects a bad cutoff before any work
 
     def resolve_problem(self) -> ProblemPreset:
         if self.preset is not None:
@@ -121,7 +122,6 @@ def _broadcast(value, shape) -> np.ndarray:
     return np.broadcast_to(np.asarray(value, dtype=float), shape)
 
 
-
 @dataclass(frozen=True)
 class StageTimings:
     particular_ms: float = 0.0
@@ -151,55 +151,42 @@ class ConvergenceRow:
     error: Optional[str] = None  # sentinel for failed runs; numeric cells are NaN
 
 
+@contextmanager
+def _stage(name: str, ms: Dict[str, float]):
+    """Time the block into ms[name]; prefix a QuasiRbfError with the stage name."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except QuasiRbfError as exc:
+        raise type(exc)(f"{name} stage: {exc}") from exc
+    ms[name] = (time.perf_counter() - t0) * 1e3
+
+
 def run_pipeline(config: RunConfig) -> RunResult:
     problem = config.resolve_problem()
-    op = problem.operator
-    domain = problem.domain
-
+    op, domain = problem.operator, problem.domain
     sf: Optional[SpectralField] = None
-    particular_ms = 0.0
+    ms = {"particular": 0.0}
     if problem.source is not None:
-        t0 = time.perf_counter()
-        try:
+        with _stage("particular", ms):
             box = bounding_box(domain, config.box_margin)
             grid = extend_source(problem.source, domain, box, config.grid,
                                  TaperSpec(config.taper))
             sf = solve_particular(op, grid)
-        except QuasiRbfError as exc:
-            raise type(exc)(f"particular stage: {exc}") from exc
-        particular_ms = (time.perf_counter() - t0) * 1e3
 
-    t0 = time.perf_counter()
-    try:
+    with _stage("assembly", ms):
         knots = boundary_nodes(domain, config.knots)
         data = _boundary_data(problem, sf, knots.points, knots.normals)
-        if isinstance(op, Poisson):
-            order = config.trefftz_order
-            if order is None:
-                order = problem.trefftz_order
-            system = bkm.assemble(op, knots, problem.bc_kind, data, trefftz_order=order,
-                                  trefftz_center=domain.center,
-                                  trefftz_scale=domain.max_radius())
-        else:
-            system = bkm.assemble(op, knots, problem.bc_kind, data)
-    except QuasiRbfError as exc:
-        raise type(exc)(f"assembly stage: {exc}") from exc
-    assemble_ms = (time.perf_counter() - t0) * 1e3
+        trefftz = bkm.TrefftzMode(config.trefftz_order, domain.center, domain.max_radius())
+        system = bkm.assemble(op, knots, problem.bc_kind, data, trefftz)
 
-    t0 = time.perf_counter()
-    try:
+    with _stage("solve", ms):
         coeffs, diagnostics = bkm.solve_dense(system, config.solver_strategy())
-    except QuasiRbfError as exc:
-        raise type(exc)(f"solve stage: {exc}") from exc
-    solve_ms = (time.perf_counter() - t0) * 1e3
 
-    sol = HomogeneousSolution(mode=system.mode, coefficients=coeffs,
-                              centers=system.centers)
-    field_ = SolutionField(particular=sf, homogeneous=sol)
-    timings = StageTimings(particular_ms=particular_ms, assemble_ms=assemble_ms,
-                           solve_ms=solve_ms)
-    return RunResult(field=field_, diagnostics=diagnostics, timings=timings,
-                     problem=problem, config=config)
+    sol = HomogeneousSolution(mode=system.mode, coefficients=coeffs, centers=system.centers)
+    timings = StageTimings(ms["particular"], ms["assembly"], ms["solve"])
+    return RunResult(field=SolutionField(particular=sf, homogeneous=sol),
+                     diagnostics=diagnostics, timings=timings, problem=problem, config=config)
 
 
 def _boundary_data(problem: ProblemPreset, sf: Optional[SpectralField],

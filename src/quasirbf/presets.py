@@ -40,7 +40,6 @@ class ProblemPreset:
     exact_gradient: Optional[VectorField]
     source: Optional[Field]  # None declares a homogeneous problem (f == 0)
     bc_kind: str = "dirichlet"
-    trefftz_order: int = 12
 
 
 def check_self_consistency(preset: ProblemPreset, h: float = _SELF_CONSISTENCY_H) -> float:
@@ -143,7 +142,6 @@ _register(ProblemPreset(
         math.pi * np.sin(math.pi * x) * np.cos(math.pi * y)),
     source=lambda x, y: -2.0 * math.pi ** 2
     * np.sin(math.pi * x) * np.sin(math.pi * y),
-    trefftz_order=12,
 ))
 
 _register(ProblemPreset(

@@ -23,6 +23,11 @@ ONE_KNOT = BoundaryKnots(param=np.zeros(1), points=np.array([[1.0, 0.0]]),
                          normals=np.array([[1.0, 0.0]]))
 
 
+def _trefftz(order: int) -> TrefftzMode:
+    """The circular harmonics about the unit disc's centre, scaled by its radius."""
+    return TrefftzMode(order=order, center=np.zeros(2), scale=1.0)
+
+
 class TestAssemble:
     def test_single_node_identity(self):
         system = assemble(Helmholtz(2.0), ONE_KNOT, "dirichlet", [5.0])
@@ -39,9 +44,7 @@ class TestAssemble:
 
     def test_trefftz_constant_column(self):
         nodes = boundary_nodes(UNIT_DISC, 9)
-        system = assemble(Poisson(), nodes, "dirichlet", np.zeros(9),
-                          trefftz_order=0, trefftz_center=(0.0, 0.0),
-                          trefftz_scale=1.0)
+        system = assemble(Poisson(), nodes, "dirichlet", np.zeros(9), _trefftz(0))
         assert system.matrix.shape == (9, 1)
         assert np.all(system.matrix == 1.0)
         assert isinstance(system.mode, TrefftzMode)
@@ -54,7 +57,16 @@ class TestAssemble:
     def test_trefftz_basis_cannot_exceed_nodes(self):
         nodes = boundary_nodes(UNIT_DISC, 4)
         with pytest.raises(ConfigurationError):
-            assemble(Poisson(), nodes, "dirichlet", np.zeros(4), trefftz_order=5)
+            assemble(Poisson(), nodes, "dirichlet", np.zeros(4), _trefftz(5))
+
+    @pytest.mark.parametrize("order", [-1, 5])
+    def test_trefftz_order_range(self, order):
+        # 0 <= order <= (N - 1) / 2 = 4 at N = 9; a negative order used to reach np.empty
+        nodes = boundary_nodes(UNIT_DISC, 9)
+        with pytest.raises(ConfigurationError, match="order"):
+            assemble(Poisson(), nodes, "dirichlet", np.zeros(9), _trefftz(order))
+        square = assemble(Poisson(), nodes, "dirichlet", np.zeros(9), _trefftz(4))
+        assert square.matrix.shape == (9, 9)
 
     def test_mismatched_bc_count(self):
         nodes = boundary_nodes(UNIT_DISC, 4)
@@ -109,6 +121,15 @@ class TestTrefftzTerms:
 
 
 class TestSolveDense:
+    @pytest.mark.parametrize("cutoff", [1.5, 1.0, -1e-12, math.nan, math.inf])
+    def test_tsvd_rejects_cutoff_outside_unit_interval(self, cutoff):
+        # a cutoff >= 1 used to drop every singular value: u_h == 0, no error
+        with pytest.raises(ConfigurationError, match="svd_cutoff"):
+            TSVD(cutoff=cutoff)
+
+    def test_tsvd_accepts_cutoff_zero(self):
+        assert TSVD(cutoff=0.0).cutoff == 0.0
+
     def test_identity_system(self):
         system = assemble(Helmholtz(2.0), ONE_KNOT, "dirichlet", [5.0])
         coeffs, diag = solve_dense(system, LU())
@@ -127,7 +148,7 @@ class TestSolveDense:
 
     def test_lu_rejects_rectangular(self):
         nodes = boundary_nodes(UNIT_DISC, 9)
-        system = assemble(Poisson(), nodes, "dirichlet", np.zeros(9), trefftz_order=2)
+        system = assemble(Poisson(), nodes, "dirichlet", np.zeros(9), _trefftz(2))
         with pytest.raises(ConfigurationError, match="TSVD"):
             solve_dense(system, LU())
 

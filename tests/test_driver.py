@@ -16,6 +16,7 @@ from quasirbf.errors import ConfigurationError, ResonantBoxError
 from quasirbf.geometry import Circle, StarDomain
 from quasirbf.operators import (Helmholtz, ModifiedHelmholtz, kernel_gradient,
                                 kernel_value)
+from quasirbf.particular import SpectralField
 from quasirbf.pipeline import (CSV_HEADER, ConvergenceRow, InlineProblem,
                                RunConfig, boundary_residual,
                                convergence_study, error_metrics,
@@ -93,6 +94,20 @@ class TestRunPipeline:
         result = run_pipeline(RunConfig(preset="helmholtz_disc", knots=32))
         assert abs(result.field.evaluate(0.3, 0.4) - math.sin(0.6)) <= 1e-6
         assert result.diagnostics.condition_estimate > 1.0
+
+    @pytest.mark.parametrize("name", ["modhelm_source", "convdiff_disc", "poisson_disc"])
+    def test_full_coefficients_never_built(self, monkeypatch, name):
+        # the pipeline works from the half spectrum alone
+        def refuse(sf):
+            raise AssertionError("SpectralField.coeffs was materialised")
+        monkeypatch.setattr(SpectralField, "coeffs", property(refuse))
+        cfg = RunConfig(preset=name, knots=32, grid=128)
+        result = run_pipeline(cfg)
+        result.field.gradient(0.1, 0.2)
+        error_metrics(result.field.evaluate, result.problem.exact, evaluation_points(cfg))
+        boundary_residual(result)
+        with pytest.raises(AssertionError, match="materialised"):
+            result.field.particular.coeffs
 
     def test_poisson_uses_trefftz(self):
         result = run_pipeline(RunConfig(preset="poisson_disc", knots=48, grid=128))
@@ -271,6 +286,24 @@ class TestCli:
                                       "box_margin": 0.5, "grid": 64}))
         assert run_cli(["solve", "--config", str(config)]) == EXIT_NUMERICAL
         assert "resonant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, named", [
+        ({"preset": "helmholtz_disc", "knots": "abc"}, "knots"),
+        ({"preset": "helmholtz_disc", "svd_cutoff": 1.5}, "svd_cutoff"),
+        ({"preset": "helmholtz_disc", "svd_cutoff": math.nan}, "svd_cutoff"),
+        ({"preset": "poisson_disc", "trefftz_order": -1}, "order"),
+        ({"problem": {"operator": {"type": "helmholtz"},
+                      "domain": {"type": "circle", "radius": 1.0}}}, "'k'"),
+        ({"problem": {"operator": {"type": "helmholtz", "k": 2.0},
+                      "domain": {"type": "circle"}}}, "'radius'"),
+    ], ids=["knots-abc", "cutoff-1.5", "cutoff-nan", "trefftz-order-neg",
+            "helmholtz-no-k", "circle-no-radius"])
+    def test_malformed_config_value_exits_2(self, tmp_path, capsys, config, named):
+        # each of these used to exit 1 with a traceback, or (the cutoffs) 0 with u_h == 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(["solve", "--config", str(path)]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
 
     def test_converge_writes_csv(self, tmp_path):
         out = tmp_path / "rows.csv"

@@ -11,11 +11,10 @@ from quasirbf.geometry import (Box2, Circle, Star, StarDomain, bounding_box,
 from quasirbf.operators import (ConvectionDiffusion, Helmholtz,
                                 ModifiedHelmholtz, Poisson, apply_operator_fd,
                                 fourier_symbol)
-from quasirbf.particular import (ConvectionLinear, PoissonQuad, SourceGrid,
-                                 SpectralField, TaperSpec, _axis_weight,
-                                 eval_particular, eval_particular_gradient,
-                                 extend_source, required_margin,
-                                 solve_particular)
+from quasirbf.particular import (Compensator, SourceGrid, SpectralField,
+                                 TaperSpec, _axis_weight, eval_particular,
+                                 eval_particular_gradient, extend_source,
+                                 required_margin, solve_particular)
 from quasirbf.presets import get_preset
 
 from oracles import taper_weight
@@ -34,6 +33,25 @@ def _grid_samples(box: Box2, n: int, f) -> SourceGrid:
 
 def _pi_box() -> Box2:
     return Box2(np.array([-math.pi, -math.pi]), np.array([math.pi, math.pi]))
+
+
+def _random_half(rng, n: int) -> np.ndarray:
+    """A random complex half spectrum (n, n/2 + 1): every mode, Nyquist too."""
+    shape = (n, n // 2 + 1)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _double_sum(sf: SpectralField, pts: np.ndarray):
+    """Re sum_ij c_ij E_i F_j and its gradient at points (P, 2) of the 2 pi
+    box, vectorised over the full coefficients sf.coeffs."""
+    w = np.fft.fftfreq(sf.n) * sf.n  # integer frequencies on the 2*pi box
+    ex = np.exp(1j * w * (pts[:, :1] + math.pi))  # (P, n)
+    ey = np.exp(1j * w * (pts[:, 1:] + math.pi))
+    rows = ex @ sf.coeffs  # sum_i c_ij E_i, per point
+    value = np.sum(rows * ey, axis=1).real
+    grad = np.stack([np.sum(((1j * w * ex) @ sf.coeffs) * ey, axis=1).real,
+                     np.sum(rows * (1j * w * ey), axis=1).real], axis=-1)
+    return value, grad
 
 
 class TestTaper:
@@ -166,32 +184,33 @@ class TestSolveParticular:
     def test_poisson_compensator_attached(self):
         grid = _grid_samples(_pi_box(), 32, lambda a, b: np.ones_like(a))
         sf = solve_particular(Poisson(), grid)
-        assert isinstance(sf.compensator, PoissonQuad)
-        assert abs(sf.compensator.mean - 1.0) <= 1e-14
+        assert isinstance(sf.compensator, Compensator)
+        assert abs(4.0 * sf.compensator.quad - 1.0) <= 1e-14
 
     def test_convdiff_zero_reaction_compensator(self):
         op = ConvectionDiffusion(diffusivity=1.0, velocity=(2.0, 0.0), reaction=0.0)
         grid = _grid_samples(_pi_box(), 32, lambda a, b: np.ones_like(a))
         sf = solve_particular(op, grid)
-        assert isinstance(sf.compensator, ConvectionLinear)
+        assert isinstance(sf.compensator, Compensator)
 
 
 class TestCompensators:
     def test_poisson_quad(self):
-        c = PoissonQuad(mean=2.0, center=np.zeros(2))
+        # mean 2: quad = mean / 4
+        c = Compensator(center=np.zeros(2), quad=0.5)
         assert c.value(1.0, 0.0) == 0.5
         assert np.allclose(c.gradient(1.0, 0.0), (1.0, 0.0))
 
     def test_convection_linear(self):
-        c = ConvectionLinear(mean=3.0, velocity=np.array([2.0, 0.0]),
-                             center=np.zeros(2))
+        # mean 3, v = (2, 0): lin = mean v / |v|^2
+        c = Compensator(center=np.zeros(2), lin=(1.5, 0.0))
         assert c.value(1.0, 0.0) == 1.5
         assert np.allclose(c.gradient(1.0, 0.0), (1.5, 0.0))
 
     def test_compensator_only_field(self):
         sf = SpectralField(box=_pi_box(), n=32,
-                           coeffs=np.zeros((32, 32), dtype=complex),
-                           compensator=PoissonQuad(mean=2.0, center=np.zeros(2)))
+                           half=np.zeros((32, 17), dtype=complex),
+                           compensator=Compensator(center=np.zeros(2), quad=0.5))
         assert eval_particular(sf, (1.0, 0.0)) == 0.5
         assert np.allclose(eval_particular_gradient(sf, (1.0, 0.0)), (1.0, 0.0))
 
@@ -244,14 +263,14 @@ class TestEvaluation:
 
 
 class TestFoldedEvaluation:
-    """The half-spectrum fold is exact for any coefficient array, including
-    the Nyquist row and column, which have no conjugate partner."""
+    """The half-spectrum fold is exact for any half array, including the
+    Nyquist row and column, which have no conjugate partner."""
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_matches_double_sum(self, n):
         rng = np.random.default_rng(n)
-        coeffs = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        sf = SpectralField(box=_pi_box(), n=n, coeffs=coeffs)
+        sf = SpectralField(box=_pi_box(), n=n, half=_random_half(rng, n))
+        coeffs = sf.coeffs
         w = np.fft.fftfreq(n) * n  # integer frequencies on the 2*pi box
         pts = rng.uniform(-math.pi, math.pi, size=(12, 2))
         values = eval_particular(sf, pts)
@@ -277,22 +296,15 @@ class TestRealEvaluation:
     def test_matches_vectorised_double_sum(self):
         n = 256
         rng = np.random.default_rng(256)
-        coeffs = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        sf = SpectralField(box=_pi_box(), n=n, coeffs=coeffs)
+        sf = SpectralField(box=_pi_box(), n=n, half=_random_half(rng, n))
         side = rng.uniform(-math.pi, math.pi, size=4)
         edges = [(-math.pi, side[0]), (math.pi, side[1]), (side[2], -math.pi),
                  (side[3], math.pi), (-math.pi, -math.pi), (-math.pi, math.pi),
                  (math.pi, -math.pi), (math.pi, math.pi)]
         # more points than one block of BLOCK_PAIRS // (n/2 + 1) = 127
         pts = np.concatenate([rng.uniform(-math.pi, math.pi, size=(300, 2)), edges])
-        w = np.fft.fftfreq(n) * n  # integer frequencies on the 2*pi box
-        ex = np.exp(1j * w * (pts[:, :1] + math.pi))  # (P, n)
-        ey = np.exp(1j * w * (pts[:, 1:] + math.pi))
-        rows = ex @ coeffs  # sum_i c_ij E_i, per point
-        want_v = np.sum(rows * ey, axis=1).real
-        want_g = np.stack([np.sum(((1j * w * ex) @ coeffs) * ey, axis=1).real,
-                           np.sum(rows * (1j * w * ey), axis=1).real], axis=-1)
-        scale = float(np.abs(coeffs).sum())
+        want_v, want_g = _double_sum(sf, pts)
+        scale = float(np.abs(sf.coeffs).sum())
         assert np.abs(eval_particular(sf, pts) - want_v).max() <= 1e-13 * scale
         # |w| <= n/2 on the 2*pi box bounds the gradient terms
         assert np.abs(eval_particular_gradient(sf, pts) - want_g).max() \
@@ -304,7 +316,7 @@ class TestRealEvaluation:
         # w_k, and alone differs from the exact phase by up to about 8e-13.
         n = 1024
         box = Box2(np.array([-1.3, -0.7]), np.array([2.1, 2.7]))
-        sf = SpectralField(box=box, n=n, coeffs=np.zeros((n, n), dtype=complex))
+        sf = SpectralField(box=box, n=n, half=np.zeros((n, n // 2 + 1), dtype=complex))
         t = np.linspace(0.0, 1.0, 2001)  # both axes span the box, edges included
         xi = np.stack([t, np.random.default_rng(3).permutation(t)], axis=-1)
         pts = np.minimum(box.min_corner + xi * box.side, box.max_corner)
@@ -334,8 +346,10 @@ class TestEndToEndResidual:
         f = lambda a, b: np.sin(math.pi * a) * np.sin(math.pi * b)
         assert self._residual(ModifiedHelmholtz(1.0), f, 128) <= 1e-3
 
-    def test_convdiff_residual_small(self):
-        op = ConvectionDiffusion(diffusivity=1.0, velocity=(2.0, 0.0), reaction=1.0)
+    @pytest.mark.parametrize("reaction", [0.0, 1.0])
+    def test_convdiff_residual_small(self, reaction):
+        # at reaction 0 the zero mode is dropped and the compensator carries it
+        op = ConvectionDiffusion(diffusivity=1.0, velocity=(2.0, 0.0), reaction=reaction)
         f = lambda a, b: 2.0 * np.exp(a)
         assert self._residual(op, f, 128) <= 1e-3
 
@@ -403,9 +417,14 @@ class TestHalfSpectrum:
                                     ConvectionDiffusion(1.0, (2.0, -1.5), 0.5)],
                              ids=["poisson", "helmholtz", "modhelm", "convdiff"])
     def test_matrix_is_general_fold_of_coeffs(self, op):
+        # the folded matrix's series is the double sum over the completion
         sf = solve_particular(op, self._grid())
-        general = SpectralField(box=sf.box, n=sf.n, coeffs=sf.coeffs)
-        assert np.array_equal(sf.real_matrix, general.real_matrix)
+        pts = np.random.default_rng(7).uniform(-math.pi, math.pi, size=(50, 2))
+        ex, ey = sf._phases(pts)
+        got = np.einsum("pk,pk->p", ex.view(np.float64) @ sf.real_matrix,
+                        ey.view(np.float64))
+        assert np.abs(got - _double_sum(sf, pts)[0]).max() \
+            <= 1e-13 * float(np.abs(sf.coeffs).sum())
         # the sin of mode 0 is zero on both axes: its row and column are too
         assert not sf.real_matrix[1].any() and not sf.real_matrix[:, 1].any()
 
@@ -501,8 +520,7 @@ class TestLowRankFactor:
     def test_random_coefficients_keep_exact_series(self):
         n = 64
         rng = np.random.default_rng(1)
-        coeffs = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        sf = SpectralField(box=_pi_box(), n=n, coeffs=coeffs)
+        sf = SpectralField(box=_pi_box(), n=n, half=_random_half(rng, n))
         assert sf._factor is None
         pts = rng.uniform(-math.pi, math.pi, size=(20, 2))
         assert np.array_equal(eval_particular(sf, pts), self._exact_series(sf, *sf._phases(pts)))
