@@ -52,6 +52,14 @@ def _read(obj: dict, key: str, conv, what: str, default=None):
         raise ConfigurationError(f"{what} key {key!r}: bad value {obj[key]!r}") from exc
 
 
+def _integer(value) -> int:
+    """value as an int; booleans and non-integral numbers, which int() would
+    take as 1, 0 or truncated, are rejected."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def _parse_operator(obj: dict) -> OperatorSpec:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ConfigurationError("operator must be an object with a 'type' key")
@@ -92,7 +100,7 @@ def _parse_domain(obj: dict) -> StarDomain:
         _reject_unknown(obj, {"type", "base", "amplitude", "lobes", "center"}, "domain")
         return StarDomain(Star(base=_read(obj, "base", float, what),
                                amplitude=_read(obj, "amplitude", float, what),
-                               lobes=_read(obj, "lobes", int, what)), center=center)
+                               lobes=_read(obj, "lobes", _integer, what)), center=center)
     raise ConfigurationError(f"unknown domain type {kind!r}")
 
 
@@ -115,10 +123,10 @@ def parse_config(obj: dict) -> RunConfig:
             operator=_parse_operator(prob.get("operator", {})),
             domain=_parse_domain(prob.get("domain", {})),
             bc_kind=bc_kind)
-    for key, conv in [("knots", int), ("grid", int), ("box_margin", float),
-                      ("taper", float), ("trefftz_order", int),
+    for key, conv in [("knots", _integer), ("grid", _integer), ("box_margin", float),
+                      ("taper", float), ("trefftz_order", _integer),
                       ("svd_cutoff", float), ("strategy", str),
-                      ("rings", int), ("per_ring", int)]:
+                      ("rings", _integer), ("per_ring", _integer)]:
         if key in obj:
             kwargs[key] = _read(obj, key, conv, "config")
     return RunConfig(**kwargs)

@@ -68,6 +68,12 @@ class Compensator:
         return d * (2.0 * self.quad) + self.lin
 
 
+def check_grid_size(n: int):
+    """Reject a grid size other than a power of two in [32, 1024]."""
+    if n not in _GRID_SIZES:
+        raise ConfigurationError(f"grid size must be a power of two in [32, 1024], got {n}")
+
+
 @dataclass(frozen=True)
 class SourceGrid:
     box: Box2
@@ -75,9 +81,7 @@ class SourceGrid:
     samples: np.ndarray
 
     def __post_init__(self):
-        if self.n not in _GRID_SIZES:
-            raise ConfigurationError(
-                f"grid size must be a power of two in [32, 1024], got {self.n}")
+        check_grid_size(self.n)
         if self.samples.shape != (self.n, self.n):
             raise ConfigurationError(
                 f"samples must be {self.n}x{self.n}, got {self.samples.shape}")
@@ -251,12 +255,14 @@ def extend_source(f: Callable, domain: StarDomain,
                   box: Box2, n: int, taper: TaperSpec) -> SourceGrid:
     """Sample the tapered extension of f on the n x n periodic grid.
 
-    f(x1, x2) takes coordinate arrays and is called once, on the block of
-    grid points where both axis weights of the separable taper are nonzero
-    (every point off the box's lower edges). Inside the physical domain the
-    taper weight is 1, so samples there equal f exactly; the check below
-    enforces that the domain's tight bounding box lies within the taper
-    plateau.
+    f follows the callback contract of the presets module. It is called once,
+    on the open grid of the block of points where both axis weights of the
+    separable taper are nonzero (every point off the box's lower edges): x1
+    holds the block's row coordinates, shape (r, 1), and x2 its column
+    coordinates, shape (1, c). A result that does not broadcast to (r, c)
+    raises ConfigurationError. Inside the physical domain the taper weight
+    is 1, so samples there equal f exactly; the check below enforces that
+    the domain's tight bounding box lies within the taper plateau.
     """
     t = taper.inner_fraction
     tight = bounding_box(domain, 0.0)
@@ -271,10 +277,16 @@ def extend_source(f: Callable, domain: StarDomain,
     axes = box.min_corner[:, None] + float(box.side[0]) * np.arange(n) / n  # (2, n)
     axis_w = _axis_weight((axes - box.min_corner[:, None]) / box.side[:, None], t)
     (r0, r1), (c0, c1) = (np.flatnonzero(w)[[0, -1]] + (0, 1) for w in axis_w)
-    x1, x2 = np.meshgrid(axes[0, r0:r1], axes[1, c0:c1], indexing="ij")
+    x1, x2 = axes[0, r0:r1, None], axes[1, None, c0:c1]  # (r, 1), (1, c)
     samples = np.zeros((n, n))
     block = np.multiply.outer(axis_w[0, r0:r1], axis_w[1, c0:c1], out=samples[r0:r1, c0:c1])
-    block *= np.broadcast_to(f(x1, x2), x1.shape)
+    values = f(x1, x2)
+    try:
+        block *= np.broadcast_to(values, block.shape)
+    except ValueError:
+        raise ConfigurationError(
+            f"source returned shape {np.shape(values)}, which does not broadcast "
+            f"to the sampled block's shape {block.shape}") from None
     return SourceGrid(box=box, n=n, samples=samples)
 
 
@@ -290,13 +302,13 @@ def solve_particular(op: OperatorSpec, grid: SourceGrid) -> SpectralField:
                          fourier_symbol(op, stack_xy(0.0, w[:h + 1]))
                          - fourier_symbol(op, (0.0, 0.0)))
 
-    mean = float(grid.samples.mean())
     compensator = None
     if isinstance(op, Poisson):
-        compensator = Compensator(grid.box.center, quad=mean / 4.0)
+        compensator = Compensator(grid.box.center, quad=float(grid.samples.mean()) / 4.0)
     elif isinstance(op, ConvectionDiffusion) and op.reaction == 0.0:
         v = op.velocity
-        compensator = Compensator(grid.box.center, lin=tuple(mean * v / float(v @ v)))
+        compensator = Compensator(grid.box.center,
+                                  lin=tuple(float(grid.samples.mean()) * v / float(v @ v)))
     if compensator is not None:
         fhat[0, 0] = 0.0
         sigma[0, 0] = 1.0  # placeholder; coefficient is zero anyway

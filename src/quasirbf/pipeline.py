@@ -22,9 +22,9 @@ from .errors import ConfigurationError, QuasiRbfError
 from .geometry import (StarDomain, boundary_nodes, bounding_box,
                        interior_eval_points, stack_xy)
 from .operators import OperatorSpec, apply_operator_fd
-from .particular import (SpectralField, TaperSpec, eval_particular,
-                         eval_particular_gradient, extend_source,
-                         solve_particular)
+from .particular import (SpectralField, TaperSpec, check_grid_size,
+                         eval_particular, eval_particular_gradient,
+                         extend_source, solve_particular)
 from .presets import ProblemPreset, get_preset
 
 # Timing columns are quantized to this grain (in ms) before CSV emission so
@@ -81,7 +81,12 @@ class RunConfig:
             raise ConfigurationError("rings and per_ring must both be >= 1")
         if self.box_margin < 0:
             raise ConfigurationError(f"box_margin must be >= 0, got {self.box_margin}")
-        TSVD(cutoff=self.svd_cutoff)  # rejects a bad cutoff before any work
+        if self.trefftz_order < 0:
+            raise ConfigurationError(f"trefftz_order must be >= 0, got {self.trefftz_order}")
+        # reject a bad cutoff, grid or taper before any work, with or without a source
+        TSVD(cutoff=self.svd_cutoff)
+        check_grid_size(self.grid)
+        TaperSpec(self.taper)
 
     def resolve_problem(self) -> ProblemPreset:
         if self.preset is not None:

@@ -2,11 +2,20 @@
 
 Each preset carries a whole-plane analytic source f and (where known) the
 exact solution u* and its gradient, so boundary data comes from tracing
-u* and errors are measurable. The callbacks take coordinate arrays x1, x2
-(or floats) and return arrays of the same shape; exact_gradient adds a
-trailing axis of length 2. Registration verifies L u* = f by finite
+u* and errors are measurable. Registration verifies L u* = f by finite
 differences at interior probe points, so a preset with a typo cannot
 enter the registry.
+
+Callback contract (source, exact, exact_gradient, and any f given to
+particular.extend_source): a callback takes coordinates x1, x2, floats or
+arrays that broadcast together, and returns an array of their broadcast
+shape, or anything that broadcasts to it, such as a constant or an array
+of one coordinate alone; exact_gradient adds a trailing axis of length 2.
+extend_source passes an open grid, x1 of shape (r, 1) and x2 of shape
+(1, c), so a factor that depends on one coordinate is computed on r or c
+points and only the final product on r * c; the other callers pass
+arrays of one shape. Write callbacks with numpy functions (np.sin, not
+math.sin).
 """
 from __future__ import annotations
 
@@ -22,7 +31,7 @@ from .operators import (ConvectionDiffusion, Helmholtz, ModifiedHelmholtz,
                         OperatorSpec, Poisson, apply_operator_fd,
                         kernel_gradient, kernel_value)
 
-# (x1, x2) -> values of x1's shape (...); a VectorField returns (..., 2)
+# (x1, x2) -> values of their broadcast shape (...); a VectorField returns (..., 2)
 Field = Callable[[np.ndarray, np.ndarray], np.ndarray]
 VectorField = Callable[[np.ndarray, np.ndarray], np.ndarray]
 

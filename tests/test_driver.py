@@ -60,6 +60,13 @@ class TestRunConfig:
             RunConfig(preset="helmholtz_disc", strategy="qr")
         with pytest.raises(ConfigurationError):
             RunConfig(preset="helmholtz_disc", box_margin=-1.0)
+        # checked at construction even though this problem has no source
+        with pytest.raises(ConfigurationError, match="grid"):
+            RunConfig(preset="helmholtz_disc", grid=100)
+        with pytest.raises(ConfigurationError, match="taper"):
+            RunConfig(preset="helmholtz_disc", taper=0.7)
+        with pytest.raises(ConfigurationError, match="trefftz_order"):
+            RunConfig(preset="helmholtz_disc", trefftz_order=-3)
 
 
 # Neumann data on the kernel presets, TSVD at N = 32: each bound is 10x the
@@ -296,10 +303,19 @@ class TestCli:
                       "domain": {"type": "circle", "radius": 1.0}}}, "'k'"),
         ({"problem": {"operator": {"type": "helmholtz", "k": 2.0},
                       "domain": {"type": "circle"}}}, "'radius'"),
+        ({"preset": "helmholtz_disc", "grid": 100}, "grid"),
+        ({"preset": "helmholtz_disc", "taper": 0.7}, "taper"),
+        ({"preset": "helmholtz_disc", "knots": 2.5}, "knots"),
+        ({"preset": "helmholtz_disc", "knots": True}, "knots"),
+        ({"preset": "helmholtz_disc", "trefftz_order": -3}, "trefftz_order"),
+        ({"preset": "helmholtz_disc", "rings": 1.7}, "rings"),
     ], ids=["knots-abc", "cutoff-1.5", "cutoff-nan", "trefftz-order-neg",
-            "helmholtz-no-k", "circle-no-radius"])
+            "helmholtz-no-k", "circle-no-radius", "grid-100-no-source",
+            "taper-0.7-no-source", "knots-2.5", "knots-true",
+            "trefftz-order-neg-no-poisson", "rings-1.7"])
     def test_malformed_config_value_exits_2(self, tmp_path, capsys, config, named):
-        # each of these used to exit 1 with a traceback, or (the cutoffs) 0 with u_h == 0
+        # each of these used to exit 1 with a traceback, or 0: the cutoffs with
+        # u_h == 0, the last six with the value truncated or never checked
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         assert run_cli(["solve", "--config", str(path)]) == EXIT_CONFIG

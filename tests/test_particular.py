@@ -150,6 +150,55 @@ class TestExtendSource:
         assert np.array_equal(g1.samples, g2.samples)
 
 
+def _meshgrid_reference(f, box: Box2, n: int, t: float) -> np.ndarray:
+    """Oracle taper weight times f, with f called on the full n x n meshgrid."""
+    c = float(box.side[0]) * np.arange(n) / n
+    x1, x2 = np.meshgrid(box.min_corner[0] + c, box.min_corner[1] + c, indexing="ij")
+    weight = taper_weight(box, t, np.stack([x1, x2], axis=-1))
+    return np.where(weight != 0.0, weight * np.broadcast_to(f(x1, x2), x1.shape), 0.0)
+
+
+class TestOpenGridSampling:
+    """extend_source calls the source once on an open grid, x1 (r, 1) and
+    x2 (1, c), and broadcasts the result over the sampled block."""
+
+    def test_called_once_with_open_grid(self):
+        box = bounding_box(UNIT_DISC, 1.0)
+        shapes = []
+
+        def f(a, b):
+            shapes.append((a.shape, b.shape))
+            return 1.0
+
+        grid = extend_source(f, UNIT_DISC, box, 64, TaperSpec(0.1))
+        r = np.count_nonzero(grid.samples.any(axis=1))
+        c = np.count_nonzero(grid.samples.any(axis=0))
+        assert shapes == [((r, 1), (1, c))]
+
+    @pytest.mark.parametrize("name", ["modhelm_source", "convdiff_disc", "poisson_disc"])
+    def test_presets_match_meshgrid_reference(self, name):
+        preset = get_preset(name)
+        box = bounding_box(preset.domain, 1.0)
+        samples = extend_source(preset.source, preset.domain, box, 512, TaperSpec(0.1)).samples
+        ref = _meshgrid_reference(preset.source, box, 512, 0.1)
+        assert np.all(np.abs(samples - ref) <= 2.0 * np.spacing(np.abs(ref)))
+
+    @pytest.mark.parametrize("f", [lambda a, b: 2.5,
+                                   lambda a, b: np.cos(a),
+                                   lambda a, b: np.cos(a) * np.exp(b)],
+                             ids=["constant", "x1-only", "broadcast-shape"])
+    def test_results_that_broadcast(self, f):
+        box = bounding_box(UNIT_DISC, 1.0)
+        samples = extend_source(f, UNIT_DISC, box, 64, TaperSpec(0.1)).samples
+        ref = _meshgrid_reference(f, box, 64, 0.1)
+        assert np.all(np.abs(samples - ref) <= 2.0 * np.spacing(np.abs(ref)))
+
+    def test_result_that_does_not_broadcast_rejected(self):
+        box = bounding_box(UNIT_DISC, 1.0)
+        with pytest.raises(ConfigurationError, match=r"shape \(5,\).*\(\d+, \d+\)"):
+            extend_source(lambda a, b: np.ones(5), UNIT_DISC, box, 64, TaperSpec(0.1))
+
+
 class TestSolveParticular:
     def test_zero_source_zero_field(self):
         grid = _grid_samples(_pi_box(), 32, lambda a, b: np.zeros_like(a))
@@ -391,7 +440,7 @@ class TestBatched:
         seen = []
 
         def f(a, b):
-            seen.append(np.stack([a, b], axis=-1))
+            seen.append(np.stack(np.broadcast_arrays(a, b), axis=-1))
             return np.ones_like(a)
 
         grid = extend_source(f, UNIT_DISC, box, 32, taper)
