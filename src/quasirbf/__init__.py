@@ -4,9 +4,10 @@ embedding box combined with boundary-knot collocation."""
 from .bkm import (LU, TSVD, CollocationSystem, HomogeneousSolution,
                   SolveDiagnostics, assemble, eval_homogeneous,
                   eval_homogeneous_gradient, solve_dense)
-from .errors import (ConfigurationError, DomainError, NumericalError,
-                     QuasiRbfError, RankDeficientWarning, ResonantBoxError,
-                     SingularMatrixError, UnsupportedOperatorError)
+from .errors import (ConfigurationError, DomainError, KernelOverflowError,
+                     NumericalError, QuasiRbfError, RankDeficientWarning,
+                     ResonantBoxError, SingularMatrixError,
+                     UnsupportedOperatorError)
 from .geometry import (BoundaryKnots, Box2, Circle, Ellipse, Star, StarDomain,
                        boundary_nodes, bounding_box, interior_eval_points)
 from .operators import (ConvectionDiffusion, Helmholtz, ModifiedHelmholtz,

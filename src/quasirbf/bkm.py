@@ -12,8 +12,9 @@ assemble alone makes that choice; assembly and evaluation share _terms.
 
 Dense solves are LU with partial pivoting, or truncated SVD for
 ill-conditioned systems; condition estimates are always reported so the
-ill-conditioning of the full collocation matrix is observable, and an LU
-solve whose effective rank is below N emits a RankDeficientWarning.
+ill-conditioning of the full collocation matrix is observable, and a
+solve that inverts a singular value at or below s_max eps N emits a
+RankDeficientWarning (LU below full rank, TSVD with too small a cutoff).
 """
 from __future__ import annotations
 
@@ -168,25 +169,28 @@ def solve_dense(system: CollocationSystem,
         if not np.all(np.isfinite(coeffs)):
             raise SingularMatrixError(
                 "LU solve produced non-finite coefficients; retry with TSVD")
-        strategy_name = "lu"
+        strategy_name, advice = "lu", "use the TSVD strategy"
         svals = np.linalg.svd(a, compute_uv=False)  # for the condition and rank only
+        inverted = svals  # LU inverts every singular value, implicitly
         eff_rank = int(np.sum(svals > svals[0] * np.finfo(float).eps * n))
     else:
         u, svals, vt = np.linalg.svd(a, full_matrices=False)
         keep = svals > strategy.cutoff * svals[0]
-        eff_rank = int(np.sum(keep))
+        inverted = svals[keep]
+        eff_rank = len(inverted)
         inv = np.zeros_like(svals)
-        inv[keep] = 1.0 / svals[keep]
+        inv[keep] = 1.0 / inverted
         coeffs = vt.T @ (inv * (u.T @ b))
         strategy_name = f"tsvd(cutoff={strategy.cutoff:g})"
+        advice = "use a larger svd_cutoff"
 
     cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
-    if isinstance(strategy, LU) and eff_rank < n:
+    if np.any(inverted <= svals[0] * np.finfo(float).eps * n):
         warnings.warn(
-            f"LU solve at N={n} is rank-deficient (effective rank {eff_rank}, "
-            f"condition estimate {cond:.3g}); its coefficients are dominated by "
-            "rounding noise, use the TSVD strategy", RankDeficientWarning,
-            stacklevel=2)
+            f"{strategy_name} solve at N={n} inverts singular values at or below the rounding "
+            f"floor s_max*eps*N (effective rank {eff_rank}, condition estimate "
+            f"{cond:.3g}); its coefficients are dominated by rounding noise, {advice}",
+            RankDeficientWarning, stacklevel=2)
     residual = float(np.linalg.norm(a @ coeffs - b))
     diag = SolveDiagnostics(condition_estimate=cond, effective_rank=eff_rank,
                             residual_norm=residual, strategy_used=strategy_name)

@@ -8,7 +8,8 @@ Subcommands:
     validate                                 preset self-consistency checks
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
-failure (resonant embedding box, singular collocation matrix).
+failure (resonant embedding box, singular collocation matrix, kernel
+overflow).
 """
 from __future__ import annotations
 
@@ -20,8 +21,7 @@ from typing import Optional
 
 from .errors import ConfigurationError, NumericalError
 from .geometry import Circle, Ellipse, Star, StarDomain
-from .operators import (ConvectionDiffusion, Helmholtz, ModifiedHelmholtz,
-                        OperatorSpec, Poisson)
+from .operators import ConvectionDiffusion, Helmholtz, ModifiedHelmholtz, Poisson
 from .pipeline import (InlineProblem, RunConfig, boundary_residual,
                        convergence_study, error_metrics, evaluation_points,
                        residual_check, rows_to_csv, run_pipeline)
@@ -60,48 +60,44 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _parse_operator(obj: dict) -> OperatorSpec:
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ConfigurationError("operator must be an object with a 'type' key")
-    kind = obj["type"]
-    what = f"{kind} operator"
-    if kind == "poisson":
-        _reject_unknown(obj, {"type"}, "operator")
-        return Poisson()
-    if kind == "helmholtz":
-        _reject_unknown(obj, {"type", "k"}, "operator")
-        return Helmholtz(_read(obj, "k", float, what))
-    if kind == "modified_helmholtz":
-        _reject_unknown(obj, {"type", "k"}, "operator")
-        return ModifiedHelmholtz(_read(obj, "k", float, what))
-    if kind == "convection_diffusion":
-        _reject_unknown(obj, {"type", "diffusivity", "velocity", "reaction"}, "operator")
-        return ConvectionDiffusion(
-            diffusivity=_read(obj, "diffusivity", float, what),
-            velocity=_read(obj, "velocity", lambda v: [float(c) for c in v], what),
-            reaction=_read(obj, "reaction", float, what, 0.0))
-    raise ConfigurationError(f"unknown operator type {kind!r}")
+def _floats(values) -> list:
+    return [float(v) for v in values]
 
 
-def _parse_domain(obj: dict) -> StarDomain:
+# config "type" -> (class, {key: (conversion, default; None if required)})
+_OPERATORS = {
+    "poisson": (Poisson, {}),
+    "helmholtz": (Helmholtz, {"k": (float, None)}),
+    "modified_helmholtz": (ModifiedHelmholtz, {"k": (float, None)}),
+    "convection_diffusion": (ConvectionDiffusion, {
+        "diffusivity": (float, None), "velocity": (_floats, None), "reaction": (float, 0.0)}),
+}
+_SHAPES = {
+    "circle": (Circle, {"radius": (float, None)}),
+    "ellipse": (Ellipse, {"a": (float, None), "b": (float, None)}),
+    "star": (Star, {"base": (float, None), "amplitude": (float, None),
+                    "lobes": (_integer, None)}),
+}
+
+
+def _parse_typed(obj, table: dict, what: str, extra: tuple = ()):
+    """table[obj["type"]]'s class built from obj's keys; `extra` keys are
+    allowed and left to the caller."""
     if not isinstance(obj, dict) or "type" not in obj:
-        raise ConfigurationError("domain must be an object with a 'type' key")
+        raise ConfigurationError(f"{what} must be an object with a 'type' key")
     kind = obj["type"]
-    what = f"{kind} domain"
-    center = _read(obj, "center", lambda c: [float(v) for v in c], what, (0.0, 0.0))
-    if kind == "circle":
-        _reject_unknown(obj, {"type", "radius", "center"}, "domain")
-        return StarDomain(Circle(_read(obj, "radius", float, what)), center=center)
-    if kind == "ellipse":
-        _reject_unknown(obj, {"type", "a", "b", "center"}, "domain")
-        return StarDomain(Ellipse(_read(obj, "a", float, what), _read(obj, "b", float, what)),
-                          center=center)
-    if kind == "star":
-        _reject_unknown(obj, {"type", "base", "amplitude", "lobes", "center"}, "domain")
-        return StarDomain(Star(base=_read(obj, "base", float, what),
-                               amplitude=_read(obj, "amplitude", float, what),
-                               lobes=_read(obj, "lobes", _integer, what)), center=center)
-    raise ConfigurationError(f"unknown domain type {kind!r}")
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigurationError(f"unknown {what} type {kind!r}")
+    cls, keys = table[kind]
+    _reject_unknown(obj, {"type", *keys, *extra}, what)
+    return cls(**{key: _read(obj, key, conv, f"{kind} {what}", default)
+                  for key, (conv, default) in keys.items()})
+
+
+def _parse_domain(obj) -> StarDomain:
+    shape = _parse_typed(obj, _SHAPES, "domain", extra=("center",))
+    return StarDomain(shape, center=_read(obj, "center", _floats, f"{obj['type']} domain",
+                                          (0.0, 0.0)))
 
 
 def parse_config(obj: dict) -> RunConfig:
@@ -120,7 +116,7 @@ def parse_config(obj: dict) -> RunConfig:
         if bc_kind not in ("dirichlet", "neumann"):
             raise ConfigurationError(f"bc_kind must be 'dirichlet' or 'neumann', got {bc_kind!r}")
         kwargs["problem"] = InlineProblem(
-            operator=_parse_operator(prob.get("operator", {})),
+            operator=_parse_typed(prob.get("operator", {}), _OPERATORS, "operator"),
             domain=_parse_domain(prob.get("domain", {})),
             bc_kind=bc_kind)
     for key, conv in [("knots", _integer), ("grid", _integer), ("box_margin", float),

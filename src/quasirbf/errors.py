@@ -34,6 +34,12 @@ class SingularMatrixError(NumericalError):
     """LU factorization hit an exactly singular collocation matrix."""
 
 
+class KernelOverflowError(NumericalError, OverflowError):
+    """A kernel's Bessel function is asked for a value beyond double
+    precision (its argument mu r exceeds the function's overflow limit)."""
+
+
 class RankDeficientWarning(RuntimeWarning):
-    """An LU solve succeeded on a numerically rank-deficient matrix, so its
-    coefficients are dominated by amplified rounding noise."""
+    """A dense solve inverted a singular value at or below the rounding
+    floor s_max eps N, so its coefficients are dominated by amplified
+    rounding noise."""

@@ -1,23 +1,28 @@
 """Elliptic operators: Fourier symbols, nonsingular kernels, FD application.
 
-Sign conventions (fixed once, used everywhere):
+Every operator is L u = D laplace(u) + v . grad(u) + c u. One table maps
+each to its (D, v, c), which `op.coefficients` returns (sign conventions
+fixed once, used everywhere):
 
-    Poisson               laplace(u) = f
-    Helmholtz             laplace(u) + k^2 u = f
-    ModifiedHelmholtz     laplace(u) - k^2 u = f
-    ConvectionDiffusion   D laplace(u) + v . grad(u) - kappa u = f
+    Poisson               laplace(u) = f                           (1, 0, 0)
+    Helmholtz             laplace(u) + k^2 u = f                   (1, 0, k^2)
+    ModifiedHelmholtz     laplace(u) - k^2 u = f                   (1, 0, -k^2)
+    ConvectionDiffusion   D laplace(u) + v . grad(u) - kappa u = f (D, v, -kappa)
 
-Each non-Poisson operator has a radial (up to an exponential factor for
-convection-diffusion) kernel that satisfies the homogeneous equation
-everywhere and stays finite at r = 0. Poisson has no such kernel beyond
-constants; its homogeneous solutions are handled by the circular-harmonic
-basis in the bkm module.
+The symbol, the FD stencil and the kernel are each written once over
+(D, v, c). The kernel exp(-v.d / 2D) Z0(mu r), with r = |d| and
+mu^2 = |v|^2 / 4D^2 - c / D, satisfies the homogeneous equation everywhere
+and stays finite at r = 0: Z0 is J0 for mu^2 < 0 (Helmholtz) and I0 for
+mu^2 > 0 (modified Helmholtz, convection-diffusion). Poisson has mu^2 = 0
+and no such kernel beyond constants; its homogeneous solutions are handled
+by the circular-harmonic basis in the bkm module.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from functools import cached_property
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -25,13 +30,32 @@ from .errors import ConfigurationError, UnsupportedOperatorError
 from .specfun import bessel_i0, bessel_i0_i1, bessel_i1, bessel_j0, bessel_j1
 
 
+class Coefficients(NamedTuple):
+    """L u = D laplace(u) + v . grad(u) + c u, and the kernel's
+    mu2 = |v|^2 / 4D^2 - c / D with mu = sqrt(|mu2|)."""
+    D: float
+    v: np.ndarray
+    c: float
+    mu2: float
+    mu: float
+
+
+class _Operator:
+    @cached_property
+    def coefficients(self) -> Coefficients:
+        """(D, v, c) of this operator, with the kernel's mu2 and mu; computed once."""
+        D, v, c = _COEFFICIENTS[type(self)](self)
+        mu2 = float(v @ v) / (4.0 * D ** 2) - c / D
+        return Coefficients(D, v, c, mu2, math.sqrt(abs(mu2)))
+
+
 @dataclass(frozen=True)
-class Poisson:
+class Poisson(_Operator):
     pass
 
 
 @dataclass(frozen=True)
-class Helmholtz:
+class Helmholtz(_Operator):
     k: float
 
     def __post_init__(self):
@@ -40,7 +64,7 @@ class Helmholtz:
 
 
 @dataclass(frozen=True)
-class ModifiedHelmholtz:
+class ModifiedHelmholtz(_Operator):
     k: float
 
     def __post_init__(self):
@@ -49,13 +73,15 @@ class ModifiedHelmholtz:
 
 
 @dataclass(frozen=True)
-class ConvectionDiffusion:
+class ConvectionDiffusion(_Operator):
     diffusivity: float
     velocity: np.ndarray
     reaction: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "velocity", np.asarray(self.velocity, dtype=float))
+        velocity = np.array(self.velocity, dtype=float)
+        velocity.flags.writeable = False  # the coefficients are computed once
+        object.__setattr__(self, "velocity", velocity)
         if self.velocity.shape != (2,) or not np.all(np.isfinite(self.velocity)):
             raise ConfigurationError("velocity must be a finite 2-vector")
         if not (self.diffusivity > 0 and math.isfinite(self.diffusivity)):
@@ -67,75 +93,67 @@ class ConvectionDiffusion:
                 "convection-diffusion with zero velocity and zero reaction is the "
                 "Poisson operator (up to D); use Poisson instead")
 
-    @property
-    def mu(self) -> float:
-        """Decay rate of the reduced modified-Helmholtz problem."""
-        v2 = float(self.velocity @ self.velocity)
-        return math.sqrt(v2 / (4.0 * self.diffusivity ** 2) + self.reaction / self.diffusivity)
-
 
 OperatorSpec = Union[Poisson, Helmholtz, ModifiedHelmholtz, ConvectionDiffusion]
 
+_COEFFICIENTS = {  # operator type -> (D, v, c)
+    Poisson: lambda op: (1.0, np.zeros(2), 0.0),
+    Helmholtz: lambda op: (1.0, np.zeros(2), op.k ** 2),
+    ModifiedHelmholtz: lambda op: (1.0, np.zeros(2), -op.k ** 2),
+    ConvectionDiffusion: lambda op: (op.diffusivity, op.velocity, -op.reaction),
+}
+
 
 def fourier_symbol(op: OperatorSpec, omega):
-    """sigma(omega) with L exp(i omega.x) = sigma(omega) exp(i omega.x).
+    """sigma(omega) = c - D |omega|^2 + i v.omega, with L exp(i omega.x) =
+    sigma(omega) exp(i omega.x).
 
     omega is one frequency (2,) or an array of them (..., 2); the result
     is complex with shape (...).
     """
+    D, v, c = op.coefficients[:3]
     omega = np.asarray(omega, dtype=float)
     w1, w2 = omega[..., 0], omega[..., 1]
-    ww = w1 ** 2 + w2 ** 2
-    if isinstance(op, Poisson):
-        return -ww + 0j
-    if isinstance(op, Helmholtz):
-        return op.k ** 2 - ww + 0j
-    if isinstance(op, ModifiedHelmholtz):
-        return -(op.k ** 2 + ww) + 0j
-    if isinstance(op, ConvectionDiffusion):
-        return ((-op.diffusivity * ww - op.reaction)
-                + 1j * (op.velocity[0] * w1 + op.velocity[1] * w2))
-    raise UnsupportedOperatorError(f"unknown operator {op!r}")
+    return (c - D * (w1 ** 2 + w2 ** 2)) + 1j * (v[0] * w1 + v[1] * w2)
 
 
-def _drift(op: ConvectionDiffusion, d: np.ndarray) -> np.ndarray:
-    """exp(-v.d / 2D) for displacements d (..., 2), with shape (..., 1)."""
-    return np.exp(-(op.velocity[0] * d[..., :1] + op.velocity[1] * d[..., 1:])
-                  / (2.0 * op.diffusivity))
+def _kernel(op: OperatorSpec, d, gradient: bool):
+    """exp(-v.d / 2D) Z0(mu r) (shape (...)) or its gradient (d's shape) at
+    displacements d, (2,) or (..., 2). With Z0' = mu Z1 (Z1 = -J1 or I1) the
+    gradient is exp(-v.d / 2D) (mu Z1 d / r - v / 2D Z0); for v = 0 neither
+    computes the drift, and the gradient no Z0."""
+    k = op.coefficients
+    if k.mu2 == 0.0:
+        raise UnsupportedOperatorError(
+            f"{op!r} has mu = 0 and no nonsingular radial kernel; use the Trefftz basis")
+    d = np.asarray(d, dtype=float)
+    r = np.hypot(d[..., :1], d[..., 1:])
+    oscillating = k.mu2 < 0.0
+    drift = (np.exp(-(k.v[0] * d[..., :1] + k.v[1] * d[..., 1:]) / (2.0 * k.D))
+             if k.v.any() else None)
+    if not gradient:
+        z0 = (bessel_j0 if oscillating else bessel_i0)(k.mu * r)
+        return (z0 if drift is None else drift * z0)[..., 0][()]
+    # every d / r term has a zero numerator at r = 0, where 1 is a safe divisor
+    safe_r = np.where(r == 0.0, 1.0, r)
+    if drift is None:
+        z1 = bessel_j1 if oscillating else bessel_i1
+        return (-k.mu if oscillating else k.mu) * z1(k.mu * r) * d / safe_r
+    z0, z1 = ((bessel_j0(k.mu * r), -bessel_j1(k.mu * r)) if oscillating
+              else bessel_i0_i1(k.mu * r))
+    return drift * (k.mu * z1 / safe_r * d - k.v / (2.0 * k.D) * z0)
 
 
 def kernel_value(op: OperatorSpec, d):
     """Nonsingular general-solution kernel at displacements d = x - s,
     (2,) or (..., 2); the result has shape (...)."""
-    d = np.asarray(d, dtype=float)
-    r = np.hypot(d[..., 0], d[..., 1])
-    if isinstance(op, Helmholtz):
-        return bessel_j0(op.k * r)
-    if isinstance(op, ModifiedHelmholtz):
-        return bessel_i0(op.k * r)
-    if isinstance(op, ConvectionDiffusion):
-        return _drift(op, d)[..., 0] * bessel_i0(op.mu * r)
-    raise UnsupportedOperatorError(
-        "Poisson has no nonsingular radial kernel; use the Trefftz basis")
+    return _kernel(op, d, gradient=False)
 
 
 def kernel_gradient(op: OperatorSpec, d) -> np.ndarray:
     """Gradient of kernel_value with respect to x, with analytic r=0 limits,
     at displacements d, (2,) or (..., 2); the result has d's shape."""
-    d = np.asarray(d, dtype=float)
-    r = np.hypot(d[..., :1], d[..., 1:])  # (..., 1)
-    # every d / r term has a zero numerator at r = 0, where 1 is a safe divisor
-    safe_r = np.where(r == 0.0, 1.0, r)
-    if isinstance(op, Helmholtz):
-        return -op.k * bessel_j1(op.k * r) * d / safe_r
-    if isinstance(op, ModifiedHelmholtz):
-        return op.k * bessel_i1(op.k * r) * d / safe_r
-    if isinstance(op, ConvectionDiffusion):
-        half_v = op.velocity / (2.0 * op.diffusivity)
-        i0, i1 = bessel_i0_i1(op.mu * r)
-        return _drift(op, d) * (op.mu * i1 / safe_r * d - half_v * i0)
-    raise UnsupportedOperatorError(
-        "Poisson has no nonsingular radial kernel; use the Trefftz basis")
+    return _kernel(op, d, gradient=True)
 
 
 def apply_operator_fd(op: OperatorSpec, u: Callable, x, h: float):
@@ -147,22 +165,13 @@ def apply_operator_fd(op: OperatorSpec, u: Callable, x, h: float):
     x is one point (2,) or points (..., 2); u(x1, x2) is called once per
     stencil offset with the coordinate arrays, and the result has shape (...).
     """
+    D, v, c = op.coefficients[:3]
     x = np.asarray(x, dtype=float)
     x1, x2 = x[..., 0], x[..., 1]
     uc = u(x1, x2)
     ue, uw = u(x1 + h, x2), u(x1 - h, x2)
     un, us = u(x1, x2 + h), u(x1, x2 - h)
     lap = (ue + uw + un + us - 4.0 * uc) / (h * h)
-    if isinstance(op, Poisson):
-        return lap
-    if isinstance(op, Helmholtz):
-        return lap + op.k ** 2 * uc
-    if isinstance(op, ModifiedHelmholtz):
-        return lap - op.k ** 2 * uc
-    if isinstance(op, ConvectionDiffusion):
-        gx = (ue - uw) / (2.0 * h)
-        gy = (un - us) / (2.0 * h)
-        return (op.diffusivity * lap
-                + op.velocity[0] * gx + op.velocity[1] * gy
-                - op.reaction * uc)
-    raise UnsupportedOperatorError(f"unknown operator {op!r}")
+    gx = (ue - uw) / (2.0 * h)
+    gy = (un - us) / (2.0 * h)
+    return D * lap + v[0] * gx + v[1] * gy + c * uc

@@ -12,13 +12,15 @@ spectrum is divided and kept. u_p is evaluated in real arithmetic from one real
 matrix M folded from it: per block of points, two narrow GEMMs of the cos/sin
 phases with a seeded low-rank factor of M, or one with M itself (see SpectralField).
 
-A zero-symbol mode is repaired by the compensator u_c = quad |x - c|^2 + lin.(x - c):
+With L u = D laplace(u) + v . grad(u) + c u (see the operators module), the
+zero mode has symbol c. For c = 0 it is repaired by the compensator
+u_c = quad |x - x0|^2 + lin.(x - x0) about the box centre x0:
 
-    Poisson:                quad = mean / 4
-    conv-diff, kappa = 0:   lin = mean * v / |v|^2
+    c = 0, v = 0:    quad = mean / 4D         (Poisson)
+    c = 0, v != 0:   lin = mean * v / |v|^2   (conv-diff, kappa = 0)
 
-Near-resonant Helmholtz modes with non-negligible source energy abort
-the solve with ResonantBoxError.
+For c > 0 (Helmholtz) the symbol vanishes on a circle of modes; near-resonant
+modes with non-negligible source energy abort the solve with ResonantBoxError.
 """
 from __future__ import annotations
 
@@ -31,8 +33,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, ResonantBoxError
 from .geometry import Box2, StarDomain, bounding_box, point_blocks, stack_xy
-from .operators import (ConvectionDiffusion, Helmholtz, OperatorSpec, Poisson,
-                        fourier_symbol)
+from .operators import OperatorSpec, fourier_symbol
 
 RESONANCE_SYMBOL_TOL = 1e-8
 RESONANCE_SOURCE_TOL = 1e-10
@@ -302,20 +303,18 @@ def solve_particular(op: OperatorSpec, grid: SourceGrid) -> SpectralField:
                          fourier_symbol(op, stack_xy(0.0, w[:h + 1]))
                          - fourier_symbol(op, (0.0, 0.0)))
 
+    D, v, c = op.coefficients[:3]
     compensator = None
-    if isinstance(op, Poisson):
-        compensator = Compensator(grid.box.center, quad=float(grid.samples.mean()) / 4.0)
-    elif isinstance(op, ConvectionDiffusion) and op.reaction == 0.0:
-        v = op.velocity
-        compensator = Compensator(grid.box.center,
-                                  lin=tuple(float(grid.samples.mean()) * v / float(v @ v)))
-    if compensator is not None:
+    if c == 0.0:
+        mean = float(grid.samples.mean())
+        compensator = (Compensator(grid.box.center, lin=tuple(mean * v / float(v @ v)))
+                       if v.any() else Compensator(grid.box.center, quad=mean / (4.0 * D)))
         fhat[0, 0] = 0.0
         sigma[0, 0] = 1.0  # placeholder; coefficient is zero anyway
 
-    if isinstance(op, Helmholtz):
+    if c > 0.0:
         # |fhat| and the symbol are even: the half grid sees every mode
-        near = np.abs(sigma) <= RESONANCE_SYMBOL_TOL * max(1.0, op.k ** 2)
+        near = np.abs(sigma) <= RESONANCE_SYMBOL_TOL * max(1.0, c)
         if np.any(near):
             fmax = float(np.abs(fhat).max())
             bad = near & (np.abs(fhat) > RESONANCE_SOURCE_TOL * fmax)
@@ -323,7 +322,7 @@ def solve_particular(op: OperatorSpec, grid: SourceGrid) -> SpectralField:
                 idx = np.argwhere(bad)[0]
                 raise ResonantBoxError(
                     f"Fourier mode {tuple(int(m[i]) for i in idx)} of the embedding box "
-                    f"is resonant for Helmholtz k={op.k} and carries source energy; "
+                    f"is resonant for {op} and carries source energy; "
                     "change box_margin or the grid size to detune the box")
             fhat[near] = 0.0
             sigma[near] = 1.0  # clamped: the mode carries no source energy

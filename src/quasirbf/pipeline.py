@@ -8,7 +8,6 @@ sweep the knot count and emit CSV rows.
 """
 from __future__ import annotations
 
-import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -292,31 +291,14 @@ def convergence_study(config: RunConfig,
     return rows
 
 
-def _fmt(value: float) -> str:
-    if value != value:
-        return "nan"
-    if value == math.inf:
-        return "inf"
-    return np.format_float_scientific(value, trim="-")
-
-
-def _quantize_ms(value: float) -> float:
-    if value != value:
-        return value
-    return round(value / TIMING_QUANTUM_MS) * TIMING_QUANTUM_MS
-
-
 def rows_to_csv(rows: Sequence[ConvergenceRow]) -> str:
+    """CSV_HEADER and one line per row, timings quantized to TIMING_QUANTUM_MS
+    (NaN stays NaN and prints as "nan")."""
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(",".join([
-            str(row.knots),
-            _fmt(row.max_err),
-            _fmt(row.rms_err),
-            _fmt(row.boundary_residual),
-            _fmt(row.condition_estimate),
-            _fmt(_quantize_ms(row.assemble_ms)),
-            _fmt(_quantize_ms(row.solve_ms)),
-            _fmt(_quantize_ms(row.particular_ms)),
-        ]))
+        ms = np.array([row.assemble_ms, row.solve_ms, row.particular_ms])
+        values = [row.max_err, row.rms_err, row.boundary_residual, row.condition_estimate,
+                  *np.round(ms / TIMING_QUANTUM_MS) * TIMING_QUANTUM_MS]
+        lines.append(",".join([str(row.knots)] + [np.format_float_scientific(v, trim="-")
+                                                  for v in values]))
     return "\n".join(lines) + "\n"

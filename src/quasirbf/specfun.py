@@ -27,7 +27,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, KernelOverflowError
 
 J_SWITCH = 12.0
 I_SWITCH = 15.0
@@ -157,7 +157,7 @@ def _bessel(name: str, nus, x, modified: bool):
     if not (lo >= 0.0 and hi < math.inf):
         raise DomainError(f"{name} is defined for finite x >= 0, got {lo if not lo >= 0.0 else hi}")
     if hi > limit:
-        raise OverflowError(f"{name} overflows double precision for x > {limit}, got {hi}")
+        raise KernelOverflowError(f"{name} overflows double precision for x > {limit}, got {hi}")
     if a.ndim == 0:
         return [float(v) for v in (series(nus, lo) if lo < switch else asymptotic(nus, lo))]
     if hi < switch:

@@ -218,6 +218,19 @@ class TestSolveDense:
             _, diag = solve_dense(self._disc_system(n), LU())
         assert diag.effective_rank == n
 
+    @pytest.mark.parametrize("cutoff", [0.0, 1e-17])
+    def test_tsvd_warns_when_cutoff_keeps_rounding_noise(self, cutoff):
+        """helmholtz_disc at N=48 has 21 singular values above eps*N relative
+        to the largest; a cutoff below that floor inverts all 48 of them."""
+        with pytest.warns(RankDeficientWarning, match="N=48.*larger svd_cutoff"):
+            _, diag = solve_dense(self._disc_system(48), TSVD(cutoff=cutoff))
+        assert diag.effective_rank == 48
+
+    def test_tsvd_silent_at_default_cutoff(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RankDeficientWarning)
+            solve_dense(self._disc_system(48), TSVD())
+
 
 class TestEvalHomogeneous:
     def test_single_kernel(self):

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +197,14 @@ class TestConvergenceStudy:
             assert row.error is not None
             assert math.isnan(row.max_err)
 
+    def test_kernel_overflow_yields_sentinel_row(self):
+        # I0(400 r) overflows double precision on a unit disc
+        problem = InlineProblem(ModifiedHelmholtz(400.0), StarDomain(Circle(1.0)))
+        rows = convergence_study(RunConfig(problem=problem), [8, 16])
+        for row in rows:
+            assert "overflows" in row.error
+            assert math.isnan(row.max_err)
+
     def test_csv_shape_and_determinism(self):
         cfg = RunConfig(preset="helmholtz_disc")
         rows = convergence_study(cfg, [8, 16])
@@ -293,6 +302,22 @@ class TestCli:
                                       "box_margin": 0.5, "grid": 64}))
         assert run_cli(["solve", "--config", str(config)]) == EXIT_NUMERICAL
         assert "resonant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("operator", [
+        {"type": "modified_helmholtz", "k": 400},
+        {"type": "convection_diffusion", "diffusivity": 0.001, "velocity": [1, 0]},
+    ], ids=["modhelm-k400", "convdiff-D0.001"])
+    def test_kernel_overflow_exits_3(self, tmp_path, capsys, operator):
+        # the kernel's I0(mu r) overflows double precision at mu r > 700;
+        # this used to escape as a bare OverflowError and exit 1
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"problem": {"operator": operator, "domain": {
+            "type": "circle", "radius": 1}}, "knots": 16}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # exp(-v.d / 2D) overflows first
+            assert run_cli(["solve", "--config", str(config)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "bessel_i0 overflows" in err
 
     @pytest.mark.parametrize("config, named", [
         ({"preset": "helmholtz_disc", "knots": "abc"}, "knots"),

@@ -7,6 +7,7 @@ from quasirbf.errors import ConfigurationError, UnsupportedOperatorError
 from quasirbf.operators import (ConvectionDiffusion, Helmholtz,
                                 ModifiedHelmholtz, Poisson, apply_operator_fd,
                                 fourier_symbol, kernel_gradient, kernel_value)
+from quasirbf.specfun import bessel_i0, bessel_i0_i1, bessel_i1, bessel_j0, bessel_j1
 
 from oracles import central_gradient, oracle_i0, oracle_i1
 
@@ -75,7 +76,7 @@ class TestKernelValue:
 
     def test_convdiff_example(self):
         op = ConvectionDiffusion(diffusivity=1.0, velocity=(2.0, 0.0), reaction=0.0)
-        assert op.mu == 1.0
+        assert op.coefficients.mu == 1.0
         want = math.exp(-1.0) * oracle_i0(1.0)
         assert abs(kernel_value(op, (1.0, 0.0)) - want) <= 1e-9
 
@@ -194,3 +195,92 @@ class TestBatched:
         got = apply_operator_fd(op, u, pts, 1e-3)
         want = [apply_operator_fd(op, u, p, 1e-3) for p in pts]
         assert np.array_equal(got, want)
+
+
+class TestPerOperatorReference:
+    """The single (D, v, c) implementation reproduces, bit for bit, the
+    per-operator formulas it replaced; those formulas are the reference."""
+
+    OPS = KERNEL_OPS + [Helmholtz(0.7)]
+
+    @staticmethod
+    def symbol(op, omega):
+        w1, w2 = omega[..., 0], omega[..., 1]
+        ww = w1 ** 2 + w2 ** 2
+        if isinstance(op, Poisson):
+            return -ww + 0j
+        if isinstance(op, Helmholtz):
+            return op.k ** 2 - ww + 0j
+        if isinstance(op, ModifiedHelmholtz):
+            return -(op.k ** 2 + ww) + 0j
+        return ((-op.diffusivity * ww - op.reaction)
+                + 1j * (op.velocity[0] * w1 + op.velocity[1] * w2))
+
+    @staticmethod
+    def fd(op, u, x, h):
+        x1, x2 = x[..., 0], x[..., 1]
+        uc = u(x1, x2)
+        ue, uw = u(x1 + h, x2), u(x1 - h, x2)
+        un, us = u(x1, x2 + h), u(x1, x2 - h)
+        lap = (ue + uw + un + us - 4.0 * uc) / (h * h)
+        if isinstance(op, Poisson):
+            return lap
+        if isinstance(op, Helmholtz):
+            return lap + op.k ** 2 * uc
+        if isinstance(op, ModifiedHelmholtz):
+            return lap - op.k ** 2 * uc
+        gx = (ue - uw) / (2.0 * h)
+        gy = (un - us) / (2.0 * h)
+        return (op.diffusivity * lap
+                + op.velocity[0] * gx + op.velocity[1] * gy
+                - op.reaction * uc)
+
+    @staticmethod
+    def mu(op):
+        v2 = float(op.velocity @ op.velocity)
+        return math.sqrt(v2 / (4.0 * op.diffusivity ** 2) + op.reaction / op.diffusivity)
+
+    @staticmethod
+    def drift(op, d):
+        return np.exp(-(op.velocity[0] * d[..., :1] + op.velocity[1] * d[..., 1:])
+                      / (2.0 * op.diffusivity))
+
+    def value(self, op, d):
+        r = np.hypot(d[..., 0], d[..., 1])
+        if isinstance(op, Helmholtz):
+            return bessel_j0(op.k * r)
+        if isinstance(op, ModifiedHelmholtz):
+            return bessel_i0(op.k * r)
+        return self.drift(op, d)[..., 0] * bessel_i0(self.mu(op) * r)
+
+    def gradient(self, op, d):
+        r = np.hypot(d[..., :1], d[..., 1:])
+        safe_r = np.where(r == 0.0, 1.0, r)
+        if isinstance(op, Helmholtz):
+            return -op.k * bessel_j1(op.k * r) * d / safe_r
+        if isinstance(op, ModifiedHelmholtz):
+            return op.k * bessel_i1(op.k * r) * d / safe_r
+        half_v = op.velocity / (2.0 * op.diffusivity)
+        i0, i1 = bessel_i0_i1(self.mu(op) * r)
+        return self.drift(op, d) * (self.mu(op) * i1 / safe_r * d - half_v * i0)
+
+    @pytest.fixture(scope="class")
+    def d(self):
+        # |d| up to 5.7 puts k r on both sides of the J and I switch points
+        d = np.random.default_rng(500).uniform(-4.0, 4.0, size=(500, 2))
+        d[0] = 0.0
+        return d
+
+    @pytest.mark.parametrize("op", [Poisson()] + OPS)
+    def test_symbol_and_fd(self, op, d):
+        assert np.array_equal(fourier_symbol(op, d), self.symbol(op, d))
+        u = lambda a, b: np.sin(a) * np.exp(0.5 * b) + np.cos(3.0 * b)
+        assert np.array_equal(apply_operator_fd(op, u, d, 1e-3), self.fd(op, u, d, 1e-3))
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_kernels(self, op, d):
+        assert np.array_equal(kernel_value(op, d), self.value(op, d))
+        assert np.array_equal(kernel_gradient(op, d), self.gradient(op, d))
+        for one in d[:20]:  # the (2,) path too, d = 0 included
+            assert kernel_value(op, one) == self.value(op, one)
+            assert np.array_equal(kernel_gradient(op, one), self.gradient(op, one))

@@ -63,3 +63,28 @@ def test_patched_names_are_the_ones_called(tmp_path, tracing):
                  "pipeline.residual_check", "pipeline.SolutionField.evaluate",
                  "presets.source", "presets.exact"):
         assert calls.get(name, 0) > 0, name
+
+
+@pytest.mark.parametrize("operator, names", [
+    ({"type": "helmholtz", "k": 2.0}, ("specfun.bessel_j0", "specfun.bessel_j1")),
+    ({"type": "modified_helmholtz", "k": 1.0}, ("specfun.bessel_i0", "specfun.bessel_i1")),
+], ids=["helmholtz", "modified_helmholtz"])
+def test_patched_bessel_names_are_the_ones_called(tmp_path, tracing, operator, names):
+    """A Neumann solve reaches the kernel's Z0 and its gradient's Z1, each
+    through the name the tracer patches in the operators module."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"problem": {
+        "operator": operator, "domain": {"type": "circle", "radius": 1.0},
+        "bc_kind": "neumann"}, "knots": 16}))
+    tracer = tracing.Tracer()
+    try:
+        tracing.instrument(tracer)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = tracer.root("test.solve", lambda: cli.run_cli(
+                ["solve", "--config", str(config)]))
+    finally:
+        tracer.restore()
+    assert code == cli.EXIT_OK
+    calls = {name: stat[0] for name, stat in tracer.stats.items()}
+    for name in names + ("operators.kernel_gradient",):
+        assert calls.get(name, 0) > 0, name
