@@ -26,8 +26,10 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, UnsupportedOperatorError
+from .errors import ConfigurationError, KernelOverflowError, UnsupportedOperatorError
 from .specfun import bessel_i0, bessel_i0_i1, bessel_i1, bessel_j0, bessel_j1
+
+_LOG_MAX = math.log(np.finfo(float).max)  # exp overflows above this argument
 
 
 class Coefficients(NamedTuple):
@@ -121,7 +123,8 @@ def _kernel(op: OperatorSpec, d, gradient: bool):
     """exp(-v.d / 2D) Z0(mu r) (shape (...)) or its gradient (d's shape) at
     displacements d, (2,) or (..., 2). With Z0' = mu Z1 (Z1 = -J1 or I1) the
     gradient is exp(-v.d / 2D) (mu Z1 d / r - v / 2D Z0); for v = 0 neither
-    computes the drift, and the gradient no Z0."""
+    computes the drift, and the gradient no Z0. The drift and Z0 can each be
+    finite with an infinite product: that raises KernelOverflowError."""
     k = op.coefficients
     if k.mu2 == 0.0:
         raise UnsupportedOperatorError(
@@ -129,19 +132,38 @@ def _kernel(op: OperatorSpec, d, gradient: bool):
     d = np.asarray(d, dtype=float)
     r = np.hypot(d[..., :1], d[..., 1:])
     oscillating = k.mu2 < 0.0
-    drift = (np.exp(-(k.v[0] * d[..., :1] + k.v[1] * d[..., 1:]) / (2.0 * k.D))
-             if k.v.any() else None)
-    if not gradient:
-        z0 = (bessel_j0 if oscillating else bessel_i0)(k.mu * r)
-        return (z0 if drift is None else drift * z0)[..., 0][()]
     # every d / r term has a zero numerator at r = 0, where 1 is a safe divisor
-    safe_r = np.where(r == 0.0, 1.0, r)
-    if drift is None:
+    safe_r = np.where(r == 0.0, 1.0, r) if gradient else None
+    if not k.v.any():
+        if not gradient:
+            return (bessel_j0 if oscillating else bessel_i0)(k.mu * r)[..., 0][()]
         z1 = bessel_j1 if oscillating else bessel_i1
         return (-k.mu if oscillating else k.mu) * z1(k.mu * r) * d / safe_r
-    z0, z1 = ((bessel_j0(k.mu * r), -bessel_j1(k.mu * r)) if oscillating
-              else bessel_i0_i1(k.mu * r))
-    return drift * (k.mu * z1 / safe_r * d - k.v / (2.0 * k.D) * z0)
+    if not gradient:
+        z0 = (bessel_j0 if oscillating else bessel_i0)(k.mu * r)
+    else:
+        z0, z1 = ((bessel_j0(k.mu * r), -bessel_j1(k.mu * r)) if oscillating
+                  else bessel_i0_i1(k.mu * r))
+    exponent = -(k.v[0] * d[..., :1] + k.v[1] * d[..., 1:]) / (2.0 * k.D)
+
+    def product():
+        drift = np.exp(exponent)
+        return ((drift * z0)[..., 0][()] if not gradient
+                else drift * (k.mu * z1 / safe_r * d - k.v / (2.0 * k.D) * z0))
+
+    # |v.d| / 2D <= |v| r / 2D, |J0|, |J1| <= 1 and I0, I1 <= exp(mu r), so
+    # below this bound nothing overflows
+    growth = k.mu + math.hypot(*k.v) / (2.0 * k.D)
+    if float(r.max()) * growth + math.log1p(growth) < _LOG_MAX:
+        return product()
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = product()
+    if not np.all(np.isfinite(out)):
+        raise KernelOverflowError(
+            f"the kernel of {op!r} overflows double precision: exp(-v.d / 2D) "
+            f"{'J0' if oscillating else 'I0'}(mu r) is not finite for r up to "
+            f"{float(r.max()):.4g}")
+    return out
 
 
 def kernel_value(op: OperatorSpec, d):

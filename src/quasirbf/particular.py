@@ -7,10 +7,19 @@ coefficients by the operator's Fourier symbol. The resulting field
 satisfies the governing equation exactly on the physical domain (where
 the taper is 1), which is all a particular solution has to do.
 
-The samples are real and sigma(-w) = conj sigma(w), so only the rfft2 half
-spectrum is divided and kept. u_p is evaluated in real arithmetic from one real
-matrix M folded from it: per block of points, two narrow GEMMs of the cos/sin
-phases with a seeded low-rank factor of M, or one with M itself (see SpectralField).
+The layer stays low-rank from end to end. extend_source cross-approximates
+the tapered samples as A B^T (see _cross) from single rows and columns of
+the grid, so their 2D FFT, the rfft2 half spectrum, is fft(A) rfft(B)^T,
+and the symbol on the grid is an outer sum s1 + s2^T. The half spectrum of
+u_p, fft(A) rfft(B)^T / (s1 + s2^T), is never formed: SpectralField builds
+a few of its rows or columns at a time, folds them into rows and columns
+of one real matrix M, and cross-approximates M as U V^T, checked by a
+seeded probe streamed over row blocks. u_p is evaluated per block of
+points by two narrow GEMMs of the cos/sin phases with U and V. A source
+whose tapered samples have no cross of rank <= RANK_CAP keeps its samples:
+that is the r = n case, A the samples and B the identity, whose spectrum
+rows are rfft2(samples) rows; a SourceGrid built from samples takes it
+too. A field whose M has no such factor keeps one product with M.
 
 With L u = D laplace(u) + v . grad(u) + c u (see the operators module), the
 zero mode has symbol c. For c = 0 it is repaired by the compensator
@@ -25,18 +34,28 @@ modes with non-negligible source energy abort the solve with ResonantBoxError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, ResonantBoxError
-from .geometry import Box2, StarDomain, bounding_box, point_blocks, stack_xy
+from .geometry import (BLOCK_PAIRS, Box2, StarDomain, bounding_box,
+                       point_blocks, stack_xy)
 from .operators import OperatorSpec, fourier_symbol
 
 RESONANCE_SYMBOL_TOL = 1e-8
 RESONANCE_SOURCE_TOL = 1e-10
+
+# Cross approximation (see _cross): the largest rank kept, the relative size
+# of the cross that stops it, the seeded checks that accept it (the source's
+# largest error on its 4n check entries; M's probe, see SpectralField._factor).
+RANK_CAP = 48
+CROSS_TOL = 1e-15
+SOURCE_CHECK_TOL = 1e-14
+PROBE_TOL = 1e-13
+_BLOCK_MODES = 8  # modes per block of rows of M's cross
 
 _GRID_SIZES = (32, 64, 128, 256, 512, 1024)
 
@@ -75,22 +94,166 @@ def check_grid_size(n: int):
         raise ConfigurationError(f"grid size must be a power of two in [32, 1024], got {n}")
 
 
-@dataclass(frozen=True)
-class SourceGrid:
-    box: Box2
-    n: int
-    samples: np.ndarray
+def _check_samples(samples: np.ndarray, n: int) -> np.ndarray:
+    if samples.shape != (n, n):
+        raise ConfigurationError(f"samples must be {n}x{n}, got {samples.shape}")
+    if not np.all(np.isfinite(samples)):
+        raise ConfigurationError("source samples must be finite")
+    return samples
 
-    def __post_init__(self):
-        check_grid_size(self.n)
-        if self.samples.shape != (self.n, self.n):
-            raise ConfigurationError(
-                f"samples must be {self.n}x{self.n}, got {self.samples.shape}")
-        if not np.all(np.isfinite(self.samples)):
-            raise ConfigurationError("source samples must be finite")
-        side = self.box.side
+
+class SourceGrid:
+    """The tapered source on the n x n grid of a square box: factors (A, B),
+    (n, r) each, with samples = A B^T, or None for the r = n case, whose
+    samples are given. Factored samples are computed only when read, by
+    `sampler`."""
+
+    def __init__(self, box: Box2, n: int, samples: Optional[np.ndarray] = None,
+                 factors: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+                 sampler: Optional[Callable[[], np.ndarray]] = None):
+        check_grid_size(n)
+        side = box.side
         if abs(side[0] - side[1]) > 1e-12 * side[0]:
             raise ConfigurationError("embedding box must be square")
+        self.box, self.n, self.factors, self._sampler = box, n, factors, sampler
+        if samples is not None:
+            self.__dict__["samples"] = _check_samples(samples, n)
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        return _check_samples(self._sampler(), self.n)
+
+
+@dataclass(frozen=True)
+class _HalfSpectrum:
+    """The half spectrum H (n, n/2+1) with H_ij = (P Q^T)_ij / (s1_i + s2_j),
+    0 at the entries (zero[0], zero[1]), built a few rows or columns at a
+    time. Q None stands for the identity, P being the numerator itself."""
+    p: np.ndarray
+    q: Optional[np.ndarray]
+    s1: np.ndarray
+    s2: np.ndarray
+    zero: Tuple[np.ndarray, np.ndarray] = (np.zeros(0, int), np.zeros(0, int))
+
+    def numerator(self, i) -> np.ndarray:
+        """Rows i of P Q^T."""
+        return self.p[i] if self.q is None else self.p[i] @ self.q.T
+
+    def reciprocal(self, i: np.ndarray) -> np.ndarray:
+        """Rows i of 1 / (s1 + s2^T), 0 at the zero entries."""
+        den = self.s1[i, None] + self.s2
+        if len(self.zero[0]):
+            hit, z = np.nonzero(i[:, None] == self.zero[0])
+            den[hit, self.zero[1][z]] = np.inf
+        return np.reciprocal(den, out=den)
+
+    def rows(self, i: np.ndarray) -> np.ndarray:
+        """Rows i of H."""
+        return self.numerator(i) * self.reciprocal(i)
+
+    def cols(self, j: np.ndarray) -> np.ndarray:
+        """Columns j of H."""
+        den = self.s1[:, None] + self.s2[j]
+        if len(self.zero[0]):
+            hit, z = np.nonzero(j[:, None] == self.zero[1])
+            den[self.zero[0][z], hit] = np.inf
+        num = self.p[:, j] if self.q is None else self.p @ self.q[j].T
+        return num * np.reciprocal(den, out=den)
+
+    def times(self, z: np.ndarray) -> np.ndarray:
+        """H z for z (n/2+1, m), in row blocks. For factors H z = sum_k
+        diag(P_k) R (Q_k z), R = 1 / (s1 + s2^T), so no block of P Q^T is
+        formed; where s1 is even (a real symbol) R's row n - i is its row i,
+        zero entries included (the zero mode is row 0, and the guard clamps
+        resonant modes in +-pairs), so only rows 0..n/2 of R Q_k z are formed."""
+        n, m = len(self.s1), z.shape[1]
+        if self.q is None:
+            blocks = [(self.p[i] * self.reciprocal(i)) @ z for i in _row_blocks(n, len(self.s2))]
+            return np.concatenate(blocks)
+        qz = (self.q[:, :, None] * z[:, None]).reshape(len(z), -1)
+        fold = -np.arange(n) % n
+        even = np.array_equal(self.s1, self.s1[fold])
+        formed = np.arange(n // 2 + 1) if even else np.arange(n)
+        rz = np.empty((n, qz.shape[1]), dtype=complex)
+        for i in _row_blocks(len(formed), len(self.s2)):
+            r = self.reciprocal(formed[i])  # a real r multiplies qz's real view
+            rz[i] = (r @ qz.view(np.float64)).view(complex) if r.dtype == float else r @ qz
+        if even:
+            rz[n // 2 + 1:] = rz[fold[n // 2 + 1:]]
+        return np.einsum("irm,ir->im", rz.reshape(n, -1, m), self.p)
+
+
+def _row_blocks(count: int, width: int):
+    """Indices 0..count-1 in blocks of at most BLOCK_PAIRS // width."""
+    step = max(1, BLOCK_PAIRS // width)
+    return [np.arange(s, min(s + step, count)) for s in range(0, count, step)]
+
+
+def _cross(rows: Callable, cols: Callable, shape: Tuple[int, int], pick: Callable):
+    """Adaptive cross approximation with partial pivoting (Bebendorf, Numer.
+    Math. 2000) of the matrix S of `shape` whose rows i and columns j, index
+    arrays, are rows(i) and cols(j): (a, b) with S ~ a b^T, or None past
+    RANK_CAP crosses.
+
+    It takes rows in blocks, pick(u, v) returning the next block after the
+    crosses u v^T of the last one (None, None before the first). In a block
+    of residual rows R, cross t has v_t the residual of R's row x, first the
+    row of R's largest entry, and pivots at v_t's largest entry j; within
+    the block its u is the residual of R's column j over v_tj, and the next
+    x is u's largest entry among the rows not taken. The block's residual
+    columns C at its pivot columns q then give all of u = C (v_t,q_s)^-1.
+    It stops when a block's largest residual is within CROSS_TOL of the
+    largest pivot so far."""
+    i = pick(None, None)
+    res = rows(i)
+    a = np.empty((shape[0], RANK_CAP), dtype=res.dtype)
+    b = np.empty((shape[1], RANK_CAP), dtype=res.dtype)
+    k, scale = 0, 0.0
+    while True:
+        res -= a[i, :k] @ b[:, :k].T
+        u = np.empty((len(i), len(i)), dtype=res.dtype)
+        v = np.empty((len(i), shape[1]), dtype=res.dtype)
+        free = np.ones(len(i), dtype=bool)
+        x, q = int(np.argmax(np.abs(res).max(axis=1))), []
+        for t in range(len(i)):
+            v[t] = res[x] - u[x, :t] @ v[:t]
+            j = int(np.argmax(np.abs(v[t])))
+            scale = max(scale, abs(v[t, j]))
+            if abs(v[t, j]) <= CROSS_TOL * scale:
+                break
+            u[:, t] = (res[:, j] - u[:, :t] @ v[:t, j]) / v[t, j]
+            q.append(j)
+            free[x] = False
+            x = int(np.argmax(np.where(free, np.abs(u[:, t]), -1.0)))
+        if not q:
+            return a[:, :k], b[:, :k]
+        if k + len(q) > RANK_CAP:
+            return None
+        v = v[:len(q)]
+        u = (cols(np.array(q)) - a[:, :k] @ b[q, :k].T) @ np.linalg.inv(v[:, q])
+        a[:, k:k + len(q)], b[:, k:k + len(q)] = u, v.T
+        k += len(q)
+        i = pick(u, v)
+        res = rows(i)
+
+
+@lru_cache(maxsize=None)
+def _fold_tables(n: int):
+    """Per mode k = 0..n/2 of an n-point axis: its partner row n - k of the
+    half spectrum and the weight 1 (0 < k < h) or 0 (k = 0, h) with which
+    that row enters the fold; the factor that turns F_- c into row (k, sin)
+    of M: i, or -i at k = h (F_- c = -c_h), or 0 at k = 0; the column gains
+    of (k, cos), (k, sin), and 1 for the columns that row (h, sin) keeps,
+    (h+1, 2) each. See SpectralField.real_matrix."""
+    h = n // 2
+    k = np.arange(h + 1)
+    inner = (k > 0) & (k < h)
+    sin = np.where(inner, 1j, -1j) * (k > 0)
+    gains = np.stack([np.where(inner, 2.0, 1.0), np.where(inner, -2.0, (k == h) * 1.0)], axis=-1)
+    tables = (-k % n, inner * 1.0, sin, gains, np.stack([~inner, ~inner], axis=-1) * 1.0)
+    for table in tables:
+        table.flags.writeable = False  # shared by every field of this n
+    return tables
 
 
 class SpectralField:
@@ -98,16 +261,26 @@ class SpectralField:
     plus an optional zero-mode compensator.
 
     The coefficients c are the half spectrum `half` (columns 0..n/2, the last
-    at -n/2) of a Hermitian (n, n) array `coeffs`, completed on first read (for
-    conv-diff, whose symbol is not even, it differs from a full fft2 division
-    on the Nyquist ring). With phases a_k, b_k of mode k = 0..n/2 on the two
-    axes, u_p = [cos a, sin a] M [cos b, sin b] (`real_matrix`) = row dot of
-    [cos a, sin a] U and [cos b, sin b] V (`_factor`).
+    at -n/2) of a Hermitian (n, n) array `coeffs`; `half` is given as an
+    array or as a _HalfSpectrum, which builds its rows and columns on demand.
+    With phases a_k, b_k of mode k = 0..n/2 on the two axes, u_p = [cos a,
+    sin a] M [cos b, sin b] (`real_matrix`) = row dot of [cos a, sin a] U
+    and [cos b, sin b] V (`_factor`). Rows and columns of M are folded from
+    rows and columns of the half spectrum; `half`, `coeffs` and
+    `real_matrix` are formed only when read (for conv-diff, whose symbol is
+    not even, `coeffs` differs from a full fft2 division on the Nyquist ring).
     """
 
-    def __init__(self, box: Box2, n: int, half: np.ndarray,
-                 compensator: Optional[Compensator] = None):
-        self.box, self.n, self.half, self.compensator = box, n, half, compensator
+    def __init__(self, box: Box2, n: int, half, compensator: Optional[Compensator] = None):
+        if isinstance(half, np.ndarray):
+            half = _HalfSpectrum(half, None, np.ones(n), np.zeros(n // 2 + 1))
+        self.box, self.n, self.spectrum, self.compensator = box, n, half, compensator
+        self._modes = np.arange(n // 2 + 1)
+
+    @cached_property
+    def half(self) -> np.ndarray:
+        """The half spectrum (n, n/2 + 1)."""
+        return self.spectrum.rows(np.arange(self.n))
 
     @cached_property
     def coeffs(self) -> np.ndarray:
@@ -134,45 +307,98 @@ class SpectralField:
             Re sum_j v_j F_j = Re sum_{l<=h} (G_+ v)_l exp(i b_l),
         with the column fold (G_s v)_l = v_l + s conj(v_{n-l}) for 0 < l < h,
         v_0 at l = 0 and s conj(v_h) at l = h; G_+(i v) = i G_-(v). Finally
-        Re(w exp(i b)) = [Re w, -Im w].[cos b, sin b]. So rows (k, cos), (k,
-        sin) of M are conj G_+(F_+ c)_k, conj(i G_-(F_- c)_k); rows and columns
-        interleave the cos and sin of each mode. Column n - l of `coeffs` holds
-        conj(c_{n-k,l}) in row k, so G_s doubles columns 0 < l < h, or cancels
-        them on the sin rows of k = 0, h, which are their own partners. Row and
-        column (0, sin) are 0.
+        Re(w exp(i b)) = [Re w, -Im w].[cos b, sin b]. Column n - l of
+        `coeffs` holds conj(c_{n-k,l}) in row k, so G_s doubles columns
+        0 < l < h, or cancels them on the sin rows of k = 0, h, which are
+        their own partners. In real arithmetic, with z viewed as [Re z, Im z]
+        per column: row (k, cos) of M is F_+ c times the gains [1, 0] (l = 0),
+        [2, -2] (0 < l < h), [1, 1] (l = h), and row (k, sin) is i F_- c times
+        the same gains; rows and columns interleave the cos and sin of each
+        mode. Row and column (0, sin) are 0.
         """
-        c, n, h = self.half, self.n, self.n // 2
-        m = np.empty((h + 1, 2, h + 1), dtype=complex)
-        rows = np.empty((h + 1, h + 1), dtype=complex)
-        for a, (op, s) in enumerate(((np.add, 1.0), (np.subtract, -1.0))):
-            rows[0] = c[0]  # rows = F_s c
-            op(c[1:h], c[:h:-1], out=rows[1:h])
-            np.multiply(c[h], s, out=rows[h])
-            m[:, a, 0] = rows[:, 0]
-            np.multiply(rows[:, 1:h], 2.0, out=m[:, a, 1:h])
-            if s < 0:
-                m[[0, h], a, 1:h] = 0.0
-            np.multiply(np.conj(rows[:, h]), s, out=m[:, a, h])
-        np.conjugate(m, out=m)
-        m[:, 1] *= -1j
-        mat = m.view(np.float64).reshape(n + 2, n + 2)
-        mat[1] = mat[:, 1] = 0.0
-        return mat
+        return self._matrix_rows(self._modes)
+
+    def _matrix_block(self, c: np.ndarray, cn: np.ndarray, k: np.ndarray,
+                      l: np.ndarray) -> np.ndarray:
+        """Rows (k, cos/sin) by columns (l, cos/sin) of M, (2|k|, 2|l|), from
+        the half spectrum's rows k and n - k, c and cn, at its columns l;
+        k ascending. As floats, i z is [-Im z, Re z]: z's view reversed."""
+        gains, keep = _fold_tables(self.n)[3:]
+        g = gains[l]
+        block = np.empty((len(k), 2, len(l), 2))
+        np.multiply((c + cn).view(np.float64).reshape(len(k), -1, 2), g, out=block[:, 0])
+        np.multiply((c - cn).view(np.float64).reshape(len(k), -1, 2)[..., ::-1], g * (-1.0, 1.0),
+                    out=block[:, 1])
+        # rows k = 0 and n/2 are their own partners: F_+ c is c there, and
+        # F_- c is c (k = 0, whose sin row is 0) or -c (k = n/2)
+        if k[0] == 0:
+            np.multiply(c[0].view(np.float64).reshape(-1, 2), g, out=block[0, 0])
+            block[0, 1] = 0.0
+        if k[-1] == self.n // 2:
+            edge = c[-1].view(np.float64).reshape(-1, 2)
+            np.multiply(edge, g, out=block[-1, 0])
+            np.multiply(edge[:, ::-1], g * (1.0, -1.0) * keep[l], out=block[-1, 1])
+        return block.reshape(2 * len(k), -1)
+
+    def _matrix_rows(self, k: np.ndarray) -> np.ndarray:
+        """Rows (k, cos/sin) of M, (2|k|, n+2); k ascending."""
+        rows = self.spectrum.rows(np.concatenate([k, _fold_tables(self.n)[0][k]]))
+        return self._matrix_block(rows[:len(k)], rows[len(k):], k, self._modes)
+
+    def _matrix_cols(self, l: np.ndarray) -> np.ndarray:
+        """Columns (l, cos/sin) of M, (n+2, 2|l|); l ascending."""
+        cols = self.spectrum.cols(l)
+        return self._matrix_block(cols[:self.n // 2 + 1], cols[_fold_tables(self.n)[0]],
+                                  self._modes, l)
 
     @cached_property
     def _factor(self):
-        """(U, V), (n+2, 32), with U = D^-1 Q, V = (D M)^T Q and Q R = D M Omega
-        for a seeded Gaussian Omega (Halko et al. 2011, Alg. 4.1), when that is
-        M to rounding: |R_32,32| <= 1e-15 |D M omega_32|, so the probe column
-        omega_32 adds nothing to the others. Else, or for n < 62, None: one
-        product with M costs less. D = diag(1 + k) on the rows of mode k
-        scales Q's rounding in U by 1 / (1 + k), as d/dx weights them by w_k."""
-        mat, d = self.real_matrix, 1.0 + np.arange(self.n + 2)[:, None] // 2
-        y = d * (mat @ np.random.default_rng(20110).standard_normal((self.n + 2, 32)))
-        q, r = np.linalg.qr(y)
-        if self.n >= 62 and abs(r[-1, -1]) <= 1e-15 * np.linalg.norm(y[:, -1]):
-            return q / d, mat.T @ (d * q)
-        return None
+        """(U, V), (n+2, r), with M = U V^T to rounding, or None.
+
+        With D = diag(1 + k) on the rows and columns of mode k, which weights
+        their error as d/dx weights the series, U = D^-1 a and V = D^-1 b for
+        a cross a b^T of S = D M D (see _cross), the matrix of the field whose
+        numerator P Q^T has its rows and columns scaled by 1 + |m|. Its blocks
+        of rows are the modes of the largest residual of a seeded probe Y =
+        S W, W Gaussian (n+2, 4), and the factor is kept if that residual
+        Y - a b^T W ends within PROBE_TOL of |Y| (Frobenius norms). Y is
+        streamed from row blocks of the half spectrum H: row (k, cos) of S W
+        is Re(F_+ H Z)_k and row (k, sin) is Re(i F_- H Z)_k, where Z folds
+        M's column gains into W (row (n/2, sin), which keeps two columns, is
+        formed directly). None for n < 62, where one product with M costs
+        less, or when the cross stops at RANK_CAP or fails the probe."""
+        if self.n < 62:
+            return None
+        n, h, size = self.n, self.n // 2, self.n + 2
+        partner, inner, sin, gains, _ = _fold_tables(n)
+        spectrum, dr, dc = self.spectrum, 1.0 + np.abs(np.fft.fftfreq(n) * n), 1.0 + self._modes
+        scaled = SpectralField(self.box, n, replace(
+            spectrum, p=spectrum.p * dr[:, None], q=spectrum.q * dc[:, None])
+            if spectrum.q is not None else replace(spectrum, p=spectrum.p * dr[:, None] * dc))
+        w = np.random.default_rng(20110).standard_normal((size, 4))
+        hz = scaled.spectrum.times(gains[:, :1] * w[0::2] - 1j * gains[:, 1:] * w[1::2])
+        tail = hz[partner] * inner[:, None]
+        y = np.stack([(hz[:h + 1] + tail).real,
+                      (sin[:, None] * (hz[:h + 1] - tail)).real], axis=1).reshape(size, -1)
+        y[-2:] = scaled._matrix_rows(self._modes[-1:]) @ w
+        resid = y.copy()
+
+        def pick(u, v):
+            if u is not None:
+                resid[...] -= u @ (v @ w)
+            norms = np.einsum("ij,ij->i", resid, resid)
+            modes = np.unique(np.argpartition(norms, -_BLOCK_MODES)[-_BLOCK_MODES:] // 2)
+            return (2 * modes[:, None] + (0, 1)).ravel()
+
+        def cols(j):
+            modes, at = np.unique(j // 2, return_inverse=True)
+            return scaled._matrix_cols(modes)[:, 2 * at + j % 2]
+
+        cross = _cross(lambda i: scaled._matrix_rows(i[::2] // 2), cols, (size, size), pick)
+        if cross is None or np.linalg.norm(resid) > PROBE_TOL * np.linalg.norm(y):
+            return None
+        d = 1.0 + self._modes.repeat(2)[:, None]
+        return cross[0] / d, cross[1] / d
 
     @cached_property
     def _split_tables(self):
@@ -252,18 +478,45 @@ def required_margin(taper: TaperSpec) -> float:
     return t / (1.0 - 2.0 * t)
 
 
+def _source_values(f: Callable, x1: np.ndarray, x2: np.ndarray, block) -> np.ndarray:
+    """f(x1, x2) broadcast to the shape of x1 and x2 together; a result of
+    another shape, or a non-finite value, raises ConfigurationError."""
+    shape = np.broadcast_shapes(x1.shape, x2.shape)
+    values = f(x1, x2)
+    try:
+        values = np.broadcast_to(values, shape)
+    except ValueError:
+        raise ConfigurationError(
+            f"source returned shape {np.shape(values)}, which does not broadcast to "
+            f"{shape}, the shape of its points in the sampled block {block}") from None
+    if not np.all(np.isfinite(values)):
+        raise ConfigurationError("source samples must be finite")
+    return values
+
+
 def extend_source(f: Callable, domain: StarDomain,
                   box: Box2, n: int, taper: TaperSpec) -> SourceGrid:
-    """Sample the tapered extension of f on the n x n periodic grid.
+    """The tapered extension of f on the n x n periodic grid, as factors.
 
-    f follows the callback contract of the presets module. It is called once,
-    on the open grid of the block of points where both axis weights of the
-    separable taper are nonzero (every point off the box's lower edges): x1
-    holds the block's row coordinates, shape (r, 1), and x2 its column
-    coordinates, shape (1, c). A result that does not broadcast to (r, c)
-    raises ConfigurationError. Inside the physical domain the taper weight
-    is 1, so samples there equal f exactly; the check below enforces that
-    the domain's tight bounding box lies within the taper plateau.
+    f follows the callback contract of the presets module. The taper weight
+    is the outer product of per-axis weights, so the samples are 0 outside
+    the block of points where both are nonzero (every point off the box's
+    lower edges), and inside it the weights times f. That block is
+    cross-approximated (see _cross): f is called first on 4n seeded random
+    points of the block, as two arrays of one shape; then on single rows,
+    x1 of shape (1, 1) and x2 of shape (1, c), and single columns, x1 of
+    shape (r, 1) and x2 of shape (1, 1), one of each per cross and a last
+    row whose residual stops it. Each row is the one of the largest
+    residual on the 4n points, and the cross is accepted if that residual
+    ends within SOURCE_CHECK_TOL of their largest sample. Else, or for
+    blocks no larger than RANK_CAP, f is called once on the open grid of the
+    block, x1 (r, 1) and x2 (1, c), and the grid keeps the samples (the
+    r = n case). A result that does not broadcast to its points' shape, or
+    a non-finite one, raises ConfigurationError. A factored grid's
+    `samples` are computed by that same open-grid call when read. Inside
+    the physical domain the taper weight is 1, so samples there equal f
+    exactly; the check below enforces that the domain's tight bounding box
+    lies within the taper plateau.
     """
     t = taper.inner_fraction
     tight = bounding_box(domain, 0.0)
@@ -274,62 +527,101 @@ def extend_source(f: Callable, domain: StarDomain,
             "taper plateau does not contain the physical domain; "
             f"with inner_fraction={t} the box needs box_margin >= "
             f"{required_margin(taper):.4g}")
-    # the weight is the outer product of per-axis weights, each nonzero on one interval
     axes = box.min_corner[:, None] + float(box.side[0]) * np.arange(n) / n  # (2, n)
     axis_w = _axis_weight((axes - box.min_corner[:, None]) / box.side[:, None], t)
     (r0, r1), (c0, c1) = (np.flatnonzero(w)[[0, -1]] + (0, 1) for w in axis_w)
     x1, x2 = axes[0, r0:r1, None], axes[1, None, c0:c1]  # (r, 1), (1, c)
-    samples = np.zeros((n, n))
-    block = np.multiply.outer(axis_w[0, r0:r1], axis_w[1, c0:c1], out=samples[r0:r1, c0:c1])
-    values = f(x1, x2)
-    try:
-        block *= np.broadcast_to(values, block.shape)
-    except ValueError:
-        raise ConfigurationError(
-            f"source returned shape {np.shape(values)}, which does not broadcast "
-            f"to the sampled block's shape {block.shape}") from None
-    return SourceGrid(box=box, n=n, samples=samples)
+    w1, w2 = axis_w[0, r0:r1], axis_w[1, c0:c1]
+    shape = (int(r1 - r0), int(c1 - c0))
+
+    def sample() -> np.ndarray:
+        samples = np.zeros((n, n))
+        block = np.multiply.outer(w1, w2, out=samples[r0:r1, c0:c1])
+        block *= _source_values(f, x1, x2, shape)
+        return samples
+
+    if min(shape) > RANK_CAP:
+        rng = np.random.default_rng(2000)
+        i, j = rng.integers(shape[0], size=4 * n), rng.integers(shape[1], size=4 * n)
+        check = w1[i] * w2[j] * _source_values(f, x1[i, 0], x2[0, j], shape)
+        resid = check.copy()
+
+        def pick(u, v):
+            if u is not None:
+                resid[...] -= np.einsum("pk,kp->p", u[i], v[:, j])
+            return i[np.argmax(np.abs(resid))][None]
+
+        factor = _cross(lambda k: w1[k, None] * w2 * _source_values(f, x1[k], x2, shape),
+                        lambda k: w1[:, None] * w2[k] * _source_values(f, x1, x2[:, k], shape),
+                        shape, pick)
+        if factor is not None and (np.abs(resid).max(initial=0.0)
+                                   <= SOURCE_CHECK_TOL * np.abs(check).max(initial=0.0)):
+            factors = np.zeros((2, n, factor[0].shape[1]))
+            factors[0, r0:r1], factors[1, c0:c1] = factor
+            return SourceGrid(box, n, factors=tuple(factors), sampler=sample)
+    return SourceGrid(box, n, samples=sample())
 
 
 def solve_particular(op: OperatorSpec, grid: SourceGrid) -> SpectralField:
-    """Divide the rfft2 half spectrum by the Fourier symbol; O(n^2 log n)."""
+    """Divide the half spectrum of the samples by the Fourier symbol, held as
+    factors and an outer sum: fft(A) rfft(B)^T / (s1 + s2^T), whose rows and
+    columns the field builds on demand, or rfft2(samples) in the r = n case;
+    O(n r log n) for factors of rank r, O(n^2 log n) for samples."""
     n, h = grid.n, grid.n // 2
-    fhat = np.fft.rfft2(grid.samples)
+    if grid.factors is None:
+        p, q, total = np.fft.rfft2(grid.samples), None, grid.samples.sum()
+    else:
+        a, b = grid.factors
+        p, q, total = np.fft.fft(a, axis=0), np.fft.rfft(b, axis=0), a.sum(axis=0) @ b.sum(axis=0)
     m = np.fft.fftfreq(n) * n
     w = _frequencies(n, grid.box)
     # no operator has a mixed w1*w2 term, so the symbol on the grid is the
-    # outer sum sigma(w1, 0) + sigma(0, w2) - sigma(0, 0)
-    sigma = np.add.outer(fourier_symbol(op, stack_xy(w, 0.0)),
-                         fourier_symbol(op, stack_xy(0.0, w[:h + 1]))
-                         - fourier_symbol(op, (0.0, 0.0)))
-
+    # outer sum sigma(w1, 0) + sigma(0, w2) - sigma(0, 0); the series
+    # coefficients are fft2 / (sigma n^2), and n^2 scales both parts exactly
     D, v, c = op.coefficients[:3]
+    s1 = fourier_symbol(op, stack_xy(w, 0.0)) * (n * n)
+    s2 = (fourier_symbol(op, stack_xy(0.0, w[:h + 1])) - fourier_symbol(op, (0.0, 0.0))) * (n * n)
+    spectrum = _HalfSpectrum(p, q, s1, s2) if v.any() else _HalfSpectrum(p, q, s1.real, s2.real)
+
     compensator = None
     if c == 0.0:
-        mean = float(grid.samples.mean())
+        origin, mean = np.zeros(1, int), float(total) / (n * n)
         compensator = (Compensator(grid.box.center, lin=tuple(mean * v / float(v @ v)))
                        if v.any() else Compensator(grid.box.center, quad=mean / (4.0 * D)))
-        fhat[0, 0] = 0.0
-        sigma[0, 0] = 1.0  # placeholder; coefficient is zero anyway
+        spectrum = replace(spectrum, zero=(origin, origin))
 
     if c > 0.0:
-        # |fhat| and the symbol are even: the half grid sees every mode
-        near = np.abs(sigma) <= RESONANCE_SYMBOL_TOL * max(1.0, c)
-        if np.any(near):
-            fmax = float(np.abs(fhat).max())
-            bad = near & (np.abs(fhat) > RESONANCE_SOURCE_TOL * fmax)
-            if np.any(bad):
-                idx = np.argwhere(bad)[0]
-                raise ResonantBoxError(
-                    f"Fourier mode {tuple(int(m[i]) for i in idx)} of the embedding box "
-                    f"is resonant for {op} and carries source energy; "
-                    "change box_margin or the grid size to detune the box")
-            fhat[near] = 0.0
-            sigma[near] = 1.0  # clamped: the mode carries no source energy
+        spectrum = replace(spectrum, zero=_clamp_resonances(op, spectrum, m))
+    return SpectralField(grid.box, n, spectrum, compensator)
 
-    sigma *= n * n  # the series coefficients are fft2 / (sigma n^2)
-    half = np.divide(fhat, sigma, out=fhat)
-    return SpectralField(box=grid.box, n=n, half=half, compensator=compensator)
+
+def _clamp_resonances(op: OperatorSpec, spectrum: _HalfSpectrum, m: np.ndarray):
+    """The near-resonant modes (i, j), |sigma_ij| <= RESONANCE_SYMBOL_TOL
+    max(1, c), of a real symbol, found by sorting s2; ResonantBoxError if one
+    carries more than RESONANCE_SOURCE_TOL of max |fhat| (|fhat| and the
+    symbol are even: the half grid sees every mode)."""
+    n = len(spectrum.s1)
+    tol = RESONANCE_SYMBOL_TOL * max(1.0, op.coefficients.c) * (n * n)
+    s1, s2 = spectrum.s1.real, spectrum.s2.real
+    order = np.argsort(s2)
+    lo = np.searchsorted(s2[order], -s1 - 2.0 * tol, side="left")
+    count = np.searchsorted(s2[order], -s1 + 2.0 * tol, side="right") - lo
+    i = np.repeat(np.arange(n), count)
+    j = order[np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)]
+    near = np.abs(spectrum.s1[i] + spectrum.s2[j]) <= tol
+    i, j = i[near], j[near]
+    if len(i):
+        fmax = max(float(np.abs(spectrum.numerator(rows)).max())
+                   for rows in _row_blocks(n, len(spectrum.s2)))
+        fhat = spectrum.numerator(i)[np.arange(len(i)), j]
+        bad = np.flatnonzero(np.abs(fhat) > RESONANCE_SOURCE_TOL * fmax)
+        if len(bad):
+            first = bad[np.lexsort((j[bad], i[bad]))[0]]
+            raise ResonantBoxError(
+                f"Fourier mode {(int(m[i[first]]), int(m[j[first]]))} of the embedding box "
+                f"is resonant for {op} and carries source energy; "
+                "change box_margin or the grid size to detune the box")
+    return i, j
 
 
 def _evaluate(sf: SpectralField, x, gradient: bool) -> np.ndarray:

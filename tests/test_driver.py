@@ -1,14 +1,22 @@
+import argparse
 import dataclasses
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quasirbf
+import quasirbf.cli
 import quasirbf.pipeline
 from quasirbf.bkm import KernelMode, trefftz_terms
 from quasirbf.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, load_config,
@@ -116,6 +124,31 @@ class TestRunPipeline:
         boundary_residual(result)
         with pytest.raises(AssertionError, match="materialised"):
             result.field.particular.coeffs
+
+    def test_solve_forms_no_n2_array(self, tmp_path, monkeypatch, capsys):
+        # at grid 512 one n x n float array is 2 MiB; the dense solve peaked at 7.72 MiB
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"preset": "modhelm_source", "knots": 48, "grid": 512}))
+        grids, results = [], []
+        extend, run = quasirbf.pipeline.extend_source, quasirbf.cli.run_pipeline
+        monkeypatch.setattr(quasirbf.pipeline, "extend_source",
+                            lambda *args: grids.append(extend(*args)) or grids[-1])
+        monkeypatch.setattr(quasirbf.cli, "run_pipeline",
+                            lambda config: results.append(run(config)) or results[-1])
+        argv = ["solve", "--config", str(config)]
+        assert run_cli(argv) == EXIT_OK  # first use: imports and lazy module state
+        tracemalloc.start()
+        try:
+            assert run_cli(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak <= 3 * 2 ** 20
+        field = results[-1].field.particular
+        assert not {"half", "coeffs", "real_matrix"} & field.__dict__.keys()
+        assert field._factor is not None
+        assert "samples" not in grids[-1].__dict__
 
     def test_poisson_uses_trefftz(self):
         result = run_pipeline(RunConfig(preset="poisson_disc", knots=48, grid=128))
@@ -365,6 +398,36 @@ class TestCli:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "PASS" in out
+
+    def test_kernel_product_overflow_exits_3(self, tmp_path):
+        # exp(-v.d / 2D) and I0(mu r) are each finite here (mu r <= 667), but
+        # their product is not; the SVD of the infinite matrix used to fail
+        # with a LinAlgError traceback after a bare RuntimeWarning
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"problem": {"operator": {
+            "type": "convection_diffusion", "diffusivity": 0.0015, "velocity": [1, 0]},
+            "domain": {"type": "circle", "radius": 1}}, "knots": 16}))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(quasirbf.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-m", "quasirbf.cli", "solve", "--config",
+                               str(config)], env=env, capture_output=True, text=True)
+        assert done.returncode == EXIT_NUMERICAL
+        assert "numerical failure" in done.stderr and "overflows double precision" in done.stderr
+        assert "RuntimeWarning" not in done.stderr and "Traceback" not in done.stderr
+
+    def test_parser_built_once(self, monkeypatch, capsys):
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(self, *args, **kwargs):
+            parsers.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        assert run_cli(["presets"]) == EXIT_OK
+        assert run_cli(["presets"]) == EXIT_OK
+        capsys.readouterr()
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 # Reordered float64 sums over N <= 64 terms differ by at most ~N eps of the

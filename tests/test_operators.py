@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,21 @@ class TestKernelValue:
             c, s = math.cos(angle), math.sin(angle)
             rotated = np.array([c * d[0] - s * d[1], s * d[0] + c * d[1]])
             assert abs(kernel_value(op, d) - kernel_value(op, rotated)) <= 1e-14
+
+
+    def test_convdiff_near_overflow_is_finite(self):
+        # drift and I0 together reach about exp(700), the gradient exp(706): past
+        # the kernel's cheap no-overflow bound, but finite, so returned as computed
+        op = ConvectionDiffusion(diffusivity=0.00284, velocity=(1.0, 0.0))
+        d = np.array([[-2.0, 0.0], [0.0, 1.5]])
+        mu = op.coefficients.mu
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, grad = kernel_value(op, d), kernel_gradient(op, d)
+        r = np.hypot(d[:, 0], d[:, 1])
+        want = np.exp(-d[:, 0] / (2.0 * op.diffusivity)) * bessel_i0(mu * r)
+        assert np.all(np.isfinite(got)) and np.all(np.isfinite(grad))
+        assert np.array_equal(got, want)
 
 
 class TestKernelGradient:

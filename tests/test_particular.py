@@ -11,10 +11,11 @@ from quasirbf.geometry import (Box2, Circle, Star, StarDomain, bounding_box,
 from quasirbf.operators import (ConvectionDiffusion, Helmholtz,
                                 ModifiedHelmholtz, Poisson, apply_operator_fd,
                                 fourier_symbol)
-from quasirbf.particular import (Compensator, SourceGrid, SpectralField,
-                                 TaperSpec, _axis_weight, eval_particular,
-                                 eval_particular_gradient, extend_source,
-                                 required_margin, solve_particular)
+from quasirbf.particular import (RANK_CAP, Compensator, SourceGrid,
+                                 SpectralField, TaperSpec, _axis_weight,
+                                 eval_particular, eval_particular_gradient,
+                                 extend_source, required_margin,
+                                 solve_particular)
 from quasirbf.presets import get_preset
 
 from oracles import taper_weight
@@ -159,21 +160,36 @@ def _meshgrid_reference(f, box: Box2, n: int, t: float) -> np.ndarray:
 
 
 class TestOpenGridSampling:
-    """extend_source calls the source once on an open grid, x1 (r, 1) and
-    x2 (1, c), and broadcasts the result over the sampled block."""
+    """extend_source calls the source on single rows and columns of the
+    sampled block and on a seeded scattered set of points; reading the
+    samples calls it once on the block's open grid, x1 (r, 1) and x2 (1, c),
+    and broadcasts the result over the block."""
 
-    def test_called_once_with_open_grid(self):
+    @pytest.mark.parametrize("f", [lambda a, b: 1.0,
+                                   lambda a, b: np.exp(-(a - b) ** 2)],
+                             ids=["constant", "non-separable"])
+    def test_calls_are_rows_columns_and_a_scattered_set(self, f):
         box = bounding_box(UNIT_DISC, 1.0)
-        shapes = []
+        n = 64
+        calls = []
 
-        def f(a, b):
-            shapes.append((a.shape, b.shape))
-            return 1.0
+        def spy(a, b):
+            calls.append((a.shape, b.shape, np.broadcast_shapes(a.shape, b.shape)))
+            return f(a, b)
 
-        grid = extend_source(f, UNIT_DISC, box, 64, TaperSpec(0.1))
+        grid = extend_source(spy, UNIT_DISC, box, n, TaperSpec(0.1))
+        assert grid.factors is not None and "samples" not in grid.__dict__
+        cross_calls = len(calls)
         r = np.count_nonzero(grid.samples.any(axis=1))
         c = np.count_nonzero(grid.samples.any(axis=0))
-        assert shapes == [((r, 1), (1, c))]
+        assert calls[cross_calls:] == [((r, 1), (1, c), (r, c))]  # the samples' read
+        assert cross_calls >= 3
+        for a, b, shape in calls[:cross_calls]:
+            row = (a, b) == ((1, 1), (1, c))
+            column = (a, b) == ((r, 1), (1, 1))
+            scattered = a == b == shape and len(shape) == 1 and shape[0] <= 4 * n
+            assert row or column or scattered, (a, b)
+            assert np.prod(shape) < r * c
 
     @pytest.mark.parametrize("name", ["modhelm_source", "convdiff_disc", "poisson_disc"])
     def test_presets_match_meshgrid_reference(self, name):
@@ -573,3 +589,60 @@ class TestLowRankFactor:
         assert sf._factor is None
         pts = rng.uniform(-math.pi, math.pi, size=(20, 2))
         assert np.array_equal(eval_particular(sf, pts), self._exact_series(sf, *sf._phases(pts)))
+
+
+class TestFactoredSource:
+    """extend_source cross-approximates the tapered source; sources of any
+    rank give the dense solve's u_p, and those past RANK_CAP, or whose cross
+    fails its check, keep their samples (the r = n case)."""
+
+    N = 512
+
+    @pytest.mark.parametrize("f, op", [
+        (lambda a, b: 1.0 / (1.0 + a ** 2 + b ** 2), ModifiedHelmholtz(1.0)),
+        (lambda a, b: np.exp(-(a - b) ** 2), ConvectionDiffusion(1.0, (2.0, -1.0), 0.5)),
+        (lambda a, b: np.sin(5.0 * a * b), Poisson()),
+        (lambda a, b: np.exp(-20.0 * (a ** 2 + b ** 2)), Helmholtz(2.0)),
+    ], ids=["inverse-quadratic", "diagonal-gaussian", "sin-5xy", "narrow-gaussian"])
+    def test_non_separable_match_dense_reference(self, f, op):
+        box = bounding_box(UNIT_DISC, 1.0)
+        grid = extend_source(f, UNIT_DISC, box, self.N, TaperSpec(0.1))
+        assert grid.factors is not None and "samples" not in grid.__dict__
+        sf = solve_particular(op, grid)
+        dense = SourceGrid(box, self.N, _meshgrid_reference(f, box, self.N, 0.1))
+        ref = solve_particular(op, dense)
+        pts = box.min_corner + np.random.default_rng(700).uniform(0.0, 1.0, (700, 2)) * box.side
+        for evaluate in (eval_particular, eval_particular_gradient):
+            want = evaluate(ref, pts)
+            assert np.abs(evaluate(sf, pts) - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_above_rank_cap_is_todays_dense_solve(self):
+        f = lambda a, b: np.cos(40.0 * a * b)
+        op, n, h = ModifiedHelmholtz(1.0), self.N, self.N // 2
+        box = bounding_box(UNIT_DISC, 1.0)
+        grid = extend_source(f, UNIT_DISC, box, n, TaperSpec(0.1))
+        assert grid.factors is None
+        ref = _meshgrid_reference(f, box, n, 0.1)
+        assert np.all(np.abs(grid.samples - ref) <= 2.0 * np.spacing(np.abs(ref)))
+        sf = solve_particular(op, grid)
+        w = 2.0 * np.pi * (np.fft.fftfreq(n) * n) / float(box.side[0])
+        sigma = np.add.outer(fourier_symbol(op, stack_xy(w, 0.0)),
+                             fourier_symbol(op, stack_xy(0.0, w[:h + 1]))
+                             - fourier_symbol(op, (0.0, 0.0))) * (n * n)
+        assert np.array_equal(sf.half, np.fft.rfft2(grid.samples) / sigma)
+        dense = solve_particular(op, SourceGrid(box, n, samples=grid.samples.copy()))
+        pts = np.random.default_rng(8).uniform(-1.5, 1.5, (50, 2))
+        assert np.array_equal(eval_particular(sf, pts), eval_particular(dense, pts))
+
+    def test_nan_on_one_row_rejected(self):
+        box = bounding_box(UNIT_DISC, 1.0)
+        row = box.min_corner[0] + float(box.side[0]) * 300 / self.N
+        f = lambda a, b: np.where(a == row, np.nan, 1.0) * np.cos(b)
+        with pytest.raises(ConfigurationError, match="finite"):
+            extend_source(f, UNIT_DISC, box, self.N, TaperSpec(0.1))
+
+    def test_rank_one_source_is_one_cross(self):
+        preset = get_preset("modhelm_source")
+        box = bounding_box(preset.domain, 1.0)
+        grid = extend_source(preset.source, preset.domain, box, self.N, TaperSpec(0.1))
+        assert grid.factors[0].shape == (self.N, 1) and RANK_CAP < self.N

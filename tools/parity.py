@@ -1,6 +1,6 @@
 """Check that the working tree's solver prints what revision REV's prints.
 
-    python tools/parity.py REV
+    python tools/parity.py REV [--rtol R --atol A]
 
 Extracts REV's src/ into a temporary directory (git archive REV src | tar -x;
 the repository's .git is only read), then runs every case below twice in a
@@ -8,13 +8,21 @@ subprocess, once with PYTHONPATH at the working tree's src/ and once at REV's,
 and compares exit codes and stdout bytes. In CSV output the *_ms timing
 columns are masked. Prints one SAME/DIFF line per case and exits 1 on any DIFF.
 
+With --rtol or --atol, the numeric fields of JSON reports and CSV rows
+compare as |new - old| <= A + R |old|; exit codes, keys, headers and every
+other byte stay exact. A case whose output differs only within that bound
+prints CLOSE. CLOSE and DIFF lines list the largest relative difference
+|new - old| / |old| of each field that moved, over the case's rows.
+
 Cases: `quasirbf solve` on every preset at the defaults and at knots 48 /
 grid 512, on a resonant config and on a kernel-overflow config, and
 `quasirbf converge` on helmholtz_disc and helmholtz_star at 8,16,32,48.
 """
 from __future__ import annotations
 
+import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -72,34 +80,100 @@ def mask_timings(stdout: bytes) -> bytes:
     return b"\n".join(masked)
 
 
+def _fields(stdout: bytes):
+    """{field: [values]} of a JSON report or a CSV table (timing columns
+    masked), or None for any other output."""
+    text = stdout.decode()
+    try:
+        report = json.loads(text)
+    except ValueError:
+        lines = mask_timings(stdout).decode().splitlines()
+        if len(lines) < 2 or "," not in lines[0]:
+            return None
+        header = lines[0].split(",")
+        return {"header": [lines[0]], **{col: [line.split(",")[i] for line in lines[1:]]
+                                         for i, col in enumerate(header)}}
+    return {key: [value] for key, value in report.items()} if isinstance(report, dict) else None
+
+
+def _number(value):
+    """value as a float, or None for a boolean or anything float() rejects."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _relative(new: float, old: float) -> float:
+    if new == old or (math.isnan(new) and math.isnan(old)):
+        return 0.0
+    return abs(new - old) / abs(old) if old != 0.0 and math.isfinite(old) else math.inf
+
+
+def compare_numbers(new: bytes, old: bytes, rtol: float, atol: float):
+    """(within, {field: largest relative difference}) for two outputs of one
+    case; within is False if any field moves past atol + rtol |old| or any
+    non-numeric part differs."""
+    a, b = _fields(new), _fields(old)
+    if a is None or b is None or a.keys() != b.keys():
+        return False, {}
+    within, moved = True, {}
+    for field, olds in b.items():
+        news = a[field]
+        if len(news) != len(olds):
+            return False, {}
+        for x, y in zip(news, olds):
+            nx, ny = _number(x), _number(y)
+            if nx is None or ny is None:
+                within = within and x == y
+                continue
+            rel = _relative(nx, ny)
+            if rel > 0.0:
+                moved[field] = max(moved.get(field, 0.0), rel)
+            both_nan = math.isnan(nx) and math.isnan(ny)
+            within = within and (both_nan or abs(nx - ny) <= atol + rtol * abs(ny))
+    return within, moved
+
+
 def main(argv: list) -> int:
-    if len(argv) != 1:
-        print("usage: python tools/parity.py REV", file=sys.stderr)
-        return 2
-    rev = argv[0]
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev")
+    parser.add_argument("--rtol", type=float)
+    parser.add_argument("--atol", type=float)
+    args = parser.parse_args(argv)
+    tolerant = args.rtol is not None or args.atol is not None
+    rtol, atol = args.rtol or 0.0, args.atol or 0.0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         old_root = tmp / "rev"
         old_root.mkdir()
-        archive = subprocess.Popen(["git", "archive", rev, "src"], cwd=ROOT,
+        archive = subprocess.Popen(["git", "archive", args.rev, "src"], cwd=ROOT,
                                    stdout=subprocess.PIPE)
         subprocess.run(["tar", "-x", "-C", str(old_root)], stdin=archive.stdout, check=True)
         archive.stdout.close()
         if archive.wait() != 0:
-            print(f"git archive {rev} src failed", file=sys.stderr)
+            print(f"git archive {args.rev} src failed", file=sys.stderr)
             return 2
         new_src, old_src = ROOT / "src", old_root / "src"
         diffs = 0
-        for name, args in cases(new_src, tmp):
-            new, old = run(new_src, args, tmp), run(old_src, args, tmp)
+        for name, case_args in cases(new_src, tmp):
+            new, old = run(new_src, case_args, tmp), run(old_src, case_args, tmp)
             same_code = new.returncode == old.returncode
             same_out = mask_timings(new.stdout) == mask_timings(old.stdout)
             if same_code and same_out:
                 print(f"SAME {name} (exit {new.returncode})")
                 continue
-            diffs += 1
+            within, moved = (compare_numbers(new.stdout, old.stdout, rtol, atol)
+                             if tolerant and same_code else (False, {}))
             why = [] if same_code else [f"exit {old.returncode} -> {new.returncode}"]
-            print(f"DIFF {name} ({', '.join(why + ([] if same_out else ['stdout']))})")
+            detail = "".join(f"\n    {field}: rel {rel:.3g}" for field, rel in moved.items())
+            if within:
+                print(f"CLOSE {name} (exit {new.returncode}){detail}")
+                continue
+            diffs += 1
+            print(f"DIFF {name} ({', '.join(why + ([] if same_out else ['stdout']))}){detail}")
     return 1 if diffs else 0
 
 
