@@ -202,7 +202,8 @@ def bounding_box(domain: StarDomain, margin_fraction: float) -> Box2:
 
     The curve is sampled at 1024 parameters; each side is inflated by
     margin_fraction times the larger raw extent, and the box is squared
-    up to the larger inflated extent about the raw bounding-box center.
+    up to the larger inflated extent about the raw bounding-box center. A
+    margin that makes that side non-finite raises ConfigurationError.
     """
     if margin_fraction < 0:
         raise ConfigurationError(f"margin_fraction must be >= 0, got {margin_fraction}")
@@ -213,6 +214,8 @@ def bounding_box(domain: StarDomain, margin_fraction: float) -> Box2:
     extent = hi - lo
     pad = margin_fraction * float(extent.max())
     side = float((extent + 2.0 * pad).max())
+    if not math.isfinite(side):
+        raise ConfigurationError(f"margin_fraction {margin_fraction} makes the box side non-finite")
     mid = 0.5 * (lo + hi)
     half = 0.5 * side
     return Box2(min_corner=mid - half, max_corner=mid + half)

@@ -55,7 +55,6 @@ RANK_CAP = 48
 CROSS_TOL = 1e-15
 SOURCE_CHECK_TOL = 1e-14
 PROBE_TOL = 1e-13
-_BLOCK_MODES = 8  # modes per block of rows of M's cross
 
 _GRID_SIZES = (32, 64, 128, 256, 512, 1024)
 
@@ -191,50 +190,26 @@ def _row_blocks(count: int, width: int):
 
 def _cross(rows: Callable, cols: Callable, shape: Tuple[int, int], pick: Callable):
     """Adaptive cross approximation with partial pivoting (Bebendorf, Numer.
-    Math. 2000) of the matrix S of `shape` whose rows i and columns j, index
-    arrays, are rows(i) and cols(j): (a, b) with S ~ a b^T, or None past
-    RANK_CAP crosses.
-
-    It takes rows in blocks, pick(u, v) returning the next block after the
-    crosses u v^T of the last one (None, None before the first). In a block
-    of residual rows R, cross t has v_t the residual of R's row x, first the
-    row of R's largest entry, and pivots at v_t's largest entry j; within
-    the block its u is the residual of R's column j over v_tj, and the next
-    x is u's largest entry among the rows not taken. The block's residual
-    columns C at its pivot columns q then give all of u = C (v_t,q_s)^-1.
-    It stops when a block's largest residual is within CROSS_TOL of the
-    largest pivot so far."""
-    i = pick(None, None)
-    res = rows(i)
-    a = np.empty((shape[0], RANK_CAP), dtype=res.dtype)
-    b = np.empty((shape[1], RANK_CAP), dtype=res.dtype)
-    k, scale = 0, 0.0
+    Math. 2000) of the real matrix S of `shape` whose row i and column j are
+    rows(i) and cols(j), 1-D: (a, b) with S ~ a b^T, or None past RANK_CAP
+    crosses. Each cross takes one row and one column: the residual of row
+    pick(u, v), u v^T the last cross (None, None before the first), pivots
+    at its largest entry j, and u is the residual of column j over that
+    pivot. It stops at a pivot within CROSS_TOL of the largest so far."""
+    a, b = np.empty((shape[0], RANK_CAP)), np.empty((shape[1], RANK_CAP))
+    k, scale, u, v = 0, 0.0, None, None
     while True:
-        res -= a[i, :k] @ b[:, :k].T
-        u = np.empty((len(i), len(i)), dtype=res.dtype)
-        v = np.empty((len(i), shape[1]), dtype=res.dtype)
-        free = np.ones(len(i), dtype=bool)
-        x, q = int(np.argmax(np.abs(res).max(axis=1))), []
-        for t in range(len(i)):
-            v[t] = res[x] - u[x, :t] @ v[:t]
-            j = int(np.argmax(np.abs(v[t])))
-            scale = max(scale, abs(v[t, j]))
-            if abs(v[t, j]) <= CROSS_TOL * scale:
-                break
-            u[:, t] = (res[:, j] - u[:, :t] @ v[:t, j]) / v[t, j]
-            q.append(j)
-            free[x] = False
-            x = int(np.argmax(np.where(free, np.abs(u[:, t]), -1.0)))
-        if not q:
-            return a[:, :k], b[:, :k]
-        if k + len(q) > RANK_CAP:
-            return None
-        v = v[:len(q)]
-        u = (cols(np.array(q)) - a[:, :k] @ b[q, :k].T) @ np.linalg.inv(v[:, q])
-        a[:, k:k + len(q)], b[:, k:k + len(q)] = u, v.T
-        k += len(q)
         i = pick(u, v)
-        res = rows(i)
+        v = rows(i) - b[:, :k] @ a[i, :k]
+        j = int(np.argmax(np.abs(v)))
+        scale = max(scale, abs(v[j]))
+        if abs(v[j]) <= CROSS_TOL * scale:
+            return a[:, :k], b[:, :k]
+        if k == RANK_CAP:
+            return None
+        u = (cols(j) - a[:, :k] @ b[j, :k]) / v[j]
+        a[:, k], b[:, k] = u, v
+        k += 1
 
 
 @lru_cache(maxsize=None)
@@ -357,48 +332,42 @@ class SpectralField:
 
         With D = diag(1 + k) on the rows and columns of mode k, which weights
         their error as d/dx weights the series, U = D^-1 a and V = D^-1 b for
-        a cross a b^T of S = D M D (see _cross), the matrix of the field whose
-        numerator P Q^T has its rows and columns scaled by 1 + |m|. Its blocks
-        of rows are the modes of the largest residual of a seeded probe Y =
-        S W, W Gaussian (n+2, 4), and the factor is kept if that residual
-        Y - a b^T W ends within PROBE_TOL of |Y| (Frobenius norms). Y is
-        streamed from row blocks of the half spectrum H: row (k, cos) of S W
-        is Re(F_+ H Z)_k and row (k, sin) is Re(i F_- H Z)_k, where Z folds
-        M's column gains into W (row (n/2, sin), which keeps two columns, is
-        formed directly). None for n < 62, where one product with M costs
-        less, or when the cross stops at RANK_CAP or fails the probe."""
+        a cross a b^T of S = D M D (see _cross): each row and column of S is
+        one of M, scaled by D as it is fetched. The next row is the one of
+        the largest residual of a seeded probe Y = S W, W Gaussian (n+2, 4),
+        and the factor is kept if that residual Y - a b^T W ends within
+        PROBE_TOL of |Y| (Frobenius norms). Y = D M (D W) is streamed from
+        row blocks of the half spectrum H: row (k, cos) of M D W is Re(F_+ H
+        Z)_k and row (k, sin) is Re(i F_- H Z)_k, where Z folds M's column
+        gains into D W (row (n/2, sin), which keeps two columns, is formed
+        directly). None for n < 62, where one product with M costs less, or
+        when the cross stops at RANK_CAP or fails the probe."""
         if self.n < 62:
             return None
         n, h, size = self.n, self.n // 2, self.n + 2
         partner, inner, sin, gains, _ = _fold_tables(n)
-        spectrum, dr, dc = self.spectrum, 1.0 + np.abs(np.fft.fftfreq(n) * n), 1.0 + self._modes
-        scaled = SpectralField(self.box, n, replace(
-            spectrum, p=spectrum.p * dr[:, None], q=spectrum.q * dc[:, None])
-            if spectrum.q is not None else replace(spectrum, p=spectrum.p * dr[:, None] * dc))
+        d = 1.0 + self._modes.repeat(2)
         w = np.random.default_rng(20110).standard_normal((size, 4))
-        hz = scaled.spectrum.times(gains[:, :1] * w[0::2] - 1j * gains[:, 1:] * w[1::2])
+        dw = d[:, None] * w
+        hz = self.spectrum.times(gains[:, :1] * dw[0::2] - 1j * gains[:, 1:] * dw[1::2])
         tail = hz[partner] * inner[:, None]
         y = np.stack([(hz[:h + 1] + tail).real,
                       (sin[:, None] * (hz[:h + 1] - tail)).real], axis=1).reshape(size, -1)
-        y[-2:] = scaled._matrix_rows(self._modes[-1:]) @ w
+        y[-2:] = self._matrix_rows(self._modes[-1:]) @ dw
+        y *= d[:, None]
         resid = y.copy()
 
         def pick(u, v):
             if u is not None:
-                resid[...] -= u @ (v @ w)
-            norms = np.einsum("ij,ij->i", resid, resid)
-            modes = np.unique(np.argpartition(norms, -_BLOCK_MODES)[-_BLOCK_MODES:] // 2)
-            return (2 * modes[:, None] + (0, 1)).ravel()
+                resid[...] -= np.outer(u, v @ w)
+            return int(np.argmax(np.einsum("ij,ij->i", resid, resid)))
 
-        def cols(j):
-            modes, at = np.unique(j // 2, return_inverse=True)
-            return scaled._matrix_cols(modes)[:, 2 * at + j % 2]
-
-        cross = _cross(lambda i: scaled._matrix_rows(i[::2] // 2), cols, (size, size), pick)
+        cross = _cross(lambda i: d[i] * self._matrix_rows(np.array([i // 2]))[i % 2] * d,
+                       lambda j: d * self._matrix_cols(np.array([j // 2]))[:, j % 2] * d[j],
+                       (size, size), pick)
         if cross is None or np.linalg.norm(resid) > PROBE_TOL * np.linalg.norm(y):
             return None
-        d = 1.0 + self._modes.repeat(2)[:, None]
-        return cross[0] / d, cross[1] / d
+        return cross[0] / d[:, None], cross[1] / d[:, None]
 
     @cached_property
     def _split_tables(self):
@@ -548,11 +517,11 @@ def extend_source(f: Callable, domain: StarDomain,
 
         def pick(u, v):
             if u is not None:
-                resid[...] -= np.einsum("pk,kp->p", u[i], v[:, j])
-            return i[np.argmax(np.abs(resid))][None]
+                resid[...] -= u[i] * v[j]
+            return int(i[np.argmax(np.abs(resid))])
 
-        factor = _cross(lambda k: w1[k, None] * w2 * _source_values(f, x1[k], x2, shape),
-                        lambda k: w1[:, None] * w2[k] * _source_values(f, x1, x2[:, k], shape),
+        factor = _cross(lambda k: w1[k] * w2 * _source_values(f, x1[k:k + 1], x2, shape)[0],
+                        lambda k: w1 * w2[k] * _source_values(f, x1, x2[:, k:k + 1], shape)[:, 0],
                         shape, pick)
         if factor is not None and (np.abs(resid).max(initial=0.0)
                                    <= SOURCE_CHECK_TOL * np.abs(check).max(initial=0.0)):

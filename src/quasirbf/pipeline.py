@@ -78,8 +78,8 @@ class RunConfig:
             raise ConfigurationError(f"strategy must be 'lu' or 'tsvd', got {self.strategy!r}")
         if self.rings < 1 or self.per_ring < 1:
             raise ConfigurationError("rings and per_ring must both be >= 1")
-        if self.box_margin < 0:
-            raise ConfigurationError(f"box_margin must be >= 0, got {self.box_margin}")
+        if not (np.isfinite(self.box_margin) and self.box_margin >= 0):
+            raise ConfigurationError(f"box_margin must be finite and >= 0, got {self.box_margin}")
         if self.trefftz_order < 0:
             raise ConfigurationError(f"trefftz_order must be >= 0, got {self.trefftz_order}")
         # reject a bad cutoff, grid or taper before any work, with or without a source
@@ -281,6 +281,8 @@ def convergence_study(config: RunConfig,
                 assemble_ms=result.timings.assemble_ms,
                 solve_ms=result.timings.solve_ms,
                 particular_ms=result.timings.particular_ms))
+        except ConfigurationError:
+            raise
         except QuasiRbfError as exc:
             nan = float("nan")
             rows.append(ConvergenceRow(

@@ -15,13 +15,14 @@ extend_source samples the source on the r x c block of grid points where
 the taper is nonzero, and makes three kinds of call: once, 4n seeded
 random points of the block as x1 and x2 of one shape (4n,); then single
 rows, x1 of shape (1, 1) and x2 of shape (1, c), and single columns, x1
-of shape (r, 1) and x2 of shape (1, 1), about two of each per rank of
-the tapered source (see particular._cross). The whole block is passed,
-once, as an open grid, x1 of shape (r, 1) and x2 of shape (1, c), when
-the block is no larger than particular.RANK_CAP, when the source has no
-cross of that rank, and when a factored grid's samples are read; a factor
-that depends on one coordinate is then computed on r or c points and only
-the final product on r * c. The other callers pass arrays of one shape.
+of shape (r, 1) and x2 of shape (1, 1), one row and one column per rank
+of the tapered source, and one more row that stops the cross (see
+particular._cross). The whole block is passed, once, as an open grid, x1
+of shape (r, 1) and x2 of shape (1, c), when the block is no larger than
+particular.RANK_CAP, when the source has no cross of that rank, and when
+a factored grid's samples are read; a factor that depends on one
+coordinate is then computed on r or c points and only the final product
+on r * c. The other callers pass arrays of one shape.
 Write callbacks with numpy functions (np.sin, not math.sin).
 """
 from __future__ import annotations

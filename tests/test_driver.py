@@ -230,6 +230,10 @@ class TestConvergenceStudy:
             assert row.error is not None
             assert math.isnan(row.max_err)
 
+    def test_configuration_error_raises(self):
+        with pytest.raises(ConfigurationError, match="Trefftz basis needs"):
+            convergence_study(RunConfig(preset="poisson_disc"), [8, 32])
+
     def test_kernel_overflow_yields_sentinel_row(self):
         # I0(400 r) overflows double precision on a unit disc
         problem = InlineProblem(ModifiedHelmholtz(400.0), StarDomain(Circle(1.0)))
@@ -367,10 +371,13 @@ class TestCli:
         ({"preset": "helmholtz_disc", "knots": True}, "knots"),
         ({"preset": "helmholtz_disc", "trefftz_order": -3}, "trefftz_order"),
         ({"preset": "helmholtz_disc", "rings": 1.7}, "rings"),
+        ({"preset": "helmholtz_disc", "box_margin": math.nan}, "box_margin"),
+        ({"preset": "helmholtz_disc", "box_margin": math.inf}, "box_margin"),
     ], ids=["knots-abc", "cutoff-1.5", "cutoff-nan", "trefftz-order-neg",
             "helmholtz-no-k", "circle-no-radius", "grid-100-no-source",
             "taper-0.7-no-source", "knots-2.5", "knots-true",
-            "trefftz-order-neg-no-poisson", "rings-1.7"])
+            "trefftz-order-neg-no-poisson", "rings-1.7", "box-margin-nan",
+            "box-margin-inf"])
     def test_malformed_config_value_exits_2(self, tmp_path, capsys, config, named):
         # each of these used to exit 1 with a traceback, or 0: the cutoffs with
         # u_h == 0, the last six with the value truncated or never checked
@@ -387,6 +394,24 @@ class TestCli:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == CSV_HEADER
         assert len(lines) == 4
+
+    def test_box_margin_overflowing_the_box_exits_2(self, tmp_path, capsys):
+        # the side of the box is inf: it used to print numpy RuntimeWarnings
+        # and then blame the source samples
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "modhelm_source", "box_margin": 1e308}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(["solve", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "box side non-finite" in err and "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_converge_configuration_error_exits_2(self, capsys):
+        # a Trefftz order past (N - 1)/2 is a configuration error, not a NaN row
+        assert run_cli(["converge", "--preset", "poisson_disc", "--knots", "8,32"]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and "Trefftz basis needs" in err
 
     def test_converge_bad_knot_list_exits_2(self, capsys):
         assert run_cli(["converge", "--preset", "helmholtz_disc",

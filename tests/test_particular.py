@@ -12,7 +12,7 @@ from quasirbf.operators import (ConvectionDiffusion, Helmholtz,
                                 ModifiedHelmholtz, Poisson, apply_operator_fd,
                                 fourier_symbol)
 from quasirbf.particular import (RANK_CAP, Compensator, SourceGrid,
-                                 SpectralField, TaperSpec, _axis_weight,
+                                 SpectralField, TaperSpec, _axis_weight, _cross,
                                  eval_particular, eval_particular_gradient,
                                  extend_source, required_margin,
                                  solve_particular)
@@ -537,6 +537,49 @@ class TestHalfSpectrum:
         assert np.all(sf.coeffs[np.ix_([1, -1], [1, -1])] == 0.0)
         p = np.array([0.3, -1.1])
         assert abs(eval_particular(sf, p) + math.cos(p[0] + 2.0 * p[1]) / 3.0) <= 1e-12
+
+
+class TestCross:
+    """_cross on explicit matrices: one row and one column per cross, the
+    next row the one of the largest residual."""
+
+    @staticmethod
+    def _cross_counted(s):
+        fetched = {"rows": 0, "cols": 0}
+        resid = s.copy()
+
+        def rows(i):
+            fetched["rows"] += 1
+            return s[i].copy()
+
+        def cols(j):
+            fetched["cols"] += 1
+            return s[:, j].copy()
+
+        def pick(u, v):
+            if u is not None:
+                resid[...] -= np.outer(u, v)
+            return int(np.argmax(np.einsum("ij,ij->i", resid, resid)))
+
+        return _cross(rows, cols, s.shape, pick), fetched
+
+    def test_rank_five_product(self):
+        rng = np.random.default_rng(14)
+        s = rng.standard_normal((60, 5)) @ rng.standard_normal((5, 50))
+        (a, b), fetched = self._cross_counted(s)
+        assert a.shape == (60, 5) and b.shape == (50, 5)
+        assert np.abs(a @ b.T - s).max() <= 1e-14 * np.abs(s).max()
+        assert fetched == {"rows": 6, "cols": 5}
+
+    def test_zero_matrix_is_rank_zero_after_one_row(self):
+        (a, b), fetched = self._cross_counted(np.zeros((30, 20)))
+        assert a.shape == (30, 0) and b.shape == (20, 0)
+        assert fetched == {"rows": 1, "cols": 0}
+
+    def test_full_rank_matrix_past_the_cap(self):
+        s = np.random.default_rng(15).standard_normal((64, 64))
+        assert RANK_CAP < 64
+        assert self._cross_counted(s)[0] is None
 
 
 class TestLowRankFactor:
