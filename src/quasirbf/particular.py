@@ -11,15 +11,15 @@ The layer stays low-rank from end to end. extend_source cross-approximates
 the tapered samples as A B^T (see _cross) from single rows and columns of
 the grid, so their 2D FFT, the rfft2 half spectrum, is fft(A) rfft(B)^T,
 and the symbol on the grid is an outer sum s1 + s2^T. The half spectrum of
-u_p, fft(A) rfft(B)^T / (s1 + s2^T), is never formed: SpectralField builds
-a few of its rows or columns at a time, folds them into rows and columns
-of one real matrix M, and cross-approximates M as U V^T, checked by a
-seeded probe streamed over row blocks. u_p is evaluated per block of
-points by two narrow GEMMs of the cos/sin phases with U and V. A source
-whose tapered samples have no cross of rank <= RANK_CAP keeps its samples:
-that is the r = n case, A the samples and B the identity, whose spectrum
-rows are rfft2(samples) rows; a SourceGrid built from samples takes it
-too. A field whose M has no such factor keeps one product with M.
+u_p, fft(A) rfft(B)^T / (s1 + s2^T), is never formed: _HalfSpectrum builds
+any block of it, SpectralField folds blocks of its rows into blocks of one
+real matrix M by one table-driven row fold and cross-approximates M as U V^T,
+checked by a seeded probe streamed over row blocks. u_p is evaluated per
+block of points by two narrow GEMMs of the cos/sin phases with U and V. A
+source whose tapered samples have no cross of rank <= RANK_CAP keeps its
+samples: that is the r = n case, A the samples and B the identity, whose
+spectrum rows are rfft2(samples) rows; a SourceGrid built from samples takes
+it too. A field whose M has no such factor keeps one product with M.
 
 With L u = D laplace(u) + v . grad(u) + c u (see the operators module), the
 zero mode has symbol c. For c = 0 it is repaired by the compensator
@@ -123,41 +123,38 @@ class SourceGrid:
         return _check_samples(self._sampler(), self.n)
 
 
+ALL = slice(None)  # every index of an axis, for the block accessors
+
+
 @dataclass(frozen=True)
 class _HalfSpectrum:
     """The half spectrum H (n, n/2+1) with H_ij = (P Q^T)_ij / (s1_i + s2_j),
-    0 at the entries (zero[0], zero[1]), built a few rows or columns at a
-    time. Q None stands for the identity, P being the numerator itself."""
+    0 at the entries (zero[0], zero[1]), built one block (i, j) at a time; i
+    and j are index arrays or ALL. Q None stands for the identity, P being
+    the numerator itself."""
     p: np.ndarray
     q: Optional[np.ndarray]
     s1: np.ndarray
     s2: np.ndarray
     zero: Tuple[np.ndarray, np.ndarray] = (np.zeros(0, int), np.zeros(0, int))
 
-    def numerator(self, i) -> np.ndarray:
-        """Rows i of P Q^T."""
-        return self.p[i] if self.q is None else self.p[i] @ self.q.T
+    def numerator(self, i, j) -> np.ndarray:
+        """Block (i, j) of P Q^T."""
+        return self.p[i][:, j] if self.q is None else self.p[i] @ self.q[j].T
 
-    def reciprocal(self, i: np.ndarray) -> np.ndarray:
-        """Rows i of 1 / (s1 + s2^T), 0 at the zero entries."""
-        den = self.s1[i, None] + self.s2
-        if len(self.zero[0]):
-            hit, z = np.nonzero(i[:, None] == self.zero[0])
-            den[hit, self.zero[1][z]] = np.inf
+    def reciprocal(self, i, j) -> np.ndarray:
+        """Block (i, j) of 1 / (s1 + s2^T), 0 at the zero entries."""
+        den = self.s1[i, None] + self.s2[j]
+        if len(self.zero[0]):  # zero entries z in rows a (i[a] = zi[z]), those w in columns b
+            zi, zj = self.zero
+            a, z = (zi, ALL) if i is ALL else np.nonzero(i[:, None] == zi)
+            b, w = (zj[z], ALL) if j is ALL else np.nonzero(j[:, None] == zj[z])
+            den[a[w], b] = np.inf
         return np.reciprocal(den, out=den)
 
-    def rows(self, i: np.ndarray) -> np.ndarray:
-        """Rows i of H."""
-        return self.numerator(i) * self.reciprocal(i)
-
-    def cols(self, j: np.ndarray) -> np.ndarray:
-        """Columns j of H."""
-        den = self.s1[:, None] + self.s2[j]
-        if len(self.zero[0]):
-            hit, z = np.nonzero(j[:, None] == self.zero[1])
-            den[self.zero[0][z], hit] = np.inf
-        num = self.p[:, j] if self.q is None else self.p @ self.q[j].T
-        return num * np.reciprocal(den, out=den)
+    def block(self, i, j) -> np.ndarray:
+        """Block (i, j) of H."""
+        return self.numerator(i, j) * self.reciprocal(i, j)
 
     def times(self, z: np.ndarray) -> np.ndarray:
         """H z for z (n/2+1, m), in row blocks. For factors H z = sum_k
@@ -167,15 +164,14 @@ class _HalfSpectrum:
         resonant modes in +-pairs), so only rows 0..n/2 of R Q_k z are formed."""
         n, m = len(self.s1), z.shape[1]
         if self.q is None:
-            blocks = [(self.p[i] * self.reciprocal(i)) @ z for i in _row_blocks(n, len(self.s2))]
-            return np.concatenate(blocks)
+            return np.concatenate([self.block(i, ALL) @ z for i in _row_blocks(n, len(self.s2))])
         qz = (self.q[:, :, None] * z[:, None]).reshape(len(z), -1)
         fold = -np.arange(n) % n
         even = np.array_equal(self.s1, self.s1[fold])
         formed = np.arange(n // 2 + 1) if even else np.arange(n)
         rz = np.empty((n, qz.shape[1]), dtype=complex)
         for i in _row_blocks(len(formed), len(self.s2)):
-            r = self.reciprocal(formed[i])  # a real r multiplies qz's real view
+            r = self.reciprocal(formed[i], ALL)  # a real r multiplies qz's real view
             rz[i] = (r @ qz.view(np.float64)).view(complex) if r.dtype == float else r @ qz
         if even:
             rz[n // 2 + 1:] = rz[fold[n // 2 + 1:]]
@@ -214,12 +210,11 @@ def _cross(rows: Callable, cols: Callable, shape: Tuple[int, int], pick: Callabl
 
 @lru_cache(maxsize=None)
 def _fold_tables(n: int):
-    """Per mode k = 0..n/2 of an n-point axis: its partner row n - k of the
-    half spectrum and the weight 1 (0 < k < h) or 0 (k = 0, h) with which
-    that row enters the fold; the factor that turns F_- c into row (k, sin)
-    of M: i, or -i at k = h (F_- c = -c_h), or 0 at k = 0; the column gains
-    of (k, cos), (k, sin), and 1 for the columns that row (h, sin) keeps,
-    (h+1, 2) each. See SpectralField.real_matrix."""
+    """Per mode k = 0..n/2 of an n-point axis, the tables of _fold and of M (see
+    SpectralField.real_matrix): the partner row n - k; its weight `inner`, 1 for
+    0 < k < h and 0 at k = 0, h; `sin`, which turns F_- c into row (k, sin) of M:
+    i, or -i at k = h (F_- c = -c_h), or 0 at k = 0; the column gains of (k, cos),
+    (k, sin), and 1 for the columns that row (h, sin) keeps, (h+1, 2) each."""
     h = n // 2
     k = np.arange(h + 1)
     inner = (k > 0) & (k < h)
@@ -231,17 +226,28 @@ def _fold_tables(n: int):
     return tables
 
 
+def _fold(n: int, k, c: np.ndarray, cn: np.ndarray):
+    """(F_+ c, i F_- c) = (c + inner cn, sin (c - inner cn)) for rows k (indices or
+    ALL) of the half spectrum, c, and their partner rows n - k, cn (overwritten);
+    inner and sin (_fold_tables) are 0, +-1 or +-i, so only the sum and difference round."""
+    _, inner, sin = _fold_tables(n)[:3]
+    cn *= inner[k, None]
+    minus = c - cn
+    minus *= sin[k, None]
+    return np.add(c, cn, out=cn), minus
+
+
 class SpectralField:
     """Truncated Fourier series u_p(x) = Re sum_m c_m exp(i w_m.(x - min_corner))
     plus an optional zero-mode compensator.
 
     The coefficients c are the half spectrum `half` (columns 0..n/2, the last
     at -n/2) of a Hermitian (n, n) array `coeffs`; `half` is given as an
-    array or as a _HalfSpectrum, which builds its rows and columns on demand.
+    array or as a _HalfSpectrum, which builds any block of it on demand.
     With phases a_k, b_k of mode k = 0..n/2 on the two axes, u_p = [cos a,
     sin a] M [cos b, sin b] (`real_matrix`) = row dot of [cos a, sin a] U
-    and [cos b, sin b] V (`_factor`). Rows and columns of M are folded from
-    rows and columns of the half spectrum; `half`, `coeffs` and
+    and [cos b, sin b] V (`_factor`). Any block of M (`_matrix`) is folded
+    from a block of the half spectrum (`_fold`); `half`, `coeffs` and
     `real_matrix` are formed only when read (for conv-diff, whose symbol is
     not even, `coeffs` differs from a full fft2 division on the Nyquist ring).
     """
@@ -255,7 +261,7 @@ class SpectralField:
     @cached_property
     def half(self) -> np.ndarray:
         """The half spectrum (n, n/2 + 1)."""
-        return self.spectrum.rows(np.arange(self.n))
+        return self.spectrum.block(ALL, ALL)
 
     @cached_property
     def coeffs(self) -> np.ndarray:
@@ -291,40 +297,26 @@ class SpectralField:
         the same gains; rows and columns interleave the cos and sin of each
         mode. Row and column (0, sin) are 0.
         """
-        return self._matrix_rows(self._modes)
+        return self._matrix(ALL, ALL)
 
-    def _matrix_block(self, c: np.ndarray, cn: np.ndarray, k: np.ndarray,
-                      l: np.ndarray) -> np.ndarray:
-        """Rows (k, cos/sin) by columns (l, cos/sin) of M, (2|k|, 2|l|), from
-        the half spectrum's rows k and n - k, c and cn, at its columns l;
-        k ascending. As floats, i z is [-Im z, Re z]: z's view reversed."""
-        gains, keep = _fold_tables(self.n)[3:]
+    def _matrix(self, k, l) -> np.ndarray:
+        """Rows (k, cos/sin) by columns (l, cos/sin) of M, (2|k|, 2|l|), for
+        ascending mode arrays k, l or ALL: the half spectrum's rows k and n - k
+        at its columns l, folded (see _fold) and scaled by the column gains."""
+        partner, _, _, gains, keep = _fold_tables(self.n)
+        if k is ALL:
+            hk = self.spectrum.block(ALL, l)
+            c, cn = hk[:self.n // 2 + 1], hk[partner]
+        else:
+            hk = self.spectrum.block(np.concatenate([k, partner[k]]), l)
+            c, cn = hk[:len(k)], hk[len(k):]
         g = gains[l]
-        block = np.empty((len(k), 2, len(l), 2))
-        np.multiply((c + cn).view(np.float64).reshape(len(k), -1, 2), g, out=block[:, 0])
-        np.multiply((c - cn).view(np.float64).reshape(len(k), -1, 2)[..., ::-1], g * (-1.0, 1.0),
-                    out=block[:, 1])
-        # rows k = 0 and n/2 are their own partners: F_+ c is c there, and
-        # F_- c is c (k = 0, whose sin row is 0) or -c (k = n/2)
-        if k[0] == 0:
-            np.multiply(c[0].view(np.float64).reshape(-1, 2), g, out=block[0, 0])
-            block[0, 1] = 0.0
-        if k[-1] == self.n // 2:
-            edge = c[-1].view(np.float64).reshape(-1, 2)
-            np.multiply(edge, g, out=block[-1, 0])
-            np.multiply(edge[:, ::-1], g * (1.0, -1.0) * keep[l], out=block[-1, 1])
-        return block.reshape(2 * len(k), -1)
-
-    def _matrix_rows(self, k: np.ndarray) -> np.ndarray:
-        """Rows (k, cos/sin) of M, (2|k|, n+2); k ascending."""
-        rows = self.spectrum.rows(np.concatenate([k, _fold_tables(self.n)[0][k]]))
-        return self._matrix_block(rows[:len(k)], rows[len(k):], k, self._modes)
-
-    def _matrix_cols(self, l: np.ndarray) -> np.ndarray:
-        """Columns (l, cos/sin) of M, (n+2, 2|l|); l ascending."""
-        cols = self.spectrum.cols(l)
-        return self._matrix_block(cols[:self.n // 2 + 1], cols[_fold_tables(self.n)[0]],
-                                  self._modes, l)
+        out = np.empty((len(c), 2, len(g), 2))
+        for s, f in enumerate(_fold(self.n, k, c, cn)):
+            np.multiply(f.view(np.float64).reshape(len(c), -1, 2), g, out=out[:, s])
+        if k is ALL or k[-1] == self.n // 2:
+            out[-1, 1] *= keep[l]  # row (n/2, sin) keeps the columns l = 0, n/2
+        return out.reshape(2 * len(c), -1)
 
     @cached_property
     def _factor(self):
@@ -337,23 +329,22 @@ class SpectralField:
         the largest residual of a seeded probe Y = S W, W Gaussian (n+2, 4),
         and the factor is kept if that residual Y - a b^T W ends within
         PROBE_TOL of |Y| (Frobenius norms). Y = D M (D W) is streamed from
-        row blocks of the half spectrum H: row (k, cos) of M D W is Re(F_+ H
-        Z)_k and row (k, sin) is Re(i F_- H Z)_k, where Z folds M's column
-        gains into D W (row (n/2, sin), which keeps two columns, is formed
-        directly). None for n < 62, where one product with M costs less, or
-        when the cross stops at RANK_CAP or fails the probe."""
+        row blocks of the half spectrum H: rows (k, cos) and (k, sin) of M D W
+        are Re F_+ H Z and Re i F_- H Z, by the fold of M's rows (_fold), where
+        Z folds M's column gains into D W; row (n/2, sin), which keeps two
+        columns, comes from _matrix. None for n < 62, where one product with M
+        costs less, or when the cross stops at RANK_CAP or fails the probe."""
         if self.n < 62:
             return None
         n, h, size = self.n, self.n // 2, self.n + 2
-        partner, inner, sin, gains, _ = _fold_tables(n)
+        partner, _, _, gains, _ = _fold_tables(n)
         d = 1.0 + self._modes.repeat(2)
         w = np.random.default_rng(20110).standard_normal((size, 4))
         dw = d[:, None] * w
         hz = self.spectrum.times(gains[:, :1] * dw[0::2] - 1j * gains[:, 1:] * dw[1::2])
-        tail = hz[partner] * inner[:, None]
-        y = np.stack([(hz[:h + 1] + tail).real,
-                      (sin[:, None] * (hz[:h + 1] - tail)).real], axis=1).reshape(size, -1)
-        y[-2:] = self._matrix_rows(self._modes[-1:]) @ dw
+        plus, minus = _fold(n, ALL, hz[:h + 1], hz[partner])
+        y = np.stack([plus.real, minus.real], axis=1).reshape(size, -1)
+        y[-2:] = self._matrix(self._modes[-1:], ALL) @ dw
         y *= d[:, None]
         resid = y.copy()
 
@@ -362,8 +353,8 @@ class SpectralField:
                 resid[...] -= np.outer(u, v @ w)
             return int(np.argmax(np.einsum("ij,ij->i", resid, resid)))
 
-        cross = _cross(lambda i: d[i] * self._matrix_rows(np.array([i // 2]))[i % 2] * d,
-                       lambda j: d * self._matrix_cols(np.array([j // 2]))[:, j % 2] * d[j],
+        cross = _cross(lambda i: d[i] * self._matrix(np.array([i // 2]), ALL)[i % 2] * d,
+                       lambda j: d * self._matrix(ALL, np.array([j // 2]))[:, j % 2] * d[j],
                        (size, size), pick)
         if cross is None or np.linalg.norm(resid) > PROBE_TOL * np.linalg.norm(y):
             return None
@@ -566,23 +557,17 @@ def solve_particular(op: OperatorSpec, grid: SourceGrid) -> SpectralField:
 
 def _clamp_resonances(op: OperatorSpec, spectrum: _HalfSpectrum, m: np.ndarray):
     """The near-resonant modes (i, j), |sigma_ij| <= RESONANCE_SYMBOL_TOL
-    max(1, c), of a real symbol, found by sorting s2; ResonantBoxError if one
-    carries more than RESONANCE_SOURCE_TOL of max |fhat| (|fhat| and the
-    symbol are even: the half grid sees every mode)."""
+    max(1, c), of a real symbol, found by scanning s1 + s2^T a row block at a
+    time; ResonantBoxError if one carries more than RESONANCE_SOURCE_TOL of
+    max |fhat| (|fhat| and the symbol are even: the half grid sees every mode)."""
     n = len(spectrum.s1)
     tol = RESONANCE_SYMBOL_TOL * max(1.0, op.coefficients.c) * (n * n)
-    s1, s2 = spectrum.s1.real, spectrum.s2.real
-    order = np.argsort(s2)
-    lo = np.searchsorted(s2[order], -s1 - 2.0 * tol, side="left")
-    count = np.searchsorted(s2[order], -s1 + 2.0 * tol, side="right") - lo
-    i = np.repeat(np.arange(n), count)
-    j = order[np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)]
-    near = np.abs(spectrum.s1[i] + spectrum.s2[j]) <= tol
-    i, j = i[near], j[near]
+    blocks = _row_blocks(n, len(spectrum.s2))
+    i, j = np.concatenate([np.argwhere(np.abs(spectrum.s1[rows, None] + spectrum.s2) <= tol)
+                           + (rows[0], 0) for rows in blocks]).T
     if len(i):
-        fmax = max(float(np.abs(spectrum.numerator(rows)).max())
-                   for rows in _row_blocks(n, len(spectrum.s2)))
-        fhat = spectrum.numerator(i)[np.arange(len(i)), j]
+        fmax = max(float(np.abs(spectrum.numerator(rows, ALL)).max()) for rows in blocks)
+        fhat = spectrum.numerator(i, ALL)[np.arange(len(i)), j]
         bad = np.flatnonzero(np.abs(fhat) > RESONANCE_SOURCE_TOL * fmax)
         if len(bad):
             first = bad[np.lexsort((j[bad], i[bad]))[0]]

@@ -386,6 +386,44 @@ class TestCli:
         assert run_cli(["solve", "--config", str(path)]) == EXIT_CONFIG
         assert named in capsys.readouterr().err
 
+    _DISC = {"type": "circle", "radius": 1.0}
+    _HELMHOLTZ = {"type": "helmholtz", "k": 2.0}
+
+    @pytest.mark.parametrize("config, named", [
+        ({"preset": "helmholtz_disc", "rings": 0}, "rings"),
+        ({"preset": "helmholtz_disc", "per_ring": 0}, "per_ring"),
+        ({"problem": {"operator": _HELMHOLTZ, "domain": _DISC, "bc_kind": "robin"}}, "'robin'"),
+        ({"problem": {"operator": {"type": "modified_helmholtz", "k": -1}, "domain": _DISC}},
+         "got -1.0"),
+        ({"problem": {"operator": {"type": "convection_diffusion", "diffusivity": 1.0,
+                                   "velocity": [1, 2, 3]}, "domain": _DISC}}, "velocity"),
+        ({"problem": {"operator": {"type": "convection_diffusion", "diffusivity": 1.0,
+                                   "velocity": [1, 0], "reaction": -1}, "domain": _DISC}},
+         "reaction"),
+        ({"problem": {"operator": _HELMHOLTZ, "domain": {
+            "type": "star", "base": 1.0, "amplitude": 0.2, "lobes": 0}}}, "lobe count"),
+        ({"problem": {"operator": _HELMHOLTZ, "domain": {
+            "type": "star", "base": 0, "amplitude": 0.2, "lobes": 5}}}, "base radius"),
+        ({"problem": {"operator": _HELMHOLTZ, "domain": {"type": "ellipse", "a": 0, "b": 1}}},
+         "a=0.0"),
+        ({"problem": {"operator": _HELMHOLTZ, "domain": {
+            "type": "circle", "radius": 1, "center": [0, 0, 0]}}}, "shape (3,)"),
+        ({"problem": {"operator": _HELMHOLTZ, "domain": {
+            "type": "circle", "radius": 1, "center": [0, math.nan]}}}, "center"),
+        ([1, 2], "config root"),
+        ({"problem": [1]}, "'problem'"),
+        ({"problem": {"operator": {"k": 2.0}, "domain": _DISC}}, "'type'"),
+    ], ids=["rings-0", "per-ring-0", "bc-kind-robin", "modhelm-k-neg", "velocity-3d",
+            "reaction-neg", "star-lobes-0", "star-base-0", "ellipse-a-0", "center-3d",
+            "center-nan", "root-list", "problem-list", "operator-no-type"])
+    def test_rejected_config_structure_exits_2(self, tmp_path, capsys, config, named):
+        # checks of the config's values and shape, each exiting 2 with the
+        # offending key or value in the message
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(["solve", "--config", str(path)]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+
     def test_converge_writes_csv(self, tmp_path):
         out = tmp_path / "rows.csv"
         code = run_cli(["converge", "--preset", "helmholtz_disc",

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from quasirbf.errors import ConfigurationError, UnsupportedOperatorError
+from quasirbf.errors import (ConfigurationError, KernelOverflowError,
+                             UnsupportedOperatorError)
 from quasirbf.operators import (ConvectionDiffusion, Helmholtz,
                                 ModifiedHelmholtz, Poisson, apply_operator_fd,
                                 fourier_symbol, kernel_gradient, kernel_value)
@@ -109,6 +110,19 @@ class TestKernelValue:
         want = np.exp(-d[:, 0] / (2.0 * op.diffusivity)) * bessel_i0(mu * r)
         assert np.all(np.isfinite(got)) and np.all(np.isfinite(grad))
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kernel", [kernel_value, kernel_gradient])
+    def test_convdiff_finite_factors_with_infinite_product_raise(self, kernel):
+        # at d = (-1, 0) the drift is exp(400) and I0(mu r) = I0(400), each
+        # finite, but their product overflows: KernelOverflowError, no warning
+        op = ConvectionDiffusion(diffusivity=1.0, velocity=(800.0, 0.0))
+        d = np.array([-1.0, 0.0])
+        assert op.coefficients.mu == 400.0
+        assert math.isfinite(math.exp(400.0)) and math.isfinite(bessel_i0(400.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(KernelOverflowError, match=r"exp\(-v\.d / 2D\)"):
+                kernel(op, d)
 
 
 class TestKernelGradient:

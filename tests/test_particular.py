@@ -11,8 +11,8 @@ from quasirbf.geometry import (Box2, Circle, Star, StarDomain, bounding_box,
 from quasirbf.operators import (ConvectionDiffusion, Helmholtz,
                                 ModifiedHelmholtz, Poisson, apply_operator_fd,
                                 fourier_symbol)
-from quasirbf.particular import (RANK_CAP, Compensator, SourceGrid,
-                                 SpectralField, TaperSpec, _axis_weight, _cross,
+from quasirbf.particular import (ALL, RANK_CAP, RESONANCE_SYMBOL_TOL, Compensator,
+                                 SourceGrid, SpectralField, TaperSpec, _axis_weight, _cross,
                                  eval_particular, eval_particular_gradient,
                                  extend_source, required_margin,
                                  solve_particular)
@@ -537,6 +537,61 @@ class TestHalfSpectrum:
         assert np.all(sf.coeffs[np.ix_([1, -1], [1, -1])] == 0.0)
         p = np.array([0.3, -1.1])
         assert abs(eval_particular(sf, p) + math.cos(p[0] + 2.0 * p[1]) / 3.0) <= 1e-12
+
+
+class TestBlockAccessors:
+    """_HalfSpectrum.block and SpectralField._matrix build any block of the
+    half spectrum and of M exactly as `half` and `real_matrix` hold it."""
+
+    @staticmethod
+    def _field(name):
+        if name == "poisson":  # factored source, zero mode
+            return TestLowRankFactor._preset_field("poisson_disc", n=128)[0]
+        if name == "convdiff":  # samples, complex symbol
+            samples = np.random.default_rng(64).standard_normal((64, 64))
+            return solve_particular(ConvectionDiffusion(1.0, (2.0, -1.5), 0.5),
+                                    SourceGrid(_pi_box(), 64, samples=samples))
+        # the clamped field of test_resonant_modes_without_energy_clamped
+        return solve_particular(Helmholtz(math.sqrt(2.0)), _grid_samples(
+            _pi_box(), 32, lambda a, b: np.cos(a + 2.0 * b)))
+
+    @pytest.mark.parametrize("name", ["poisson", "convdiff", "clamped"])
+    def test_blocks_equal_the_formed_arrays(self, name):
+        sf = self._field(name)
+        n, h = sf.n, sf.n // 2
+        assert sf.spectrum.zero[0].size or name == "convdiff"
+        rng = np.random.default_rng(15)
+        # rows in any order, repeats included (a fold fetches row 0 twice)
+        i = np.concatenate([[0, h], rng.choice(n, 6), [0]])
+        j = np.concatenate([[h], rng.choice(h + 1, 5), [0]])
+        block = sf.spectrum.block
+        assert np.array_equal(block(i, j), sf.half[np.ix_(i, j)])
+        assert np.array_equal(block(i, ALL), sf.half[i])
+        assert np.array_equal(block(ALL, j), sf.half[:, j])
+        # M's rows and columns (k, cos), (k, sin) for ascending modes k
+        k = np.unique(np.concatenate([[0, h], rng.choice(h + 1, 5)]))
+        l = np.unique(np.concatenate([[0, h], rng.choice(h + 1, 5)]))
+        rk, rl = (np.stack([2 * m, 2 * m + 1], axis=-1).ravel() for m in (k, l))
+        m = sf.real_matrix
+        assert np.array_equal(sf._matrix(k, l), m[np.ix_(rk, rl)])
+        assert np.array_equal(sf._matrix(k, ALL), m[rk])
+        assert np.array_equal(sf._matrix(ALL, l), m[:, rl])
+        for one in (0, h, int(rng.integers(1, h))):
+            assert np.array_equal(sf._matrix(np.array([one]), ALL), m[2 * one:2 * one + 2])
+            assert np.array_equal(sf._matrix(ALL, np.array([one])), m[:, 2 * one:2 * one + 2])
+
+    @pytest.mark.parametrize("n, k", [(32, math.sqrt(2.0)), (512, 5.0)])
+    def test_resonance_scan_matches_dense_mask(self, n, k):
+        # n = 32 is the clamped field's box and operator; a zero source carries
+        # no energy, so every near-resonant mode is kept; at n = 512 the scan
+        # runs over several row blocks
+        op = Helmholtz(k)
+        sf = solve_particular(op, SourceGrid(_pi_box(), n, samples=np.zeros((n, n))))
+        s = sf.spectrum
+        tol = RESONANCE_SYMBOL_TOL * max(1.0, k * k) * (n * n)
+        want = set(zip(*np.nonzero(np.abs(s.s1[:, None] + s.s2) <= tol)))
+        got = list(zip(*s.zero))
+        assert len(got) == len(set(got)) and set(got) == want and len(want) >= 2
 
 
 class TestCross:

@@ -36,6 +36,18 @@ OVERFLOW = {"problem": {"operator": {"type": "modified_helmholtz", "k": 400},
                         "domain": {"type": "circle", "radius": 1}}, "knots": 16}
 
 
+def extract_src(rev: str, dest: Path) -> bool:
+    """Write REV's src/ into dest (git archive REV src | tar -x); False, with
+    a message on stderr, if either fails (say, REV names no commit)."""
+    archive = subprocess.Popen(["git", "archive", rev, "src"], cwd=ROOT, stdout=subprocess.PIPE)
+    tar = subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout)
+    archive.stdout.close()
+    if archive.wait() != 0 or tar.returncode != 0:
+        print(f"git archive {rev} src failed", file=sys.stderr)
+        return False
+    return True
+
+
 def preset_names(src: Path) -> list:
     out = run(src, ["presets"], Path.cwd()).stdout.decode()
     return [line.split()[0] for line in out.splitlines() if line.strip()]
@@ -149,12 +161,7 @@ def main(argv: list) -> int:
         tmp = Path(tmp)
         old_root = tmp / "rev"
         old_root.mkdir()
-        archive = subprocess.Popen(["git", "archive", args.rev, "src"], cwd=ROOT,
-                                   stdout=subprocess.PIPE)
-        subprocess.run(["tar", "-x", "-C", str(old_root)], stdin=archive.stdout, check=True)
-        archive.stdout.close()
-        if archive.wait() != 0:
-            print(f"git archive {args.rev} src failed", file=sys.stderr)
+        if not extract_src(args.rev, old_root):
             return 2
         new_src, old_src = ROOT / "src", old_root / "src"
         diffs = 0
