@@ -106,14 +106,14 @@ _COEFFICIENTS = {  # operator type -> (D, v, c)
 }
 
 
-def fourier_symbol(op: OperatorSpec, omega):
+def fourier_symbol(op, omega):
     """sigma(omega) = c - D |omega|^2 + i v.omega, with L exp(i omega.x) =
     sigma(omega) exp(i omega.x).
 
-    omega is one frequency (2,) or an array of them (..., 2); the result
-    is complex with shape (...).
+    op is an operator or its (D, v, c); omega is one frequency (2,) or an
+    array of them (..., 2); the result is complex with shape (...).
     """
-    D, v, c = op.coefficients[:3]
+    D, v, c = getattr(op, "coefficients", op)[:3]
     omega = np.asarray(omega, dtype=float)
     w1, w2 = omega[..., 0], omega[..., 1]
     return (c - D * (w1 ** 2 + w2 ** 2)) + 1j * (v[0] * w1 + v[1] * w2)

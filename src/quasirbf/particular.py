@@ -8,18 +8,17 @@ satisfies the governing equation exactly on the physical domain (where
 the taper is 1), which is all a particular solution has to do.
 
 The layer stays low-rank from end to end. extend_source cross-approximates
-the tapered samples as A B^T (see _cross) from single rows and columns of
-the grid, so their 2D FFT, the rfft2 half spectrum, is fft(A) rfft(B)^T,
-and the symbol on the grid is an outer sum s1 + s2^T. The half spectrum of
-u_p, fft(A) rfft(B)^T / (s1 + s2^T), is never formed: _HalfSpectrum builds
-any block of it, SpectralField folds blocks of its rows into blocks of one
-real matrix M by one table-driven row fold and cross-approximates M as U V^T,
-checked by a seeded probe streamed over row blocks. u_p is evaluated per
-block of points by two narrow GEMMs of the cos/sin phases with U and V. A
-source whose tapered samples have no cross of rank <= RANK_CAP keeps its
-samples: that is the r = n case, A the samples and B the identity, whose
-spectrum rows are rfft2(samples) rows; a SourceGrid built from samples takes
-it too. A field whose M has no such factor keeps one product with M.
+the tapered samples as A B^T (_cross), so their rfft2 half spectrum is P Q^T =
+fft(A) rfft(B)^T. The symbol on the grid is an outer sum s1 + s2^T, and its
+reciprocal C depends only on the grid, the operator and the box: one cached
+cross X Y^T of C (_reciprocal_factor) serves every source, and u_p's half
+spectrum (P Q^T) o C is the product (P o X)(Q o Y)^T. SpectralField folds it
+into u_p's real matrix M and crosses that down to M's rank as U V^T; u_p is
+evaluated per block of points by two narrow GEMMs of the cos/sin phases with U
+and V. A source with no cross of rank <= RANK_CAP keeps its samples (the r = n
+case, spectrum rfft2(samples)), as does a SourceGrid built from samples; such
+a field, or one whose C has no cross (a near-resonant box), keeps one product
+with M, built from the half spectrum (_HalfSpectrum).
 
 With L u = D laplace(u) + v . grad(u) + c u (see the operators module), the
 zero mode has symbol c. For c = 0 it is repaired by the compensator
@@ -34,7 +33,7 @@ modes with non-negligible source energy abort the solve with ResonantBoxError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Tuple
 
@@ -49,12 +48,11 @@ RESONANCE_SYMBOL_TOL = 1e-8
 RESONANCE_SOURCE_TOL = 1e-10
 
 # Cross approximation (see _cross): the largest rank kept, the relative size
-# of the cross that stops it, the seeded checks that accept it (the source's
-# largest error on its 4n check entries; M's probe, see SpectralField._factor).
+# of the cross that stops it, and the largest residual on its seeded check,
+# relative to the largest check value or pivot, that accepts it (_checked_cross).
 RANK_CAP = 48
 CROSS_TOL = 1e-15
-SOURCE_CHECK_TOL = 1e-14
-PROBE_TOL = 1e-13
+CHECK_TOL = 1e-14
 
 _GRID_SIZES = (32, 64, 128, 256, 512, 1024)
 
@@ -128,22 +126,23 @@ ALL = slice(None)  # every index of an axis, for the block accessors
 
 @dataclass(frozen=True)
 class _HalfSpectrum:
-    """The half spectrum H (n, n/2+1) with H_ij = (P Q^T)_ij / (s1_i + s2_j),
-    0 at the entries (zero[0], zero[1]), built one block (i, j) at a time; i
-    and j are index arrays or ALL. Q None stands for the identity, P being
-    the numerator itself."""
-    p: np.ndarray
+    """The half spectrum H (n, n/2+1) with H_ij = (P Q^T)_ij C_ij, C = 1 / (s1 +
+    s2^T) but 0 at the entries (zero[0], zero[1]), built one block (i, j) at a
+    time; i and j are index arrays or ALL. Q None stands for the identity, P
+    being the numerator itself. `cross` is _reciprocal_factor's cross of C."""
+    p: Optional[np.ndarray]
     q: Optional[np.ndarray]
     s1: np.ndarray
     s2: np.ndarray
     zero: Tuple[np.ndarray, np.ndarray] = (np.zeros(0, int), np.zeros(0, int))
+    cross: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def numerator(self, i, j) -> np.ndarray:
         """Block (i, j) of P Q^T."""
         return self.p[i][:, j] if self.q is None else self.p[i] @ self.q[j].T
 
     def reciprocal(self, i, j) -> np.ndarray:
-        """Block (i, j) of 1 / (s1 + s2^T), 0 at the zero entries."""
+        """Block (i, j) of C."""
         den = self.s1[i, None] + self.s2[j]
         if len(self.zero[0]):  # zero entries z in rows a (i[a] = zi[z]), those w in columns b
             zi, zj = self.zero
@@ -156,48 +155,24 @@ class _HalfSpectrum:
         """Block (i, j) of H."""
         return self.numerator(i, j) * self.reciprocal(i, j)
 
-    def times(self, z: np.ndarray) -> np.ndarray:
-        """H z for z (n/2+1, m), in row blocks. For factors H z = sum_k
-        diag(P_k) R (Q_k z), R = 1 / (s1 + s2^T), so no block of P Q^T is
-        formed; where s1 is even (a real symbol) R's row n - i is its row i,
-        zero entries included (the zero mode is row 0, and the guard clamps
-        resonant modes in +-pairs), so only rows 0..n/2 of R Q_k z are formed."""
-        n, m = len(self.s1), z.shape[1]
-        if self.q is None:
-            return np.concatenate([self.block(i, ALL) @ z for i in _row_blocks(n, len(self.s2))])
-        qz = (self.q[:, :, None] * z[:, None]).reshape(len(z), -1)
-        fold = -np.arange(n) % n
-        even = np.array_equal(self.s1, self.s1[fold])
-        formed = np.arange(n // 2 + 1) if even else np.arange(n)
-        rz = np.empty((n, qz.shape[1]), dtype=complex)
-        for i in _row_blocks(len(formed), len(self.s2)):
-            r = self.reciprocal(formed[i], ALL)  # a real r multiplies qz's real view
-            rz[i] = (r @ qz.view(np.float64)).view(complex) if r.dtype == float else r @ qz
-        if even:
-            rz[n // 2 + 1:] = rz[fold[n // 2 + 1:]]
-        return np.einsum("irm,ir->im", rz.reshape(n, -1, m), self.p)
 
-
-def _row_blocks(count: int, width: int):
-    """Indices 0..count-1 in blocks of at most BLOCK_PAIRS // width."""
-    step = max(1, BLOCK_PAIRS // width)
-    return [np.arange(s, min(s + step, count)) for s in range(0, count, step)]
-
-
-def _cross(rows: Callable, cols: Callable, shape: Tuple[int, int], pick: Callable):
+def _cross(rows: Callable, cols: Callable, shape: Tuple[int, int], pick: Callable,
+           dtype=float):
     """Adaptive cross approximation with partial pivoting (Bebendorf, Numer.
-    Math. 2000) of the real matrix S of `shape` whose row i and column j are
-    rows(i) and cols(j), 1-D: (a, b) with S ~ a b^T, or None past RANK_CAP
-    crosses. Each cross takes one row and one column: the residual of row
-    pick(u, v), u v^T the last cross (None, None before the first), pivots
-    at its largest entry j, and u is the residual of column j over that
-    pivot. It stops at a pivot within CROSS_TOL of the largest so far."""
-    a, b = np.empty((shape[0], RANK_CAP)), np.empty((shape[1], RANK_CAP))
+    Math. 2000) of the matrix S of `shape` whose row i and column j are rows(i)
+    and cols(j): (a, b) with S ~ a b^T, or None past RANK_CAP crosses or at a
+    pick of None. Each cross takes the residual of row pick(u, v), u v^T the
+    last cross (None, None before the first), pivots at its largest entry j,
+    and u is the residual of column j over that pivot. It stops at a pivot
+    within CROSS_TOL of the largest so far."""
+    a, b = (np.empty((m, RANK_CAP), dtype, order="F") for m in shape)
     k, scale, u, v = 0, 0.0, None, None
     while True:
         i = pick(u, v)
+        if i is None:
+            return None
         v = rows(i) - b[:, :k] @ a[i, :k]
-        j = int(np.argmax(np.abs(v)))
+        j = int(np.abs(v).argmax())
         scale = max(scale, abs(v[j]))
         if abs(v[j]) <= CROSS_TOL * scale:
             return a[:, :k], b[:, :k]
@@ -206,6 +181,51 @@ def _cross(rows: Callable, cols: Callable, shape: Tuple[int, int], pick: Callabl
         u = (cols(j) - a[:, :k] @ b[j, :k]) / v[j]
         a[:, k], b[:, k] = u, v
         k += 1
+
+
+@lru_cache(maxsize=16)
+def _seeded(seed: int, shape: Tuple[int, ...], count: int = 0):
+    """Cached seeded draws: `count` entries (i, j) of a matrix of `shape`, or
+    for count 0 a Gaussian array of `shape`."""
+    rng = np.random.default_rng(seed)
+    if count:
+        return _read_only(*(rng.integers(m, size=count) for m in shape))
+    return _read_only(rng.standard_normal(shape))[0]
+
+
+def _read_only(*arrays):
+    """arrays, made read-only: they are cached and shared by every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _checked_cross(rows: Callable, cols: Callable, shape: Tuple[int, int], check: np.ndarray,
+                   sample: Callable, at: Optional[np.ndarray] = None, dtype=float):
+    """_cross of S checked on a seeded linear sample of S, `check`, whose
+    check[..., k] comes from S's row at[k] (row k if at is None); sample(u, v)
+    samples u v^T alike. The next row is the one of the largest residual; the
+    cross is accepted if that residual ends within CHECK_TOL of the largest
+    |check| or pivot. It gives up once the residual lies more than RANK_CAP - k
+    decades above that after k crosses: even falling a decade per cross, it
+    would end past the cap."""
+    resid, top = check.copy(), [np.abs(check).max(initial=0.0)]  # and the pivots
+
+    def pick(u, v):
+        if u is not None:
+            resid[...] -= sample(u, v)
+            top.append(np.abs(v).max())
+        size = np.abs(resid)
+        k = int(size.argmax())
+        if size.flat[k] > max(top) * CHECK_TOL * 10.0 ** (RANK_CAP + 1 - len(top)):
+            return None
+        k %= size.shape[-1]
+        return k if at is None else int(at[k])
+
+    factor = _cross(rows, cols, shape, pick, dtype)
+    if factor is None or np.abs(resid).max(initial=0.0) > CHECK_TOL * max(top):
+        return None
+    return factor
 
 
 @lru_cache(maxsize=None)
@@ -220,21 +240,21 @@ def _fold_tables(n: int):
     inner = (k > 0) & (k < h)
     sin = np.where(inner, 1j, -1j) * (k > 0)
     gains = np.stack([np.where(inner, 2.0, 1.0), np.where(inner, -2.0, (k == h) * 1.0)], axis=-1)
-    tables = (-k % n, inner * 1.0, sin, gains, np.stack([~inner, ~inner], axis=-1) * 1.0)
-    for table in tables:
-        table.flags.writeable = False  # shared by every field of this n
-    return tables
+    return _read_only(-k % n, inner * 1.0, sin, gains, np.stack([~inner, ~inner], axis=-1) * 1.0)
 
 
-def _fold(n: int, k, c: np.ndarray, cn: np.ndarray):
-    """(F_+ c, i F_- c) = (c + inner cn, sin (c - inner cn)) for rows k (indices or
-    ALL) of the half spectrum, c, and their partner rows n - k, cn (overwritten);
-    inner and sin (_fold_tables) are 0, +-1 or +-i, so only the sum and difference round."""
+def _fold(n: int, k, c: np.ndarray, cn: np.ndarray) -> np.ndarray:
+    """F (|k|, 2, m) with F[:, 0] = F_+ c = c + inner cn and F[:, 1] = i F_- c =
+    sin (c - inner cn) for rows k (indices or ALL) of the half spectrum, c, and
+    their partner rows n - k, cn (overwritten); inner and sin (_fold_tables)
+    are 0, +-1 or +-i, so only the sum and difference round."""
     _, inner, sin = _fold_tables(n)[:3]
     cn *= inner[k, None]
-    minus = c - cn
-    minus *= sin[k, None]
-    return np.add(c, cn, out=cn), minus
+    out = np.empty((len(c), 2) + c.shape[1:], complex)
+    np.add(c, cn, out=out[:, 0])
+    np.subtract(c, cn, out=out[:, 1])
+    out[:, 1] *= sin[k, None]
+    return out
 
 
 class SpectralField:
@@ -243,12 +263,10 @@ class SpectralField:
 
     The coefficients c are the half spectrum `half` (columns 0..n/2, the last
     at -n/2) of a Hermitian (n, n) array `coeffs`; `half` is given as an
-    array or as a _HalfSpectrum, which builds any block of it on demand.
-    With phases a_k, b_k of mode k = 0..n/2 on the two axes, u_p = [cos a,
-    sin a] M [cos b, sin b] (`real_matrix`) = row dot of [cos a, sin a] U
-    and [cos b, sin b] V (`_factor`). Any block of M (`_matrix`) is folded
-    from a block of the half spectrum (`_fold`); `half`, `coeffs` and
-    `real_matrix` are formed only when read (for conv-diff, whose symbol is
+    array or as a _HalfSpectrum. With phases a_k, b_k of mode k = 0..n/2 on
+    the two axes, u_p = [cos a, sin a] M [cos b, sin b] (`real_matrix`) = row
+    dot of [cos a, sin a] U and [cos b, sin b] V (`_factor`). `half`, `coeffs`
+    and `real_matrix` are formed only when read (for conv-diff, whose symbol is
     not even, `coeffs` differs from a full fft2 division on the Nyquist ring).
     """
 
@@ -256,7 +274,6 @@ class SpectralField:
         if isinstance(half, np.ndarray):
             half = _HalfSpectrum(half, None, np.ones(n), np.zeros(n // 2 + 1))
         self.box, self.n, self.spectrum, self.compensator = box, n, half, compensator
-        self._modes = np.arange(n // 2 + 1)
 
     @cached_property
     def half(self) -> np.ndarray:
@@ -272,7 +289,7 @@ class SpectralField:
     @cached_property
     def omega(self) -> np.ndarray:
         """Frequencies 2 pi k / side of the modes k = 0..n/2 of one axis."""
-        return np.abs(_frequencies(self.n, self.box)[:self.n // 2 + 1])
+        return np.abs(_frequencies(self.n, float(self.box.side[0]))[:self.n // 2 + 1])
 
     @cached_property
     def real_matrix(self) -> np.ndarray:
@@ -310,10 +327,7 @@ class SpectralField:
         else:
             hk = self.spectrum.block(np.concatenate([k, partner[k]]), l)
             c, cn = hk[:len(k)], hk[len(k):]
-        g = gains[l]
-        out = np.empty((len(c), 2, len(g), 2))
-        for s, f in enumerate(_fold(self.n, k, c, cn)):
-            np.multiply(f.view(np.float64).reshape(len(c), -1, 2), g, out=out[:, s])
+        out = _fold(self.n, k, c, cn).view(np.float64).reshape(len(c), 2, -1, 2) * gains[l]
         if k is ALL or k[-1] == self.n // 2:
             out[-1, 1] *= keep[l]  # row (n/2, sin) keeps the columns l = 0, n/2
         return out.reshape(2 * len(c), -1)
@@ -322,43 +336,46 @@ class SpectralField:
     def _factor(self):
         """(U, V), (n+2, r), with M = U V^T to rounding, or None.
 
-        With D = diag(1 + k) on the rows and columns of mode k, which weights
-        their error as d/dx weights the series, U = D^-1 a and V = D^-1 b for
-        a cross a b^T of S = D M D (see _cross): each row and column of S is
-        one of M, scaled by D as it is fetched. The next row is the one of
-        the largest residual of a seeded probe Y = S W, W Gaussian (n+2, 4),
-        and the factor is kept if that residual Y - a b^T W ends within
-        PROBE_TOL of |Y| (Frobenius norms). Y = D M (D W) is streamed from
-        row blocks of the half spectrum H: rows (k, cos) and (k, sin) of M D W
-        are Re F_+ H Z and Re i F_- H Z, by the fold of M's rows (_fold), where
-        Z folds M's column gains into D W; row (n/2, sin), which keeps two
-        columns, comes from _matrix. None for n < 62, where one product with M
-        costs less, or when the cross stops at RANK_CAP or fails the probe."""
-        if self.n < 62:
+        With the cross X Y^T of C (_HalfSpectrum.cross), H = A B^T for A = P o
+        X and B = Q o Y (each column of P times each of X). The row fold of A
+        (_fold) and M's column gains make M = U0 V0^T: row (k, s) of U0 is F_s A
+        as [Re, Im], rows (l, cos), (l, sin) of V0 are g_l conj(B_l) and g_l i
+        conj(B_l), as Re(a b) = [Re a, Im a].[Re b, -Im b] and Im(a b) = [Re a,
+        Im a].[Im b, Re b]. A real symbol is even, so X holds C's rows 0..n/2,
+        and P is Hermitian: F_s A = (g o [Re P, Im P]) o X, real, and B's side
+        alike. U V^T is a cross of S = D U0 V0^T D checked on a seeded probe of
+        S, U = D^-1 a and V = D^-1 b: D = diag(1 + k) on the rows and columns of
+        mode k weights their error as d/dx weights the series. Row (n/2, sin),
+        which keeps only the columns of l = 0, n/2, is M's own (_matrix), one
+        more column of U and V. None for the r = n case, or when either cross
+        fails: the series then uses M itself."""
+        s, n, h = self.spectrum, self.n, self.n // 2
+        if s.q is None or s.cross is None:
             return None
-        n, h, size = self.n, self.n // 2, self.n + 2
         partner, _, _, gains, _ = _fold_tables(n)
-        d = 1.0 + self._modes.repeat(2)
-        w = np.random.default_rng(20110).standard_normal((size, 4))
-        dw = d[:, None] * w
-        hz = self.spectrum.times(gains[:, :1] * dw[0::2] - 1j * gains[:, 1:] * dw[1::2])
-        plus, minus = _fold(n, ALL, hz[:h + 1], hz[partner])
-        y = np.stack([plus.real, minus.real], axis=1).reshape(size, -1)
-        y[-2:] = self._matrix(self._modes[-1:], ALL) @ dw
-        y *= d[:, None]
-        resid = y.copy()
-
-        def pick(u, v):
-            if u is not None:
-                resid[...] -= np.outer(u, v @ w)
-            return int(np.argmax(np.einsum("ij,ij->i", resid, resid)))
-
-        cross = _cross(lambda i: d[i] * self._matrix(np.array([i // 2]), ALL)[i % 2] * d,
-                       lambda j: d * self._matrix(ALL, np.array([j // 2]))[:, j % 2] * d[j],
-                       (size, size), pick)
-        if cross is None or np.linalg.norm(resid) > PROBE_TOL * np.linalg.norm(y):
+        d = 1.0 + np.arange(h + 1)
+        (x, y), q = s.cross, s.q * d[:, None]
+        if len(x) < n:
+            u0, v0 = ((np.stack([z.real, z.imag], axis=1) * gains[:, :, None])[..., None]
+                      * f[:, None, None] for z, f in ((s.p[:h + 1] * d[:, None], x), (q, y)))
+        else:
+            a = ((s.p * (1.0 + np.abs(np.fft.fftfreq(n, 1.0 / n)))[:, None])[:, :, None]
+                 * x[:, None]).reshape(n, -1)
+            b = (q[:, :, None] * y[:, None]).reshape(h + 1, 1, -1)
+            b = np.conjugate(b, out=b) * (gains * [1.0, 1j])[:, :, None]
+            u0, v0 = (z.view(np.float64) for z in (_fold(n, ALL, a[:h + 1], a[partner]), b))
+        u0, v0 = (z.reshape(n + 2, -1) for z in (u0, v0))
+        u0[-1] = 0.0
+        w = _seeded(20110, (4, n + 2))
+        cross = _checked_cross(lambda k: v0 @ u0[k], lambda k: u0 @ v0[k], (n + 2, n + 2),
+                               (w @ v0) @ u0.T, lambda u, v: (w @ v)[:, None] * u)
+        if cross is None:
             return None
-        return cross[0] / d[:, None], cross[1] / d[:, None]
+        d = d.repeat(2)[:, None]
+        u, v = (np.concatenate([z / d, e[:, None]], axis=1) for z, e in
+                zip(cross, (np.zeros(n + 2), self._matrix(np.array([h]), ALL)[1])))
+        u[-1, -1] = 1.0
+        return u, v
 
     @cached_property
     def _split_tables(self):
@@ -401,10 +418,10 @@ class SpectralField:
         return np.einsum("pk,pk->p", a @ u, b if v is None else b @ v)
 
 
-def _frequencies(n: int, box: Box2) -> np.ndarray:
-    """Mode frequencies w_m = 2 pi m / side of the n-point grid on the square
+def _frequencies(n: int, side: float) -> np.ndarray:
+    """Mode frequencies w_m = 2 pi m / side of the n-point grid on a square
     box, m the integer mode numbers in fftfreq order, (n,)."""
-    return 2.0 * np.pi * (np.fft.fftfreq(n) * n) / float(box.side[0])
+    return 2.0 * np.pi * (np.fft.fftfreq(n) * n) / side
 
 
 def _bump(s):
@@ -462,21 +479,18 @@ def extend_source(f: Callable, domain: StarDomain,
     is the outer product of per-axis weights, so the samples are 0 outside
     the block of points where both are nonzero (every point off the box's
     lower edges), and inside it the weights times f. That block is
-    cross-approximated (see _cross): f is called first on 4n seeded random
-    points of the block, as two arrays of one shape; then on single rows,
-    x1 of shape (1, 1) and x2 of shape (1, c), and single columns, x1 of
-    shape (r, 1) and x2 of shape (1, 1), one of each per cross and a last
-    row whose residual stops it. Each row is the one of the largest
-    residual on the 4n points, and the cross is accepted if that residual
-    ends within SOURCE_CHECK_TOL of their largest sample. Else, or for
-    blocks no larger than RANK_CAP, f is called once on the open grid of the
-    block, x1 (r, 1) and x2 (1, c), and the grid keeps the samples (the
-    r = n case). A result that does not broadcast to its points' shape, or
-    a non-finite one, raises ConfigurationError. A factored grid's
-    `samples` are computed by that same open-grid call when read. Inside
-    the physical domain the taper weight is 1, so samples there equal f
-    exactly; the check below enforces that the domain's tight bounding box
-    lies within the taper plateau.
+    cross-approximated (_checked_cross): f is called first on 4n seeded
+    points of the block, as two arrays of one shape, which check the cross;
+    then per cross on one row, x1 (1, 1) and x2 (1, c), and one column, x1
+    (r, 1) and x2 (1, 1), and on a last row whose residual stops it. If the
+    cross fails or gives up, or the block is no larger than RANK_CAP, f is
+    called once on the block's open grid, x1 (r, 1) and x2 (1, c), and the
+    grid keeps the samples (the r = n case); a factored grid's `samples` come
+    from that same call when read. A result that does not broadcast to its
+    points' shape, or a non-finite one, raises ConfigurationError. The taper
+    is 1 on the physical domain, so samples there equal f exactly; the check
+    below enforces that the domain's tight bounding box lies within the
+    taper plateau.
     """
     t = taper.inner_fraction
     tight = bounding_box(domain, 0.0)
@@ -501,21 +515,13 @@ def extend_source(f: Callable, domain: StarDomain,
         return samples
 
     if min(shape) > RANK_CAP:
-        rng = np.random.default_rng(2000)
-        i, j = rng.integers(shape[0], size=4 * n), rng.integers(shape[1], size=4 * n)
+        i, j = _seeded(2000, shape, 4 * n)
         check = w1[i] * w2[j] * _source_values(f, x1[i, 0], x2[0, j], shape)
-        resid = check.copy()
-
-        def pick(u, v):
-            if u is not None:
-                resid[...] -= u[i] * v[j]
-            return int(i[np.argmax(np.abs(resid))])
-
-        factor = _cross(lambda k: w1[k] * w2 * _source_values(f, x1[k:k + 1], x2, shape)[0],
-                        lambda k: w1 * w2[k] * _source_values(f, x1, x2[:, k:k + 1], shape)[:, 0],
-                        shape, pick)
-        if factor is not None and (np.abs(resid).max(initial=0.0)
-                                   <= SOURCE_CHECK_TOL * np.abs(check).max(initial=0.0)):
+        factor = _checked_cross(
+            lambda k: w1[k] * w2 * _source_values(f, x1[k:k + 1], x2, shape)[0],
+            lambda k: w1 * w2[k] * _source_values(f, x1, x2[:, k:k + 1], shape)[:, 0],
+            shape, check, lambda u, v: u[i] * v[j], i)
+        if factor is not None:
             factors = np.zeros((2, n, factor[0].shape[1]))
             factors[0, r0:r1], factors[1, c0:c1] = factor
             return SourceGrid(box, n, factors=tuple(factors), sampler=sample)
@@ -524,58 +530,98 @@ def extend_source(f: Callable, domain: StarDomain,
 
 def solve_particular(op: OperatorSpec, grid: SourceGrid) -> SpectralField:
     """Divide the half spectrum of the samples by the Fourier symbol, held as
-    factors and an outer sum: fft(A) rfft(B)^T / (s1 + s2^T), whose rows and
-    columns the field builds on demand, or rfft2(samples) in the r = n case;
-    O(n r log n) for factors of rank r, O(n^2 log n) for samples."""
-    n, h = grid.n, grid.n // 2
+    factors and an outer sum: fft(A) rfft(B)^T / (s1 + s2^T), with the cached
+    cross of 1 / (s1 + s2^T) (_reciprocal_factor), or rfft2(samples) in the
+    r = n case; O(n r log n) for factors of rank r, O(n^2 log n) for samples."""
+    n = grid.n
     if grid.factors is None:
         p, q, total = np.fft.rfft2(grid.samples), None, grid.samples.sum()
     else:
         a, b = grid.factors
         p, q, total = np.fft.fft(a, axis=0), np.fft.rfft(b, axis=0), a.sum(axis=0) @ b.sum(axis=0)
-    m = np.fft.fftfreq(n) * n
-    w = _frequencies(n, grid.box)
-    # no operator has a mixed w1*w2 term, so the symbol on the grid is the
-    # outer sum sigma(w1, 0) + sigma(0, w2) - sigma(0, 0); the series
-    # coefficients are fft2 / (sigma n^2), and n^2 scales both parts exactly
     D, v, c = op.coefficients[:3]
-    s1 = fourier_symbol(op, stack_xy(w, 0.0)) * (n * n)
-    s2 = (fourier_symbol(op, stack_xy(0.0, w[:h + 1])) - fourier_symbol(op, (0.0, 0.0))) * (n * n)
-    spectrum = _HalfSpectrum(p, q, s1, s2) if v.any() else _HalfSpectrum(p, q, s1.real, s2.real)
+    key = (n, (D, tuple(v.tolist()), c), float(grid.box.side[0]))
+    spectrum = _HalfSpectrum(p, q, *_symbol(*key), None if q is None else _reciprocal_factor(*key))
+    if c > 0.0:
+        _check_resonances(op, spectrum)
 
     compensator = None
     if c == 0.0:
-        origin, mean = np.zeros(1, int), float(total) / (n * n)
+        mean = float(total) / (n * n)
         compensator = (Compensator(grid.box.center, lin=tuple(mean * v / float(v @ v)))
                        if v.any() else Compensator(grid.box.center, quad=mean / (4.0 * D)))
-        spectrum = replace(spectrum, zero=(origin, origin))
-
-    if c > 0.0:
-        spectrum = replace(spectrum, zero=_clamp_resonances(op, spectrum, m))
     return SpectralField(grid.box, n, spectrum, compensator)
 
 
-def _clamp_resonances(op: OperatorSpec, spectrum: _HalfSpectrum, m: np.ndarray):
-    """The near-resonant modes (i, j), |sigma_ij| <= RESONANCE_SYMBOL_TOL
-    max(1, c), of a real symbol, found by scanning s1 + s2^T a row block at a
-    time; ResonantBoxError if one carries more than RESONANCE_SOURCE_TOL of
-    max |fhat| (|fhat| and the symbol are even: the half grid sees every mode)."""
-    n = len(spectrum.s1)
-    tol = RESONANCE_SYMBOL_TOL * max(1.0, op.coefficients.c) * (n * n)
-    blocks = _row_blocks(n, len(spectrum.s2))
-    i, j = np.concatenate([np.argwhere(np.abs(spectrum.s1[rows, None] + spectrum.s2) <= tol)
-                           + (rows[0], 0) for rows in blocks]).T
+@lru_cache(maxsize=8)
+def _symbol(n: int, coefficients, side: float):
+    """(s1, s2, zero) for the operator's (D, v, c): its symbol on the grid of
+    this box side, times n^2, as the outer sum s1 + s2^T over the (n,) and
+    (n/2 + 1,) modes (no operator has a mixed w1 w2 term), real unless v != 0;
+    and the entries where 1 / (s1 + s2^T) is set to 0: the zero mode for c =
+    0, and for c > 0 the near-resonant modes, |s1_i + s2_j| <= tol, each row's
+    from the window of the sorted s2 within tol (and a rounding margin) of
+    -s1_i."""
+    c, w = coefficients[2], _frequencies(n, side)
+    s1 = fourier_symbol(coefficients, stack_xy(w, 0.0)) * (n * n)
+    s2 = (fourier_symbol(coefficients, stack_xy(0.0, w[:n // 2 + 1]))
+          - fourier_symbol(coefficients, (0.0, 0.0))) * (n * n)
+    if not any(coefficients[1]):
+        s1, s2 = s1.real, s2.real
+    i = j = np.zeros(int(c == 0.0), int)
+    if c > 0.0:
+        tol = RESONANCE_SYMBOL_TOL * max(1.0, c) * (n * n)
+        order = np.argsort(s2)
+        margin = tol + 4.0 * np.spacing(np.abs(s1).max() + np.abs(s2).max())
+        lo, hi = (np.searchsorted(s2[order], -s1 + d, end)
+                  for d, end in ((-margin, "left"), (margin, "right")))
+        i = np.repeat(np.arange(n), hi - lo)
+        j = order[np.arange(len(i)) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)]
+        near = np.abs(s1[i] + s2[j]) <= tol
+        i, j = i[near], j[near]
+    return _read_only(s1, s2) + (_read_only(i, j),)
+
+
+@lru_cache(maxsize=8)
+def _reciprocal_factor(n: int, coefficients, side: float):
+    """(X, Y) with X Y^T = C, the reciprocal of _symbol(n, coefficients, side)
+    with its zero entries, to CHECK_TOL on 8n seeded entries, or None. Y has
+    n/2 + 1 rows; X has n, or for a real symbol, which is even (C's row n - i
+    is its row i), rows 0..n/2 only. C's entries are closed form; it is
+    Cauchy-like, so its singular values decay exponentially away from
+    resonance (Beckermann and Townsend, SIMAX 2017). Rows are picked by the
+    seeded residual: ACA's largest entry of the last column stalls at rank 2
+    on an even C."""
+    spectrum = _HalfSpectrum(None, None, *_symbol(n, coefficients, side))
+    shape = (n if spectrum.s1.dtype == complex else n // 2 + 1, n // 2 + 1)
+    i, j = _seeded(2017, shape, 8 * n)
+    den = spectrum.s1[i] + spectrum.s2[j]
+    zi, zj = spectrum.zero
+    den[np.isin(i * shape[1] + j, zi * shape[1] + zj)] = np.inf
+    factor = _checked_cross(lambda k: spectrum.reciprocal(np.array([k]), ALL)[0],
+                            lambda k: spectrum.reciprocal(ALL, np.array([k]))[:shape[0], 0],
+                            shape, 1.0 / den, lambda u, v: u[i] * v[j], i, den.dtype)
+    return factor and _read_only(*factor)
+
+
+def _check_resonances(op: OperatorSpec, spectrum: _HalfSpectrum):
+    """ResonantBoxError if a near-resonant mode (spectrum.zero) carries more
+    than RESONANCE_SOURCE_TOL of max |fhat| (|fhat| and the symbol are even:
+    the half grid sees every mode)."""
+    i, j = spectrum.zero
     if len(i):
-        fmax = max(float(np.abs(spectrum.numerator(rows, ALL)).max()) for rows in blocks)
+        n, step = len(spectrum.s1), max(1, BLOCK_PAIRS // len(spectrum.s2))
+        fmax = max(float(np.abs(spectrum.numerator(np.arange(k, min(k + step, n)), ALL)).max())
+                   for k in range(0, n, step))
         fhat = spectrum.numerator(i, ALL)[np.arange(len(i)), j]
         bad = np.flatnonzero(np.abs(fhat) > RESONANCE_SOURCE_TOL * fmax)
         if len(bad):
+            m = np.fft.fftfreq(n) * n
             first = bad[np.lexsort((j[bad], i[bad]))[0]]
             raise ResonantBoxError(
                 f"Fourier mode {(int(m[i[first]]), int(m[j[first]]))} of the embedding box "
                 f"is resonant for {op} and carries source energy; "
                 "change box_margin or the grid size to detune the box")
-    return i, j
 
 
 def _evaluate(sf: SpectralField, x, gradient: bool) -> np.ndarray:

@@ -13,6 +13,7 @@ from quasirbf.operators import (ConvectionDiffusion, Helmholtz,
                                 fourier_symbol)
 from quasirbf.particular import (ALL, RANK_CAP, RESONANCE_SYMBOL_TOL, Compensator,
                                  SourceGrid, SpectralField, TaperSpec, _axis_weight, _cross,
+                                 _HalfSpectrum, _reciprocal_factor, _symbol,
                                  eval_particular, eval_particular_gradient,
                                  extend_source, required_margin,
                                  solve_particular)
@@ -744,3 +745,100 @@ class TestFactoredSource:
         box = bounding_box(preset.domain, 1.0)
         grid = extend_source(preset.source, preset.domain, box, self.N, TaperSpec(0.1))
         assert grid.factors[0].shape == (self.N, 1) and RANK_CAP < self.N
+
+    def test_above_rank_cap_gives_up_early(self):
+        # the check residual of cos(40 x1 x2) stays above its largest sample,
+        # so the cross gives up once RANK_CAP - k decades could not close it,
+        # after 34 crosses, instead of fetching RANK_CAP + 1 rows
+        rows = []
+
+        def spy(a, b):
+            if a.shape == (1, 1) and b.shape[0] == 1 and b.size > 1:
+                rows.append(b.size)
+            return np.cos(40.0 * a * b)
+
+        grid = extend_source(spy, UNIT_DISC, bounding_box(UNIT_DISC, 1.0), self.N, TaperSpec(0.1))
+        assert grid.factors is None and 0 < len(rows) <= 36
+
+
+def _key(op, box: Box2, n: int):
+    """_reciprocal_factor's key for this grid, operator and box."""
+    D, v, c = op.coefficients[:3]
+    return n, (D, tuple(v.tolist()), c), float(box.side[0])
+
+
+class TestReciprocalFactor:
+    """The cross of the symbol's reciprocal C is built once per (grid,
+    operator, box side), cached, and shared by every field of that key."""
+
+    @pytest.mark.parametrize("op, box", [
+        (ModifiedHelmholtz(1.0), bounding_box(UNIT_DISC, 1.0)),
+        (ConvectionDiffusion(1.0, (2.0, -1.5), 0.5), bounding_box(UNIT_DISC, 1.0)),
+        (Helmholtz(math.sqrt(5.0)), _pi_box()),
+    ], ids=["real", "convdiff", "clamped"])
+    def test_cross_matches_closed_form(self, op, box):
+        n = 128
+        s1, s2, zero = _symbol(*_key(op, box, n))
+        x, y = _reciprocal_factor(*_key(op, box, n))
+        c = _HalfSpectrum(None, None, s1, s2, zero).reciprocal(ALL, ALL)
+        assert np.all(c[zero] == 0.0) and (len(zero[0]) > 0) == isinstance(op, Helmholtz)
+        if s1.dtype == float:  # even: X holds rows 0..n/2, which equal rows n - i
+            assert len(x) == n // 2 + 1 and np.array_equal(c[-np.arange(n) % n], c)
+        else:
+            assert len(x) == n and x.dtype == y.dtype == complex
+        assert np.abs(x @ y.T - c[:len(x)]).max() <= 1e-14 * np.abs(c).max()
+
+    @pytest.mark.parametrize("name", ["modhelm_source", "convdiff_disc", "poisson_disc"])
+    def test_cold_and_warm_builds_are_bitwise_equal(self, name):
+        preset = get_preset(name)
+        box = bounding_box(preset.domain, 1.0)
+        grid = extend_source(preset.source, preset.domain, box, 128, TaperSpec(0.1))
+        pts = np.random.default_rng(16).uniform(-0.9, 0.9, size=(60, 2))
+        _reciprocal_factor.cache_clear()
+        cold = solve_particular(preset.operator, grid)
+        warm = solve_particular(preset.operator, grid)
+        assert _reciprocal_factor.cache_info()[:2] == (1, 1)  # one hit, one miss
+        assert warm.spectrum.cross is cold.spectrum.cross and cold._factor is not None
+        for evaluate in (eval_particular, eval_particular_gradient):
+            assert np.array_equal(evaluate(cold, pts), evaluate(warm, pts))
+
+    def test_sides_and_operators_never_share_an_entry(self):
+        ops = [ModifiedHelmholtz(1.0), ModifiedHelmholtz(2.0), Poisson(),
+               ConvectionDiffusion(1.0, (2.0, 0.0), 1.0)]
+        boxes = [bounding_box(UNIT_DISC, 1.0), bounding_box(UNIT_DISC, 1.5)]
+        grids = [extend_source(lambda a, b: np.exp(-a * a - b * b), UNIT_DISC, box, 128,
+                               TaperSpec(0.1)) for box in boxes]
+        _reciprocal_factor.cache_clear()
+        fields = [solve_particular(op, grid) for op in ops for grid in grids]
+        assert _reciprocal_factor.cache_info()[:2] == (0, len(fields))  # every build a miss
+        assert len({id(sf.spectrum.cross[0]) for sf in fields}) == len(fields)
+        for sf in fields:
+            x, y = sf.spectrum.cross
+            c = sf.spectrum.reciprocal(ALL, ALL)
+            assert np.abs(x @ y.T - c[:len(x)]).max() <= 1e-14 * np.abs(c).max()
+
+    def test_cache_is_bounded_and_small(self):
+        assert _reciprocal_factor.cache_info().maxsize <= 8
+        op = ConvectionDiffusion(1.0, (2.0, 0.0), 1.0)  # complex: every row of C
+        x, y = _reciprocal_factor(*_key(op, bounding_box(UNIT_DISC, 1.0), 512))
+        assert not x.flags.writeable and not y.flags.writeable
+        assert x.nbytes + y.nbytes < 2 ** 20
+
+    def test_field_without_cross_matches_dense_field(self):
+        # for Helmholtz(40) on this box C has no cross of rank <= RANK_CAP, so the
+        # factored source's field is the series of M itself; it differs from the
+        # samples' field only by the source cross, to its check, amplified by a
+        # reciprocal symbol whose entries span 7e3
+        op, n, box = Helmholtz(40.0), 128, bounding_box(UNIT_DISC, 1.0)
+        f = lambda a, b: np.exp(-(a - b) ** 2)
+        grid = extend_source(f, UNIT_DISC, box, n, TaperSpec(0.1))
+        sf = solve_particular(op, grid)
+        assert grid.factors is not None and sf.spectrum.cross is None and sf._factor is None
+        # 200 points are one block of _evaluate, so both sides are one GEMM with M
+        pts = box.min_corner + np.random.default_rng(40).uniform(0.0, 1.0, (200, 2)) * box.side
+        exact = TestLowRankFactor._exact_series(sf, *sf._phases(pts))
+        assert np.array_equal(eval_particular(sf, pts), exact)
+        dense = solve_particular(op, SourceGrid(box, n, _meshgrid_reference(f, box, n, 0.1)))
+        for evaluate in (eval_particular, eval_particular_gradient):
+            want = evaluate(dense, pts)
+            assert np.abs(evaluate(sf, pts) - want).max() <= 1e-12 * np.abs(want).max()
