@@ -50,6 +50,18 @@ class _Operator:
         mu2 = float(v @ v) / (4.0 * D ** 2) - c / D
         return Coefficients(D, v, c, mu2, math.sqrt(abs(mu2)))
 
+    def _check_kernel(self):
+        """ConfigurationError unless mu2 is a nonzero finite double, which the
+        kernel Z0(mu r) needs (Poisson, with mu2 = 0, has no such kernel)."""
+        try:
+            with np.errstate(over="ignore"):
+                mu2 = self.coefficients.mu2
+        except (ZeroDivisionError, OverflowError):
+            mu2 = math.nan
+        if mu2 == 0.0 or not math.isfinite(mu2):
+            raise ConfigurationError(
+                f"{self!r} has mu^2 = |v|^2 / 4D^2 - c / D = {mu2}, not a nonzero finite double")
+
 
 @dataclass(frozen=True)
 class Poisson(_Operator):
@@ -63,6 +75,7 @@ class Helmholtz(_Operator):
     def __post_init__(self):
         if not (self.k > 0 and math.isfinite(self.k)):
             raise ConfigurationError(f"Helmholtz wavenumber must be positive, got {self.k}")
+        self._check_kernel()
 
 
 @dataclass(frozen=True)
@@ -72,6 +85,7 @@ class ModifiedHelmholtz(_Operator):
     def __post_init__(self):
         if not (self.k > 0 and math.isfinite(self.k)):
             raise ConfigurationError(f"modified-Helmholtz parameter must be positive, got {self.k}")
+        self._check_kernel()
 
 
 @dataclass(frozen=True)
@@ -94,6 +108,7 @@ class ConvectionDiffusion(_Operator):
             raise ConfigurationError(
                 "convection-diffusion with zero velocity and zero reaction is the "
                 "Poisson operator (up to D); use Poisson instead")
+        self._check_kernel()
 
 
 OperatorSpec = Union[Poisson, Helmholtz, ModifiedHelmholtz, ConvectionDiffusion]
@@ -123,8 +138,10 @@ def _kernel(op: OperatorSpec, d, gradient: bool):
     """exp(-v.d / 2D) Z0(mu r) (shape (...)) or its gradient (d's shape) at
     displacements d, (2,) or (..., 2). With Z0' = mu Z1 (Z1 = -J1 or I1) the
     gradient is exp(-v.d / 2D) (mu Z1 d / r - v / 2D Z0); for v = 0 neither
-    computes the drift, and the gradient no Z0. The drift and Z0 can each be
-    finite with an infinite product: that raises KernelOverflowError."""
+    computes the drift, and the gradient no Z0. Only conv-diff has v != 0, and
+    its c = -kappa <= 0 gives mu^2 > 0, so the drift goes with I0. The drift
+    and I0 can each be finite with an infinite product: that raises
+    KernelOverflowError."""
     k = op.coefficients
     if k.mu2 == 0.0:
         raise UnsupportedOperatorError(
@@ -139,11 +156,7 @@ def _kernel(op: OperatorSpec, d, gradient: bool):
             return (bessel_j0 if oscillating else bessel_i0)(k.mu * r)[..., 0][()]
         z1 = bessel_j1 if oscillating else bessel_i1
         return (-k.mu if oscillating else k.mu) * z1(k.mu * r) * d / safe_r
-    if not gradient:
-        z0 = (bessel_j0 if oscillating else bessel_i0)(k.mu * r)
-    else:
-        z0, z1 = ((bessel_j0(k.mu * r), -bessel_j1(k.mu * r)) if oscillating
-                  else bessel_i0_i1(k.mu * r))
+    z0, z1 = bessel_i0_i1(k.mu * r) if gradient else (bessel_i0(k.mu * r), None)
     exponent = -(k.v[0] * d[..., :1] + k.v[1] * d[..., 1:]) / (2.0 * k.D)
 
     def product():
@@ -151,8 +164,8 @@ def _kernel(op: OperatorSpec, d, gradient: bool):
         return ((drift * z0)[..., 0][()] if not gradient
                 else drift * (k.mu * z1 / safe_r * d - k.v / (2.0 * k.D) * z0))
 
-    # |v.d| / 2D <= |v| r / 2D, |J0|, |J1| <= 1 and I0, I1 <= exp(mu r), so
-    # below this bound nothing overflows
+    # |v.d| / 2D <= |v| r / 2D and I0, I1 <= exp(mu r), so below this bound
+    # nothing overflows
     growth = k.mu + math.hypot(*k.v) / (2.0 * k.D)
     if float(r.max()) * growth + math.log1p(growth) < _LOG_MAX:
         return product()
@@ -161,8 +174,7 @@ def _kernel(op: OperatorSpec, d, gradient: bool):
     if not np.all(np.isfinite(out)):
         raise KernelOverflowError(
             f"the kernel of {op!r} overflows double precision: exp(-v.d / 2D) "
-            f"{'J0' if oscillating else 'I0'}(mu r) is not finite for r up to "
-            f"{float(r.max()):.4g}")
+            f"I0(mu r) is not finite for r up to {float(r.max()):.4g}")
     return out
 
 

@@ -15,10 +15,11 @@ cross X Y^T of C (_reciprocal_factor) serves every source, and u_p's half
 spectrum (P Q^T) o C is the product (P o X)(Q o Y)^T. SpectralField folds it
 into u_p's real matrix M and crosses that down to M's rank as U V^T; u_p is
 evaluated per block of points by two narrow GEMMs of the cos/sin phases with U
-and V. A source with no cross of rank <= RANK_CAP keeps its samples (the r = n
-case, spectrum rfft2(samples)), as does a SourceGrid built from samples; such
-a field, or one whose C has no cross (a near-resonant box), keeps one product
-with M, built from the half spectrum (_HalfSpectrum).
+and V. The three crosses are one _cross, checked on seeded samples of the
+crossed matrix. A source with no cross of rank <= RANK_CAP keeps its samples
+(the r = n case, spectrum rfft2(samples)), as does a SourceGrid built from
+samples; such a field, or one whose C has no cross (a near-resonant box),
+keeps one product with M, folded from the whole half spectrum.
 
 With L u = D laplace(u) + v . grad(u) + c u (see the operators module), the
 zero mode has symbol c. For c = 0 it is repaired by the compensator
@@ -27,7 +28,8 @@ u_c = quad |x - x0|^2 + lin.(x - x0) about the box centre x0:
     c = 0, v = 0:    quad = mean / 4D         (Poisson)
     c = 0, v != 0:   lin = mean * v / |v|^2   (conv-diff, kappa = 0)
 
-For c > 0 (Helmholtz) the symbol vanishes on a circle of modes; near-resonant
+For c > 0 (Helmholtz) the symbol vanishes on a circle of modes, found once
+per grid, operator and box side by a dense mask (_symbol); near-resonant
 modes with non-negligible source energy abort the solve with ResonantBoxError.
 """
 from __future__ import annotations
@@ -49,7 +51,7 @@ RESONANCE_SOURCE_TOL = 1e-10
 
 # Cross approximation (see _cross): the largest rank kept, the relative size
 # of the cross that stops it, and the largest residual on its seeded check,
-# relative to the largest check value or pivot, that accepts it (_checked_cross).
+# relative to the largest check value or pivot, that accepts it.
 RANK_CAP = 48
 CROSS_TOL = 1e-15
 CHECK_TOL = 1e-14
@@ -121,15 +123,15 @@ class SourceGrid:
         return _check_samples(self._sampler(), self.n)
 
 
-ALL = slice(None)  # every index of an axis, for the block accessors
+ALL = slice(None)  # every index of an axis, for _HalfSpectrum.reciprocal
 
 
 @dataclass(frozen=True)
 class _HalfSpectrum:
     """The half spectrum H (n, n/2+1) with H_ij = (P Q^T)_ij C_ij, C = 1 / (s1 +
-    s2^T) but 0 at the entries (zero[0], zero[1]), built one block (i, j) at a
-    time; i and j are index arrays or ALL. Q None stands for the identity, P
-    being the numerator itself. `cross` is _reciprocal_factor's cross of C."""
+    s2^T) but 0 at the entries (zero[0], zero[1]). Q None stands for the
+    identity, P being the numerator itself. `cross` is _reciprocal_factor's
+    cross of C."""
     p: Optional[np.ndarray]
     q: Optional[np.ndarray]
     s1: np.ndarray
@@ -137,12 +139,12 @@ class _HalfSpectrum:
     zero: Tuple[np.ndarray, np.ndarray] = (np.zeros(0, int), np.zeros(0, int))
     cross: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
-    def numerator(self, i, j) -> np.ndarray:
-        """Block (i, j) of P Q^T."""
-        return self.p[i][:, j] if self.q is None else self.p[i] @ self.q[j].T
+    def numerator(self, i) -> np.ndarray:
+        """Rows i (indices or ALL) of P Q^T."""
+        return self.p[i] if self.q is None else self.p[i] @ self.q.T
 
     def reciprocal(self, i, j) -> np.ndarray:
-        """Block (i, j) of C."""
+        """Block (i, j) of C; i and j are index arrays or ALL."""
         den = self.s1[i, None] + self.s2[j]
         if len(self.zero[0]):  # zero entries z in rows a (i[a] = zi[z]), those w in columns b
             zi, zj = self.zero
@@ -151,35 +153,46 @@ class _HalfSpectrum:
             den[a[w], b] = np.inf
         return np.reciprocal(den, out=den)
 
-    def block(self, i, j) -> np.ndarray:
-        """Block (i, j) of H."""
-        return self.numerator(i, j) * self.reciprocal(i, j)
+    def block(self) -> np.ndarray:
+        """H itself."""
+        return self.numerator(ALL) * self.reciprocal(ALL, ALL)
 
 
-def _cross(rows: Callable, cols: Callable, shape: Tuple[int, int], pick: Callable,
-           dtype=float):
+def _cross(rows: Callable, cols: Callable, shape: Tuple[int, int], check: np.ndarray,
+           sample: Callable, at: Optional[np.ndarray] = None, dtype=float):
     """Adaptive cross approximation with partial pivoting (Bebendorf, Numer.
     Math. 2000) of the matrix S of `shape` whose row i and column j are rows(i)
-    and cols(j): (a, b) with S ~ a b^T, or None past RANK_CAP crosses or at a
-    pick of None. Each cross takes the residual of row pick(u, v), u v^T the
-    last cross (None, None before the first), pivots at its largest entry j,
-    and u is the residual of column j over that pivot. It stops at a pivot
-    within CROSS_TOL of the largest so far."""
+    and cols(j): (a, b) with S ~ a b^T, or None. It is checked on a seeded
+    linear sample of S, `check`, whose check[..., k] comes from S's row at[k]
+    (row k if at is None); sample(u, v) samples a cross u v^T alike. Each cross
+    takes the residual of the row of the largest check residual, pivots at its
+    largest entry j, and u is the residual of column j over that pivot. It
+    stops at a pivot within CROSS_TOL of the largest so far, and is accepted if
+    the check residual then lies within CHECK_TOL of the largest |check| or
+    pivot. It gives up past RANK_CAP crosses, or once the check residual lies
+    more than RANK_CAP - k decades above that after k crosses: even falling a
+    decade per cross, it would end past the cap."""
     a, b = (np.empty((m, RANK_CAP), dtype, order="F") for m in shape)
-    k, scale, u, v = 0, 0.0, None, None
+    resid, top, k, scale = check.copy(), np.abs(check).max(initial=0.0), 0, 0.0
     while True:
-        i = pick(u, v)
-        if i is None:
+        size = np.abs(resid)
+        i = int(size.argmax())
+        worst = size.flat[i]
+        if worst > top * CHECK_TOL * 10.0 ** (RANK_CAP - k):
             return None
+        i %= size.shape[-1]
+        i = i if at is None else int(at[i])
         v = rows(i) - b[:, :k] @ a[i, :k]
         j = int(np.abs(v).argmax())
         scale = max(scale, abs(v[j]))
         if abs(v[j]) <= CROSS_TOL * scale:
-            return a[:, :k], b[:, :k]
+            return None if worst > CHECK_TOL * top else (a[:, :k], b[:, :k])
         if k == RANK_CAP:
             return None
         u = (cols(j) - a[:, :k] @ b[j, :k]) / v[j]
         a[:, k], b[:, k] = u, v
+        resid -= sample(u, v)
+        top = max(top, abs(v[j]))
         k += 1
 
 
@@ -200,60 +213,32 @@ def _read_only(*arrays):
     return arrays
 
 
-def _checked_cross(rows: Callable, cols: Callable, shape: Tuple[int, int], check: np.ndarray,
-                   sample: Callable, at: Optional[np.ndarray] = None, dtype=float):
-    """_cross of S checked on a seeded linear sample of S, `check`, whose
-    check[..., k] comes from S's row at[k] (row k if at is None); sample(u, v)
-    samples u v^T alike. The next row is the one of the largest residual; the
-    cross is accepted if that residual ends within CHECK_TOL of the largest
-    |check| or pivot. It gives up once the residual lies more than RANK_CAP - k
-    decades above that after k crosses: even falling a decade per cross, it
-    would end past the cap."""
-    resid, top = check.copy(), [np.abs(check).max(initial=0.0)]  # and the pivots
-
-    def pick(u, v):
-        if u is not None:
-            resid[...] -= sample(u, v)
-            top.append(np.abs(v).max())
-        size = np.abs(resid)
-        k = int(size.argmax())
-        if size.flat[k] > max(top) * CHECK_TOL * 10.0 ** (RANK_CAP + 1 - len(top)):
-            return None
-        k %= size.shape[-1]
-        return k if at is None else int(at[k])
-
-    factor = _cross(rows, cols, shape, pick, dtype)
-    if factor is None or np.abs(resid).max(initial=0.0) > CHECK_TOL * max(top):
-        return None
-    return factor
-
-
 @lru_cache(maxsize=None)
 def _fold_tables(n: int):
     """Per mode k = 0..n/2 of an n-point axis, the tables of _fold and of M (see
     SpectralField.real_matrix): the partner row n - k; its weight `inner`, 1 for
     0 < k < h and 0 at k = 0, h; `sin`, which turns F_- c into row (k, sin) of M:
-    i, or -i at k = h (F_- c = -c_h), or 0 at k = 0; the column gains of (k, cos),
-    (k, sin), and 1 for the columns that row (h, sin) keeps, (h+1, 2) each."""
+    i, or -i at k = h (F_- c = -c_h), or 0 at k = 0; the column gains of (k, cos)
+    and (k, sin), (h+1, 2)."""
     h = n // 2
     k = np.arange(h + 1)
     inner = (k > 0) & (k < h)
     sin = np.where(inner, 1j, -1j) * (k > 0)
     gains = np.stack([np.where(inner, 2.0, 1.0), np.where(inner, -2.0, (k == h) * 1.0)], axis=-1)
-    return _read_only(-k % n, inner * 1.0, sin, gains, np.stack([~inner, ~inner], axis=-1) * 1.0)
+    return _read_only(-k % n, inner * 1.0, sin, gains)
 
 
-def _fold(n: int, k, c: np.ndarray, cn: np.ndarray) -> np.ndarray:
-    """F (|k|, 2, m) with F[:, 0] = F_+ c = c + inner cn and F[:, 1] = i F_- c =
-    sin (c - inner cn) for rows k (indices or ALL) of the half spectrum, c, and
-    their partner rows n - k, cn (overwritten); inner and sin (_fold_tables)
-    are 0, +-1 or +-i, so only the sum and difference round."""
+def _fold(n: int, c: np.ndarray, cn: np.ndarray) -> np.ndarray:
+    """F (n/2+1, 2, m) with F[:, 0] = F_+ c = c + inner cn and F[:, 1] = i F_- c
+    = sin (c - inner cn) for the rows 0..n/2 of the half spectrum, c, and their
+    partner rows n - k, cn (overwritten); inner and sin (_fold_tables) are 0,
+    +-1 or +-i, so only the sum and difference round."""
     _, inner, sin = _fold_tables(n)[:3]
-    cn *= inner[k, None]
+    cn *= inner[:, None]
     out = np.empty((len(c), 2) + c.shape[1:], complex)
     np.add(c, cn, out=out[:, 0])
     np.subtract(c, cn, out=out[:, 1])
-    out[:, 1] *= sin[k, None]
+    out[:, 1] *= sin[:, None]
     return out
 
 
@@ -278,7 +263,7 @@ class SpectralField:
     @cached_property
     def half(self) -> np.ndarray:
         """The half spectrum (n, n/2 + 1)."""
-        return self.spectrum.block(ALL, ALL)
+        return self.spectrum.block()
 
     @cached_property
     def coeffs(self) -> np.ndarray:
@@ -314,23 +299,12 @@ class SpectralField:
         the same gains; rows and columns interleave the cos and sin of each
         mode. Row and column (0, sin) are 0.
         """
-        return self._matrix(ALL, ALL)
-
-    def _matrix(self, k, l) -> np.ndarray:
-        """Rows (k, cos/sin) by columns (l, cos/sin) of M, (2|k|, 2|l|), for
-        ascending mode arrays k, l or ALL: the half spectrum's rows k and n - k
-        at its columns l, folded (see _fold) and scaled by the column gains."""
-        partner, _, _, gains, keep = _fold_tables(self.n)
-        if k is ALL:
-            hk = self.spectrum.block(ALL, l)
-            c, cn = hk[:self.n // 2 + 1], hk[partner]
-        else:
-            hk = self.spectrum.block(np.concatenate([k, partner[k]]), l)
-            c, cn = hk[:len(k)], hk[len(k):]
-        out = _fold(self.n, k, c, cn).view(np.float64).reshape(len(c), 2, -1, 2) * gains[l]
-        if k is ALL or k[-1] == self.n // 2:
-            out[-1, 1] *= keep[l]  # row (n/2, sin) keeps the columns l = 0, n/2
-        return out.reshape(2 * len(c), -1)
+        partner, _, _, gains = _fold_tables(self.n)
+        half = self.spectrum.block()
+        c = _fold(self.n, half[:self.n // 2 + 1], half[partner])
+        out = c.view(np.float64).reshape(len(c), 2, -1, 2) * gains
+        out[-1, 1, 1:-1] = 0.0  # row (n/2, sin) keeps the columns l = 0, n/2
+        return out.reshape(self.n + 2, -1)
 
     @cached_property
     def _factor(self):
@@ -346,13 +320,13 @@ class SpectralField:
         alike. U V^T is a cross of S = D U0 V0^T D checked on a seeded probe of
         S, U = D^-1 a and V = D^-1 b: D = diag(1 + k) on the rows and columns of
         mode k weights their error as d/dx weights the series. Row (n/2, sin),
-        which keeps only the columns of l = 0, n/2, is M's own (_matrix), one
-        more column of U and V. None for the r = n case, or when either cross
-        fails: the series then uses M itself."""
+        which keeps only the columns of l = 0, n/2, is M's own, one more column
+        of U and V, from H[n/2, 0] and H[n/2, n/2]. None for the r = n case, or
+        when either cross fails: the series then uses M itself."""
         s, n, h = self.spectrum, self.n, self.n // 2
         if s.q is None or s.cross is None:
             return None
-        partner, _, _, gains, _ = _fold_tables(n)
+        partner, _, _, gains = _fold_tables(n)
         d = 1.0 + np.arange(h + 1)
         (x, y), q = s.cross, s.q * d[:, None]
         if len(x) < n:
@@ -363,17 +337,20 @@ class SpectralField:
                  * x[:, None]).reshape(n, -1)
             b = (q[:, :, None] * y[:, None]).reshape(h + 1, 1, -1)
             b = np.conjugate(b, out=b) * (gains * [1.0, 1j])[:, :, None]
-            u0, v0 = (z.view(np.float64) for z in (_fold(n, ALL, a[:h + 1], a[partner]), b))
+            u0, v0 = (z.view(np.float64) for z in (_fold(n, a[:h + 1], a[partner]), b))
         u0, v0 = (z.reshape(n + 2, -1) for z in (u0, v0))
         u0[-1] = 0.0
         w = _seeded(20110, (4, n + 2))
-        cross = _checked_cross(lambda k: v0 @ u0[k], lambda k: u0 @ v0[k], (n + 2, n + 2),
-                               (w @ v0) @ u0.T, lambda u, v: (w @ v)[:, None] * u)
+        cross = _cross(lambda k: v0 @ u0[k], lambda k: u0 @ v0[k], (n + 2, n + 2),
+                       (w @ v0) @ u0.T, lambda u, v: (w @ v)[:, None] * u)
         if cross is None:
             return None
+        row = s.numerator(np.array([h]))[0, [0, h]] * s.reciprocal(np.array([h]), ALL)[0, [0, h]]
+        last = np.zeros(n + 2)
+        last[[0, n, n + 1]] = row[0].imag, row[1].imag, -row[1].real
         d = d.repeat(2)[:, None]
         u, v = (np.concatenate([z / d, e[:, None]], axis=1) for z, e in
-                zip(cross, (np.zeros(n + 2), self._matrix(np.array([h]), ALL)[1])))
+                zip(cross, (np.zeros(n + 2), last)))
         u[-1, -1] = 1.0
         return u, v
 
@@ -479,7 +456,7 @@ def extend_source(f: Callable, domain: StarDomain,
     is the outer product of per-axis weights, so the samples are 0 outside
     the block of points where both are nonzero (every point off the box's
     lower edges), and inside it the weights times f. That block is
-    cross-approximated (_checked_cross): f is called first on 4n seeded
+    cross-approximated (_cross): f is called first on 4n seeded
     points of the block, as two arrays of one shape, which check the cross;
     then per cross on one row, x1 (1, 1) and x2 (1, c), and one column, x1
     (r, 1) and x2 (1, 1), and on a last row whose residual stops it. If the
@@ -517,7 +494,7 @@ def extend_source(f: Callable, domain: StarDomain,
     if min(shape) > RANK_CAP:
         i, j = _seeded(2000, shape, 4 * n)
         check = w1[i] * w2[j] * _source_values(f, x1[i, 0], x2[0, j], shape)
-        factor = _checked_cross(
+        factor = _cross(
             lambda k: w1[k] * w2 * _source_values(f, x1[k:k + 1], x2, shape)[0],
             lambda k: w1 * w2[k] * _source_values(f, x1, x2[:, k:k + 1], shape)[:, 0],
             shape, check, lambda u, v: u[i] * v[j], i)
@@ -559,9 +536,8 @@ def _symbol(n: int, coefficients, side: float):
     this box side, times n^2, as the outer sum s1 + s2^T over the (n,) and
     (n/2 + 1,) modes (no operator has a mixed w1 w2 term), real unless v != 0;
     and the entries where 1 / (s1 + s2^T) is set to 0: the zero mode for c =
-    0, and for c > 0 the near-resonant modes, |s1_i + s2_j| <= tol, each row's
-    from the window of the sorted s2 within tol (and a rounding margin) of
-    -s1_i."""
+    0, and for c > 0 the near-resonant modes, |s1_i + s2_j| <= tol, found by
+    one dense mask over the (n, n/2 + 1) outer sum."""
     c, w = coefficients[2], _frequencies(n, side)
     s1 = fourier_symbol(coefficients, stack_xy(w, 0.0)) * (n * n)
     s2 = (fourier_symbol(coefficients, stack_xy(0.0, w[:n // 2 + 1]))
@@ -571,14 +547,7 @@ def _symbol(n: int, coefficients, side: float):
     i = j = np.zeros(int(c == 0.0), int)
     if c > 0.0:
         tol = RESONANCE_SYMBOL_TOL * max(1.0, c) * (n * n)
-        order = np.argsort(s2)
-        margin = tol + 4.0 * np.spacing(np.abs(s1).max() + np.abs(s2).max())
-        lo, hi = (np.searchsorted(s2[order], -s1 + d, end)
-                  for d, end in ((-margin, "left"), (margin, "right")))
-        i = np.repeat(np.arange(n), hi - lo)
-        j = order[np.arange(len(i)) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)]
-        near = np.abs(s1[i] + s2[j]) <= tol
-        i, j = i[near], j[near]
+        i, j = np.nonzero(np.abs(s1[:, None] + s2) <= tol)
     return _read_only(s1, s2) + (_read_only(i, j),)
 
 
@@ -598,9 +567,9 @@ def _reciprocal_factor(n: int, coefficients, side: float):
     den = spectrum.s1[i] + spectrum.s2[j]
     zi, zj = spectrum.zero
     den[np.isin(i * shape[1] + j, zi * shape[1] + zj)] = np.inf
-    factor = _checked_cross(lambda k: spectrum.reciprocal(np.array([k]), ALL)[0],
-                            lambda k: spectrum.reciprocal(ALL, np.array([k]))[:shape[0], 0],
-                            shape, 1.0 / den, lambda u, v: u[i] * v[j], i, den.dtype)
+    factor = _cross(lambda k: spectrum.reciprocal(np.array([k]), ALL)[0],
+                    lambda k: spectrum.reciprocal(ALL, np.array([k]))[:shape[0], 0],
+                    shape, 1.0 / den, lambda u, v: u[i] * v[j], i, den.dtype)
     return factor and _read_only(*factor)
 
 
@@ -611,9 +580,9 @@ def _check_resonances(op: OperatorSpec, spectrum: _HalfSpectrum):
     i, j = spectrum.zero
     if len(i):
         n, step = len(spectrum.s1), max(1, BLOCK_PAIRS // len(spectrum.s2))
-        fmax = max(float(np.abs(spectrum.numerator(np.arange(k, min(k + step, n)), ALL)).max())
+        fmax = max(float(np.abs(spectrum.numerator(np.arange(k, min(k + step, n)))).max())
                    for k in range(0, n, step))
-        fhat = spectrum.numerator(i, ALL)[np.arange(len(i)), j]
+        fhat = spectrum.numerator(i)[np.arange(len(i)), j]
         bad = np.flatnonzero(np.abs(fhat) > RESONANCE_SOURCE_TOL * fmax)
         if len(bad):
             m = np.fft.fftfreq(n) * n

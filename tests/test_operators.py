@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasirbf.errors import (ConfigurationError, KernelOverflowError,
                              UnsupportedOperatorError)
@@ -37,6 +39,15 @@ class TestOperatorValidation:
     def test_convdiff_negative_diffusivity(self):
         with pytest.raises(ConfigurationError):
             ConvectionDiffusion(diffusivity=-1.0, velocity=(1.0, 0.0))
+
+    @pytest.mark.parametrize("make", [lambda: Helmholtz(1e200), lambda: Helmholtz(1e-200),
+                                      lambda: ModifiedHelmholtz(1e200),
+                                      lambda: ModifiedHelmholtz(1e-200)],
+                             ids=["helmholtz-huge", "helmholtz-tiny", "modhelm-huge", "modhelm-tiny"])
+    def test_kernel_coefficient_out_of_double_range(self, make):
+        # k^2 overflows or rounds to 0, which leaves no kernel Z0(mu r)
+        with pytest.raises(ConfigurationError, match="mu\\^2"):
+            make()
 
 
 class TestFourierSymbol:
@@ -314,3 +325,18 @@ class TestPerOperatorReference:
         for one in d[:20]:  # the (2,) path too, d = 0 included
             assert kernel_value(op, one) == self.value(op, one)
             assert np.array_equal(kernel_gradient(op, one), self.gradient(op, one))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 2),
+       st.floats(min_value=0.0, allow_infinity=False))
+def test_convdiff_kernel_is_always_modified_bessel(diffusivity, velocity, reaction):
+    # c = -kappa <= 0 and D > 0 give mu^2 = |v|^2 / 4D^2 + kappa / D >= 0; an
+    # operator whose mu^2 rounds to 0 or overflows is rejected, so every one
+    # that is built has the I0 kernel that _kernel's drift path assumes
+    try:
+        op = ConvectionDiffusion(diffusivity, velocity, reaction)
+    except ConfigurationError:
+        return
+    assert 0.0 < op.coefficients.mu2 < math.inf

@@ -541,17 +541,16 @@ class TestHalfSpectrum:
 
 
 class TestBlockAccessors:
-    """_HalfSpectrum.block and SpectralField._matrix build any block of the
-    half spectrum and of M exactly as `half` and `real_matrix` hold it."""
+    """_HalfSpectrum.reciprocal builds C's single rows and columns exactly as
+    the whole C holds them, and _factor's extra column is row (n/2, sin) of
+    real_matrix bit for bit."""
 
     @staticmethod
     def _field(name):
         if name == "poisson":  # factored source, zero mode
             return TestLowRankFactor._preset_field("poisson_disc", n=128)[0]
-        if name == "convdiff":  # samples, complex symbol
-            samples = np.random.default_rng(64).standard_normal((64, 64))
-            return solve_particular(ConvectionDiffusion(1.0, (2.0, -1.5), 0.5),
-                                    SourceGrid(_pi_box(), 64, samples=samples))
+        if name == "convdiff":  # factored source, complex symbol
+            return TestLowRankFactor._preset_field("convdiff_disc", n=128)[0]
         # the clamped field of test_resonant_modes_without_energy_clamped
         return solve_particular(Helmholtz(math.sqrt(2.0)), _grid_samples(
             _pi_box(), 32, lambda a, b: np.cos(a + 2.0 * b)))
@@ -559,27 +558,21 @@ class TestBlockAccessors:
     @pytest.mark.parametrize("name", ["poisson", "convdiff", "clamped"])
     def test_blocks_equal_the_formed_arrays(self, name):
         sf = self._field(name)
-        n, h = sf.n, sf.n // 2
-        assert sf.spectrum.zero[0].size or name == "convdiff"
-        rng = np.random.default_rng(15)
-        # rows in any order, repeats included (a fold fetches row 0 twice)
-        i = np.concatenate([[0, h], rng.choice(n, 6), [0]])
-        j = np.concatenate([[h], rng.choice(h + 1, 5), [0]])
-        block = sf.spectrum.block
-        assert np.array_equal(block(i, j), sf.half[np.ix_(i, j)])
-        assert np.array_equal(block(i, ALL), sf.half[i])
-        assert np.array_equal(block(ALL, j), sf.half[:, j])
-        # M's rows and columns (k, cos), (k, sin) for ascending modes k
-        k = np.unique(np.concatenate([[0, h], rng.choice(h + 1, 5)]))
-        l = np.unique(np.concatenate([[0, h], rng.choice(h + 1, 5)]))
-        rk, rl = (np.stack([2 * m, 2 * m + 1], axis=-1).ravel() for m in (k, l))
-        m = sf.real_matrix
-        assert np.array_equal(sf._matrix(k, l), m[np.ix_(rk, rl)])
-        assert np.array_equal(sf._matrix(k, ALL), m[rk])
-        assert np.array_equal(sf._matrix(ALL, l), m[:, rl])
-        for one in (0, h, int(rng.integers(1, h))):
-            assert np.array_equal(sf._matrix(np.array([one]), ALL), m[2 * one:2 * one + 2])
-            assert np.array_equal(sf._matrix(ALL, np.array([one])), m[:, 2 * one:2 * one + 2])
+        s, n, h = sf.spectrum, sf.n, sf.n // 2
+        zi, zj = s.zero
+        c = s.reciprocal(ALL, ALL)
+        assert np.all(c[zi, zj] == 0.0) and np.array_equal(s.block(), s.numerator(ALL) * c)
+        # single rows and columns, those of the zero entries included; on the
+        # clamped field one column holds two of them
+        assert len(zj) > len(set(zj.tolist())) or name != "clamped"
+        for i in np.concatenate([zi, [0, h, n - 1]]):
+            assert np.array_equal(s.reciprocal(np.array([i]), ALL)[0], c[i])
+        for j in np.concatenate([zj, [0, h]]):
+            assert np.array_equal(s.reciprocal(ALL, np.array([j]))[:, 0], c[:, j])
+        if name != "clamped":  # _factor's extra column is row (n/2, sin) of M
+            u, v = sf._factor
+            assert np.array_equal(v[:, -1], sf.real_matrix[-1])
+            assert np.array_equal(u[:, -1], np.eye(n + 2)[-1])
 
     @pytest.mark.parametrize("n, k", [(32, math.sqrt(2.0)), (512, 5.0)])
     def test_resonance_scan_matches_dense_mask(self, n, k):
@@ -596,13 +589,12 @@ class TestBlockAccessors:
 
 
 class TestCross:
-    """_cross on explicit matrices: one row and one column per cross, the
-    next row the one of the largest residual."""
+    """_cross on explicit matrices, checked on the whole matrix: one row and
+    one column per cross, the next row the one of the largest residual."""
 
     @staticmethod
     def _cross_counted(s):
         fetched = {"rows": 0, "cols": 0}
-        resid = s.copy()
 
         def rows(i):
             fetched["rows"] += 1
@@ -612,12 +604,7 @@ class TestCross:
             fetched["cols"] += 1
             return s[:, j].copy()
 
-        def pick(u, v):
-            if u is not None:
-                resid[...] -= np.outer(u, v)
-            return int(np.argmax(np.einsum("ij,ij->i", resid, resid)))
-
-        return _cross(rows, cols, s.shape, pick), fetched
+        return _cross(rows, cols, s.shape, s.T, lambda u, v: np.outer(v, u)), fetched
 
     def test_rank_five_product(self):
         rng = np.random.default_rng(14)

@@ -15,8 +15,10 @@ prints CLOSE. CLOSE and DIFF lines list the largest relative difference
 |new - old| / |old| of each field that moved, over the case's rows.
 
 Cases: `quasirbf solve` on every preset at the defaults and at knots 48 /
-grid 512, on a resonant config and on a kernel-overflow config, and
-`quasirbf converge` on helmholtz_disc and helmholtz_star at 8,16,32,48.
+grid 512, on the source presets at grid 32 (whose sources are sampled, not
+factored, so u_p uses its real matrix), on a resonant config and on a
+kernel-overflow config, and `quasirbf converge` on helmholtz_disc and
+helmholtz_star at 8,16,32,48.
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 RESONANT = {"preset": "helmholtz_resonant", "box_margin": 0.5, "grid": 64}
+SAMPLED = ("modhelm_source", "convdiff_disc", "poisson_disc", "helmholtz_resonant")
 OVERFLOW = {"problem": {"operator": {"type": "modified_helmholtz", "k": 400},
                         "domain": {"type": "circle", "radius": 1}}, "knots": 16}
 
@@ -59,6 +62,8 @@ def cases(src: Path, workdir: Path):
     for name in preset_names(src):
         configs[f"solve {name}"] = {"preset": name}
         configs[f"solve {name} knots=48 grid=512"] = {"preset": name, "knots": 48, "grid": 512}
+    for name in SAMPLED:
+        configs[f"solve {name} grid=32"] = {"preset": name, "grid": 32}
     configs["solve resonant"] = RESONANT
     configs["solve overflow"] = OVERFLOW
     for i, (name, config) in enumerate(configs.items()):
