@@ -25,7 +25,9 @@ BLOCK_PAIRS = 16384
 def stack_xy(x1, x2) -> np.ndarray:
     """Components x1, x2 (floats or arrays, broadcast together) stacked on a
     last axis: points (..., 2) from coordinates, or vectors from components."""
-    return np.stack(np.broadcast_arrays(np.asarray(x1, dtype=float), x2), axis=-1)
+    out = np.empty(np.broadcast(x1, x2).shape + (2,))
+    out[..., 0], out[..., 1] = x1, x2
+    return out
 
 
 def point_blocks(x, width: int):
@@ -127,8 +129,7 @@ class StarDomain:
         """gamma(t), vectorized over t."""
         t = np.asarray(t, dtype=float)
         r = self.rho(t)
-        return np.stack([self.center[0] + r * np.cos(t),
-                         self.center[1] + r * np.sin(t)], axis=-1)
+        return stack_xy(self.center[0] + r * np.cos(t), self.center[1] + r * np.sin(t))
 
     def outward_normal(self, t):
         """Unit outward normal at gamma(t), vectorized over t: the curve

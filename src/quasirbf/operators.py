@@ -34,12 +34,13 @@ _LOG_MAX = math.log(np.finfo(float).max)  # exp overflows above this argument
 
 class Coefficients(NamedTuple):
     """L u = D laplace(u) + v . grad(u) + c u, and the kernel's
-    mu2 = |v|^2 / 4D^2 - c / D with mu = sqrt(|mu2|)."""
+    mu2 = |v|^2 / 4D^2 - c / D with mu = sqrt(|mu2|); drift is v != 0."""
     D: float
     v: np.ndarray
     c: float
     mu2: float
     mu: float
+    drift: bool
 
 
 class _Operator:
@@ -48,7 +49,7 @@ class _Operator:
         """(D, v, c) of this operator, with the kernel's mu2 and mu; computed once."""
         D, v, c = _COEFFICIENTS[type(self)](self)
         mu2 = float(v @ v) / (4.0 * D ** 2) - c / D
-        return Coefficients(D, v, c, mu2, math.sqrt(abs(mu2)))
+        return Coefficients(D, v, c, mu2, math.sqrt(abs(mu2)), bool(v.any()))
 
     def _check_kernel(self):
         """ConfigurationError unless mu2 is a nonzero finite double, which the
@@ -151,13 +152,13 @@ def _kernel(op: OperatorSpec, d, gradient: bool):
     oscillating = k.mu2 < 0.0
     # every d / r term has a zero numerator at r = 0, where 1 is a safe divisor
     safe_r = np.where(r == 0.0, 1.0, r) if gradient else None
-    if not k.v.any():
+    if not k.drift:
         if not gradient:
             return (bessel_j0 if oscillating else bessel_i0)(k.mu * r)[..., 0][()]
         z1 = bessel_j1 if oscillating else bessel_i1
         return (-k.mu if oscillating else k.mu) * z1(k.mu * r) * d / safe_r
     z0, z1 = bessel_i0_i1(k.mu * r) if gradient else (bessel_i0(k.mu * r), None)
-    exponent = -(k.v[0] * d[..., :1] + k.v[1] * d[..., 1:]) / (2.0 * k.D)
+    exponent = (k.v[0] * d[..., :1] + k.v[1] * d[..., 1:]) / (-2.0 * k.D)
 
     def product():
         drift = np.exp(exponent)

@@ -356,11 +356,12 @@ class SpectralField:
 
     @cached_property
     def _split_tables(self):
-        """Fine frequencies w_q, q < L, and coarse turns L p / side for the
-        modes L p <= n/2 (in extended precision), L = isqrt(n/2 + 1)."""
+        """i w_q of the fine modes q < L, coarse turns L p / side of the modes
+        L p <= n/2 (extended precision), L = isqrt(n/2 + 1), and i w_k of all."""
         step = math.isqrt(self.n // 2 + 1)
-        return (self.omega[:step],
-                np.arange(0, self.n // 2 + 1, step, dtype=np.longdouble) / self.box.side[0])
+        return (1j * self.omega[:step],
+                np.arange(0, self.n // 2 + 1, step, dtype=np.longdouble) / self.box.side[0],
+                1j * self.omega)
 
     def _phases(self, x: np.ndarray) -> np.ndarray:
         """Phase factors exp(i w_k (x - min_corner)) of the modes k = 0..n/2
@@ -373,16 +374,15 @@ class SpectralField:
         extended precision (np.longdouble) before the exponential: in double
         precision the rounding of such arguments alone costs up to ~1e-12 at
         n = 1024, as it does for a direct exp(i w_k (x - min_corner))."""
-        inside = self.box.contains(x)
-        if not inside.all():
-            x1, x2 = x[np.argmin(inside)]
-            raise DomainError(f"point ({x1}, {x2}) lies outside the embedding box")
-        fine_w, coarse_turns = self._split_tables
         d = (x - self.box.min_corner).T[:, :, None]
+        if not ((d >= 0.0).all() and (x <= self.box.max_corner).all()):
+            x1, x2 = x[np.argmin(self.box.contains(x))]
+            raise DomainError(f"point ({x1}, {x2}) lies outside the embedding box")
+        fine_iw, coarse_turns, _ = self._split_tables
         turns = d.astype(np.longdouble) * coarse_turns
         turns -= np.round(turns)
         coarse = np.exp(2j * np.pi * turns.astype(float))
-        fine = np.exp(1j * fine_w * d)
+        fine = np.exp(fine_iw * d)
         z = coarse[..., None] * fine[:, :, None, :]
         return z.reshape(2, len(x), -1)[..., :self.n // 2 + 1]
 
@@ -596,15 +596,16 @@ def _check_resonances(op: OperatorSpec, spectrum: _HalfSpectrum):
 def _evaluate(sf: SpectralField, x, gradient: bool) -> np.ndarray:
     """u_p (shape (...)) or grad u_p (shape (..., 2)) at points x (2,) or (..., 2):
     per block of points, real GEMMs of the phase factors with the folded matrix
-    or its factor (see SpectralField). The derivative phases i w exp(i w x) go
-    through the same matrices."""
-    pts, blocks, shape = point_blocks(x, sf.n // 2 + 1)
+    or its factor (see SpectralField). The derivative phases i w exp(i w x) of
+    both axes go through the same matrices in one series, two rows per point."""
+    pts, blocks, shape = point_blocks(x, (sf.n // 2 + 1) * (1 + gradient))
     out = np.empty((len(pts), 2) if gradient else len(pts))
-    iw = 1j * sf.omega
+    iw = sf._split_tables[2]
     for blk in blocks:
         ex, ey = sf._phases(pts[blk])
         if gradient:
-            out[blk, 0], out[blk, 1] = sf._series(iw * ex, ey), sf._series(ex, iw * ey)
+            ex, ey = np.concatenate([iw * ex, ex]), np.concatenate([ey, iw * ey])
+            out[blk] = sf._series(ex, ey).reshape(2, -1).T
         else:
             out[blk] = sf._series(ex, ey)
         del ex, ey  # frees this block's phases before the next block's are built

@@ -10,12 +10,12 @@ a large-argument form at a fixed point:
              Hankel expansion for x >= 12, truncated at its smallest term
     I0, I1:  ascending series for x < 15 (DLMF 10.25.2) and the
              exponential asymptotic form for x >= 15 (DLMF 10.40.1), both
-             as fixed-degree polynomials evaluated by Horner's rule, so a
-             call costs the same few dozen operations at any size
+             as 32-term polynomials, evaluated for both orders at once by
+             the same twenty array operations per I_CHUNK arguments
 
 Measured against a 45-digit decimal oracle, J has absolute error below
-1e-12 on [0, 50]; I has relative error below 1e-15 for x < 15, 5e-15 on
-[15, 50] and 5e-16 on [50, 700].
+1e-12 on [0, 50]; I0 / I1 have relative error 7.9e-16 / 6.7e-16 on [0, 15),
+3.4e-15 / 3.8e-15 on [15, 50] and 3.6e-16 / 2.8e-16 on [50, 700].
 
 Each function takes a float or an array of any shape; each element of an
 array result equals the float result for that element, bit for bit.
@@ -116,78 +116,86 @@ def _i_series_coefficients(nu: int):
 
 # The terms a_k / x^k of the I expansion are smallest near k = 2x; the
 # degree is fixed there for x = I_SWITCH, the worst case.
-I_ASYMPTOTIC_DEGREE = int(2 * I_SWITCH)
 _I_SERIES = (_i_series_coefficients(0), _i_series_coefficients(1))
-_I_ASYMPTOTIC = tuple([(-1) ** k * a_k for k, a_k in enumerate(a[:I_ASYMPTOTIC_DEGREE + 1])]
+_I_ASYMPTOTIC = tuple([(-1) ** k * a_k for k, a_k in enumerate(a[:int(2 * I_SWITCH) + 1])]
                       for a in _HANKEL_A)
+I_CHUNK = 16384  # arguments per pass: the (orders, 8, I_CHUNK) work array is 1 MiB per order
+# _I_TABLE[form, nu, m, i, 0] = c_{j + 8m} of form 0 (the series) or 1, j the
+# 3-bit reversal of i: the coefficient of s^m in the cubic E_j of
+# P_nu(t) = sum_j t^j E_j(s), s = t^8 (Estrin 1960; Knuth, TAOCP 2, 4.6.4).
+_I_TABLE = np.array([[np.pad(c, (0, 32 - len(c))).reshape(4, 8)[:, [0, 4, 2, 6, 1, 5, 3, 7]]
+                      for c in form] for form in (_I_SERIES, _I_ASYMPTOTIC)])[..., None]
 
 
-def _horner(coeffs, t):
-    """sum(coeffs[k] * t**k) by Horner's rule on a float or an array; the
-    in-place steps rebind a float and update a fresh array."""
-    p = coeffs[-1] * t + coeffs[-2]
-    for c in coeffs[-3::-1]:
-        p *= t
-        p += c
-    return p
+def _i_form(rows: slice, x, asymptotic: bool):
+    """[I_nu for nu in range(2)[rows]], (orders, P), at x (P,) in one form's range:
+    P_nu(x^2/4) (times x/2 for nu = 1) or P_nu(1/x) e^x / sqrt(2 pi x). Per I_CHUNK
+    arguments, Horner's rule in s on all eight columns, then Estrin's levels h = 4,
+    2, 1 add column i + h times t^(4/h) to column i; no element depends on P."""
+    table = _I_TABLE[int(asymptotic), rows]
+    out = np.empty((len(table), len(x)))
+    for i in range(0, len(x), I_CHUNK):
+        c = x[i:i + I_CHUNK]
+        t = [1.0 / c if asymptotic else 0.25 * c * c]
+        for _ in range(3):
+            t.append(t[-1] * t[-1])
+        p = table[:, 3] * t[3]
+        for m in (2, 1):
+            p += table[:, m]
+            p *= t[3]
+        p += table[:, 0]
+        for h, tk in zip((4, 2, 1), t):
+            p[:, :h] += np.multiply(p[:, h:2 * h], tk, out=p[:, h:2 * h])
+        if asymptotic:
+            p[:, 0] *= np.exp(c) / np.sqrt(2.0 * math.pi * c)
+        elif rows.stop == 2:
+            p[-1, 0] *= 0.5 * c
+        out[:, i:i + I_CHUNK] = p[:, 0]
+    return out
 
 
-def _i_series(nus, x):
-    q = 0.25 * x * x
-    return [(0.5 * x if nu else 1.0) * _horner(_I_SERIES[nu], q) for nu in nus]
-
-
-def _i_asymptotic(nus, x):
-    scale, t = np.exp(x) / np.sqrt(2.0 * math.pi * x), 1.0 / x
-    return [scale * _horner(_I_ASYMPTOTIC[nu], t) for nu in nus]
-
-
-def _bessel(name: str, nus, x, modified: bool):
-    """[J_nu or (modified) I_nu for nu in nus] on a float or an array."""
-    switch, limit, series, asymptotic = (
-        (I_SWITCH, I_OVERFLOW_LIMIT, _i_series, _i_asymptotic) if modified
-        else (J_SWITCH, math.inf, lambda nus, x: [_series_bessel(nu, x) for nu in nus],
-              lambda nus, x: [_asymptotic(nu, x) for nu in nus]))
+def _bessel(name: str, rows: slice, x, modified: bool):
+    """[J_nu or (modified) I_nu for nu in range(2)[rows]] on a float or an
+    array. A float runs J's forms on floats and I's as a one-element array."""
+    switch, limit, form = (I_SWITCH, I_OVERFLOW_LIMIT, _i_form) if modified else (
+        J_SWITCH, math.inf, lambda r, y, big: [
+            (_asymptotic if big else _series_bessel)(nu, y) for nu in range(2)[r]])
     a = np.asarray(x, dtype=float)
     flat = a.ravel()
-    if a.ndim == 0:
-        lo = hi = float(a)
-    else:
-        lo, hi = (float(flat.min()), float(flat.max())) if flat.size else (0.0, 0.0)
+    lo, hi = (float(flat.min()), float(flat.max())) if flat.size else (0.0, 0.0)
     if not (lo >= 0.0 and hi < math.inf):
         raise DomainError(f"{name} is defined for finite x >= 0, got {lo if not lo >= 0.0 else hi}")
     if hi > limit:
         raise KernelOverflowError(f"{name} overflows double precision for x > {limit}, got {hi}")
-    if a.ndim == 0:
-        return [float(v) for v in (series(nus, lo) if lo < switch else asymptotic(nus, lo))]
-    if hi < switch:
-        return [v.reshape(a.shape) for v in series(nus, flat)]
-    if lo >= switch:
-        return [v.reshape(a.shape) for v in asymptotic(nus, flat)]
-    out = np.empty((len(nus),) + flat.shape)
-    part = flat < switch
-    for form in (series, asymptotic):
-        out[:, part] = form(nus, flat[part])
-        np.logical_not(part, out=part)
-    return list(out.reshape((len(nus),) + a.shape))
+    if a.ndim == 0 and not modified:
+        return [float(v) for v in form(rows, lo, lo >= switch)]
+    if hi < switch or lo >= switch:
+        out = form(rows, flat, lo >= switch)
+    else:
+        out = np.empty((len(range(2)[rows]), flat.size))
+        part = flat < switch
+        for asymptotic in (False, True):
+            out[:, part] = form(rows, flat[part], asymptotic)
+            np.logical_not(part, out=part)
+    return [float(v[0]) if a.ndim == 0 else v.reshape(a.shape) for v in out]
 
 
 def bessel_j0(x):
-    return _bessel("bessel_j0", (0,), x, False)[0]
+    return _bessel("bessel_j0", slice(0, 1), x, False)[0]
 
 
 def bessel_j1(x):
-    return _bessel("bessel_j1", (1,), x, False)[0]
+    return _bessel("bessel_j1", slice(1, 2), x, False)[0]
 
 
 def bessel_i0(x):
-    return _bessel("bessel_i0", (0,), x, True)[0]
+    return _bessel("bessel_i0", slice(0, 1), x, True)[0]
 
 
 def bessel_i1(x):
-    return _bessel("bessel_i1", (1,), x, True)[0]
+    return _bessel("bessel_i1", slice(1, 2), x, True)[0]
 
 
 def bessel_i0_i1(x):
-    """(I0(x), I1(x)), one argument check, q = x^2/4 or e^x/sqrt(2 pi x)."""
-    return tuple(_bessel("bessel_i0_i1", (0, 1), x, True))
+    """(I0(x), I1(x)) from one evaluation of both orders."""
+    return tuple(_bessel("bessel_i0_i1", slice(0, 2), x, True))

@@ -11,7 +11,7 @@ from quasirbf.geometry import (Box2, Circle, Star, StarDomain, bounding_box,
 from quasirbf.operators import (ConvectionDiffusion, Helmholtz,
                                 ModifiedHelmholtz, Poisson, apply_operator_fd,
                                 fourier_symbol)
-from quasirbf.particular import (ALL, RANK_CAP, RESONANCE_SYMBOL_TOL, Compensator,
+from quasirbf.particular import (ALL, RANK_CAP, Compensator,
                                  SourceGrid, SpectralField, TaperSpec, _axis_weight, _cross,
                                  _HalfSpectrum, _reciprocal_factor, _symbol,
                                  eval_particular, eval_particular_gradient,
@@ -577,14 +577,16 @@ class TestBlockAccessors:
     @pytest.mark.parametrize("n, k", [(32, math.sqrt(2.0)), (512, 5.0)])
     def test_resonance_scan_matches_dense_mask(self, n, k):
         # n = 32 is the clamped field's box and operator; a zero source carries
-        # no energy, so every near-resonant mode is kept; at n = 512 the scan
-        # runs over several row blocks
+        # no energy, so every near-resonant mode is kept. On the 2 pi box every
+        # mode number is an integer, so those modes are the integer pairs (m1 in
+        # fftfreq order, 0 <= m2 <= n/2) with m1^2 + m2^2 = k^2 exactly: any
+        # other pair misses k^2 by at least 1, far past the tolerance
         op = Helmholtz(k)
         sf = solve_particular(op, SourceGrid(_pi_box(), n, samples=np.zeros((n, n))))
-        s = sf.spectrum
-        tol = RESONANCE_SYMBOL_TOL * max(1.0, k * k) * (n * n)
-        want = set(zip(*np.nonzero(np.abs(s.s1[:, None] + s.s2) <= tol)))
-        got = list(zip(*s.zero))
+        m1 = np.fft.fftfreq(n, 1.0 / n).astype(int)
+        m2 = np.arange(n // 2 + 1)
+        want = set(zip(*np.nonzero(m1[:, None] ** 2 + m2 ** 2 == round(k * k))))
+        got = list(zip(*sf.spectrum.zero))
         assert len(got) == len(set(got)) and set(got) == want and len(want) >= 2
 
 
