@@ -15,19 +15,24 @@ ill-conditioned systems; condition estimates are always reported so the
 ill-conditioning of the full collocation matrix is observable, and a
 solve that inverts a singular value at or below s_max eps N emits a
 RankDeficientWarning (LU below full rank, TSVD with too small a cutoff).
+assemble caches each geometry's matrix (read-only) and its singular values,
+keyed on exactly what the matrix depends on: a repeated solve with new data
+skips the N^2 kernel evaluations and the O(N^3) decomposition.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Tuple, Union
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import ConfigurationError, RankDeficientWarning, SingularMatrixError
 from .geometry import BoundaryKnots, point_blocks
 from .operators import OperatorSpec, Poisson, kernel_gradient, kernel_value
+from .particular import _read_only
 
 DEFAULT_TSVD_CUTOFF = 1e-12
 
@@ -64,12 +69,32 @@ class TSVD:
 Strategy = Union[LU, TSVD]
 
 
+@dataclass(eq=False)
+class _Factor:
+    """A matrix (N, M), None until assemble fills it; on first use its thin SVD for TSVD or
+    values-only singular values for LU (last bits differ). About 24 N M bytes, 1.5 MiB at 256."""
+    matrix: Optional[np.ndarray] = None
+
+    @cached_property
+    def svd(self):
+        return _read_only(*np.linalg.svd(self.matrix, full_matrices=False))
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        return _read_only(np.linalg.svd(self.matrix, compute_uv=False))[0]
+
+
+_cached_factor = lru_cache(maxsize=8)(lambda key: _Factor())  # a sweep of 4 N's needs 4
+
+
 @dataclass(frozen=True)
 class CollocationSystem:
     matrix: np.ndarray
     rhs: np.ndarray
     centers: np.ndarray  # (N, 2) centre positions
     mode: Mode
+    # assemble's cache entry; solve_dense reuses it only while factor.matrix is matrix
+    factor: Optional[_Factor] = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -87,33 +112,30 @@ class HomogeneousSolution:
     centers: np.ndarray  # (N, 2) centre positions
 
 
-def trefftz_terms(order: int, center, scale: float, x1, x2):
-    """Values (..., 2*order+1) and gradients (..., 2*order+1, 2) of the
+def trefftz_terms(order: int, center, scale: float, x1, x2, gradient: bool) -> np.ndarray:
+    """Values (..., 2*order+1) or gradients (..., 2*order+1, 2) of the
     circular-harmonic basis terms at points with coordinates x1, x2 (...)."""
     z = ((np.asarray(x1, dtype=float) - center[0])
          + 1j * (np.asarray(x2, dtype=float) - center[1])) / scale
-    values = np.empty(z.shape + (2 * order + 1,))
-    grads = np.empty(z.shape + (2 * order + 1, 2))
-    values[..., 0] = 1.0
-    grads[..., 0, :] = 0.0
+    terms = np.empty(z.shape + (2 * order + 1, 2 if gradient else 1))
+    terms[..., 0, :] = 0.0 if gradient else 1.0
     zpow = np.ones_like(z)
     for m in range(1, order + 1):
-        dz = m * zpow / scale  # d/dz of z^m, in box coordinates
-        zpow = zpow * z
-        values[..., 2 * m - 1] = zpow.real
-        values[..., 2 * m] = zpow.imag
-        # for holomorphic f = u + i v: grad u = (Re f', -Im f'), grad v = (Im f', Re f')
-        grads[..., 2 * m - 1, :] = np.stack([dz.real, -dz.imag], axis=-1)
-        grads[..., 2 * m, :] = np.stack([dz.imag, dz.real], axis=-1)
-    return values, grads
+        # f = z^m = u + i v, or f' = d/dz z^m in box coordinates, whence
+        # grad u = (Re f', -Im f') and grad v = (Im f', Re f')
+        f = m * zpow / scale if gradient else zpow * z
+        zpow = zpow * z if gradient else f
+        terms[..., 2 * m - 1, 0], terms[..., 2 * m, 0] = f.real, f.imag
+        if gradient:
+            terms[..., 2 * m - 1, 1], terms[..., 2 * m, 1] = -f.imag, f.real
+    return terms if gradient else terms[..., 0]
 
 
 def _terms(mode: Mode, centers: np.ndarray, x: np.ndarray, gradient: bool) -> np.ndarray:
     """Basis values (P, M) or gradients (P, M, 2) at points x (P, 2): the
     kernel about each of the M centres, or the M circular harmonics."""
     if isinstance(mode, TrefftzMode):
-        values, grads = trefftz_terms(mode.order, mode.center, mode.scale, x[:, 0], x[:, 1])
-        return grads if gradient else values
+        return trefftz_terms(mode.order, mode.center, mode.scale, x[:, 0], x[:, 1], gradient)
     d = x[:, None, :] - centers[None, :, :]
     return (kernel_gradient if gradient else kernel_value)(mode.op, d)
 
@@ -134,7 +156,7 @@ def assemble(op: OperatorSpec, knots: BoundaryKnots, bc_kind: str, data,
         raise ConfigurationError(
             f"need matching knots and boundary data, got {n} and shape {rhs.shape}")
     mode: Mode = KernelMode(op=op)
-    width, neumann = n, bc_kind == "neumann"
+    width, neumann, basis = n, bc_kind == "neumann", None
     if isinstance(op, Poisson):
         if trefftz is None:
             raise ConfigurationError("Poisson requires a Trefftz basis")
@@ -143,19 +165,24 @@ def assemble(op: OperatorSpec, knots: BoundaryKnots, bc_kind: str, data,
                 f"Trefftz basis needs 0 <= order <= (N-1)/2 = {(n - 1) // 2} and scale > 0, "
                 f"got order {trefftz.order} and scale {trefftz.scale}")
         mode, width = trefftz, 2 * trefftz.order + 1
+        basis = (trefftz.order, np.asarray(trefftz.center, float).tobytes(), float(trefftz.scale))
     pos, normals = knots.points, knots.normals
-    matrix = np.empty((n, width))
-    for blk in point_blocks(pos, width)[1]:
-        t = _terms(mode, pos, pos[blk], neumann)
-        matrix[blk] = np.einsum("pjk,pk->pj", t, normals[blk]) if neumann else t
-    return CollocationSystem(matrix=matrix, rhs=rhs, centers=pos, mode=mode)
+    factor = _cached_factor((tuple(np.hstack(op.coefficients[:3])), neumann, basis,  # (D, v, c)
+                             *(np.asarray(a, float).tobytes() for a in (pos, normals))))
+    if factor.matrix is None:
+        matrix = np.empty((n, width))
+        for blk in point_blocks(pos, width)[1]:
+            t = _terms(mode, pos, pos[blk], neumann)
+            matrix[blk] = np.einsum("pjk,pk->pj", t, normals[blk]) if neumann else t
+        factor.matrix = _read_only(matrix)[0]
+    return CollocationSystem(factor.matrix, rhs, pos, mode, factor)
 
 
 def solve_dense(system: CollocationSystem,
                 strategy: Strategy = LU()) -> Tuple[np.ndarray, SolveDiagnostics]:
-    a = system.matrix
-    b = system.rhs
+    a, b = system.matrix, system.rhs
     n, m = a.shape
+    factor = system.factor if getattr(system.factor, "matrix", None) is a else _Factor(a)
 
     if isinstance(strategy, LU):
         if n != m:
@@ -170,11 +197,11 @@ def solve_dense(system: CollocationSystem,
             raise SingularMatrixError(
                 "LU solve produced non-finite coefficients; retry with TSVD")
         strategy_name, advice = "lu", "use the TSVD strategy"
-        svals = np.linalg.svd(a, compute_uv=False)  # for the condition and rank only
+        svals = factor.singular_values  # for the condition and rank only
         inverted = svals  # LU inverts every singular value, implicitly
         eff_rank = int(np.sum(svals > svals[0] * np.finfo(float).eps * n))
     else:
-        u, svals, vt = np.linalg.svd(a, full_matrices=False)
+        u, svals, vt = factor.svd
         keep = svals > strategy.cutoff * svals[0]
         inverted = svals[keep]
         eff_rank = len(inverted)

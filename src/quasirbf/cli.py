@@ -139,6 +139,18 @@ def load_config(path: str) -> RunConfig:
     return parse_config(obj)
 
 
+def _emit(text: str, path: Optional[str]):
+    """text to the file at path, or to stdout without one."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write output file {path!r}: {exc}") from exc
+
+
 def _cmd_solve(args) -> int:
     config = load_config(args.config)
     result = run_pipeline(config)
@@ -159,12 +171,7 @@ def _cmd_solve(args) -> int:
         report["rms_err"] = rms_err
     report["interior_residual"] = residual_check(
         result.field, problem.operator, problem.source, points[:50], h=1e-3)
-    text = json.dumps(report, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(json.dumps(report, indent=2) + "\n", args.output)
     return EXIT_OK
 
 
@@ -175,12 +182,7 @@ def _cmd_converge(args) -> int:
         raise ConfigurationError(f"bad --knots list {args.knots!r}") from exc
     config = RunConfig(preset=args.preset)
     rows = convergence_study(config, knot_counts)
-    csv = rows_to_csv(rows)
-    if args.output:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(csv)
-    else:
-        sys.stdout.write(csv)
+    _emit(rows_to_csv(rows), args.output)
     if any(row.error for row in rows):
         for row in rows:
             if row.error:

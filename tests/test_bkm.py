@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasirbf.bkm import (LU, TSVD, HomogeneousSolution, KernelMode,
-                          TrefftzMode, assemble, eval_homogeneous,
+from quasirbf import bkm
+from quasirbf.bkm import (LU, TSVD, CollocationSystem, HomogeneousSolution,
+                          KernelMode, TrefftzMode, assemble, eval_homogeneous,
                           eval_homogeneous_gradient, solve_dense,
                           trefftz_terms)
 from quasirbf.errors import (ConfigurationError, RankDeficientWarning,
@@ -93,7 +94,8 @@ class TestAssemble:
 
 class TestTrefftzTerms:
     def test_first_harmonics(self):
-        values, grads = trefftz_terms(2, (0.0, 0.0), 1.0, 0.3, 0.4)
+        values = trefftz_terms(2, (0.0, 0.0), 1.0, 0.3, 0.4, gradient=False)
+        grads = trefftz_terms(2, (0.0, 0.0), 1.0, 0.3, 0.4, gradient=True)
         # 1, x, y, x^2 - y^2, 2 x y
         assert np.allclose(values, [1.0, 0.3, 0.4, 0.09 - 0.16, 0.24])
         assert np.allclose(grads[1], (1.0, 0.0))
@@ -102,25 +104,25 @@ class TestTrefftzTerms:
         assert np.allclose(grads[4], (0.8, 0.6))
 
     def test_scale_normalization(self):
-        values, _ = trefftz_terms(1, (0.0, 0.0), 2.0, 2.0, 0.0)
+        values = trefftz_terms(1, (0.0, 0.0), 2.0, 2.0, 0.0, gradient=False)
         assert np.allclose(values, [1.0, 1.0, 0.0])
 
     def test_harmonicity_by_finite_differences(self):
         h = 1e-4
         for (x, y) in [(0.2, 0.5), (-0.6, 0.1), (0.4, -0.4)]:
             for idx in range(1, 13):
-                term = lambda a, b: trefftz_terms(6, (0.0, 0.0), 1.0, a, b)[0][idx]
+                term = lambda a, b: trefftz_terms(6, (0.0, 0.0), 1.0, a, b, False)[idx]
                 lap = (term(x + h, y) + term(x - h, y) + term(x, y + h)
                        + term(x, y - h) - 4.0 * term(x, y)) / h ** 2
                 assert abs(lap) <= 1e-5
 
     def test_gradients_match_finite_differences(self):
         h = 1e-6
-        values = lambda a, b: trefftz_terms(5, (0.1, -0.2), 1.5, a, b)[0]
+        values = lambda a, b: trefftz_terms(5, (0.1, -0.2), 1.5, a, b, gradient=False)
         x, y = 0.7, 0.3
         fd = np.stack([(values(x + h, y) - values(x - h, y)) / (2 * h),
                        (values(x, y + h) - values(x, y - h)) / (2 * h)], axis=1)
-        _, grads = trefftz_terms(5, (0.1, -0.2), 1.5, x, y)
+        grads = trefftz_terms(5, (0.1, -0.2), 1.5, x, y, gradient=True)
         assert np.allclose(grads, fd, atol=1e-8)
 
 
@@ -234,6 +236,147 @@ class TestSolveDense:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RankDeficientWarning)
             solve_dense(self._disc_system(48), TSVD())
+
+
+CACHE_CASES = {  # (operator, bc_kind, Trefftz basis)
+    "helmholtz dirichlet": (Helmholtz(3.0), "dirichlet", None),
+    "modhelm neumann": (ModifiedHelmholtz(2.0), "neumann", None),
+    "convdiff dirichlet": (ConvectionDiffusion(0.5, [1.0, -0.5], 1.0), "dirichlet", None),
+    "poisson neumann": (Poisson(), "neumann", TrefftzMode(6, np.array([0.1, 0.0]), 1.3)),
+}
+
+
+class TestFactorCache:
+    """assemble keeps each geometry's matrix and singular values; a repeated
+    solve reuses them and must equal a cold solve bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def _cold_cache(self):
+        bkm._cached_factor.cache_clear()
+        yield
+        bkm._cached_factor.cache_clear()
+
+    STAR = StarDomain(Star(1.0, 0.2, 5))
+
+    @classmethod
+    def _system(cls, case, data_seed):
+        op, kind, trefftz = CACHE_CASES[case]
+        data = np.random.default_rng(data_seed).standard_normal(24)
+        return assemble(op, boundary_nodes(cls.STAR, 24), kind, data, trefftz)
+
+    @staticmethod
+    def _solve(system, strategy):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankDeficientWarning)
+            return solve_dense(system, strategy)
+
+    @pytest.mark.parametrize("case, strategy", [
+        (case, strategy) for case, (_, _, trefftz) in CACHE_CASES.items()
+        for strategy in (LU(), TSVD(), TSVD(cutoff=0.0))
+        if trefftz is None or isinstance(strategy, TSVD)], ids=str)  # LU needs a square system
+    def test_warm_solve_with_new_data_equals_cold(self, case, strategy):
+        cold = self._system(case, 2)
+        cold_coeffs, cold_diag = self._solve(cold, strategy)
+        cold_matrix = np.array(cold.matrix)
+        bkm._cached_factor.cache_clear()
+        first = self._system(case, 1)
+        self._solve(first, strategy)  # fills the entry
+        warm = self._system(case, 2)
+        assert warm.matrix is first.matrix
+        assert warm.matrix.tobytes() == cold_matrix.tobytes()
+        # LU's condition comes from the values-only singular values: their last bits
+        # differ from the thin SVD's
+        s = (np.linalg.svd(cold_matrix, compute_uv=False) if isinstance(strategy, LU)
+             else np.linalg.svd(cold_matrix, full_matrices=False)[1])
+        with np.errstate(divide="ignore"):  # Poisson-Neumann's constant term: s[-1] = 0
+            assert cold_diag.condition_estimate == float(s[0] / s[-1])
+        for system in (warm, dataclasses.replace(first, rhs=warm.rhs)):
+            coeffs, diag = self._solve(system, strategy)
+            assert coeffs.tobytes() == cold_coeffs.tobytes()
+            assert diag == cold_diag
+
+    def test_operators_with_one_coefficient_table_share_an_entry(self):
+        knots = boundary_nodes(self.STAR, 16)
+        a = assemble(ModifiedHelmholtz(2.0), knots, "dirichlet", np.zeros(16))
+        b = assemble(ConvectionDiffusion(1.0, [0.0, 0.0], 4.0), knots, "dirichlet", np.ones(16))
+        assert b.factor is a.factor and isinstance(b.mode.op, ConvectionDiffusion)
+
+    @pytest.mark.parametrize("part", ["coefficient", "knots", "bc_kind", "order",
+                                      "center", "scale"])
+    def test_changing_any_key_part_misses(self, part):
+        kernel = dict(op=Helmholtz(3.0), bc_kind="dirichlet", trefftz=None, domain=self.STAR)
+        op, bc_kind, trefftz = CACHE_CASES["poisson neumann"]
+        harmonic = dict(op=op, bc_kind=bc_kind, trefftz=trefftz, domain=self.STAR)
+        base, variant = {
+            "coefficient": (kernel, {**kernel, "op": Helmholtz(3.0 + 2.0 ** -40)}),
+            "knots": (kernel, {**kernel, "domain": StarDomain(Star(1.0, 0.2, 5),
+                                                              center=(0.0, 1e-12))}),
+            "bc_kind": (kernel, {**kernel, "bc_kind": "neumann"}),
+            "order": (harmonic, {**harmonic, "trefftz": dataclasses.replace(trefftz, order=5)}),
+            "center": (harmonic, {**harmonic, "trefftz": dataclasses.replace(
+                trefftz, center=np.array([0.1, 1e-12]))}),
+            "scale": (harmonic, {**harmonic, "trefftz": dataclasses.replace(
+                trefftz, scale=1.3 + 1e-12)}),
+        }[part]
+
+        def build(op, bc_kind, trefftz, domain):
+            return assemble(op, boundary_nodes(domain, 24), bc_kind, np.ones(24), trefftz)
+
+        want = np.array(build(**variant).matrix)  # a cold build
+        bkm._cached_factor.cache_clear()
+        first = build(**base)
+        got = build(**variant)
+        assert got.factor is not first.factor
+        assert got.matrix.tobytes() == want.tobytes()
+        assert got.matrix.shape != first.matrix.shape or not np.array_equal(got.matrix, first.matrix)
+
+    def test_cached_arrays_are_read_only(self):
+        system = self._system("helmholtz dirichlet", 0)
+        self._solve(system, LU())
+        self._solve(system, TSVD())
+        cached = (system.matrix, system.factor.singular_values, *system.factor.svd)
+        for array in cached:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize("strategy", [LU(), TSVD()], ids=repr)
+    def test_hand_built_and_replaced_matrix_systems_decompose_afresh(self, strategy):
+        system = self._system("helmholtz dirichlet", 0)
+        want, _ = self._solve(system, strategy)
+        # a poisoned entry shows which solves read it
+        system.factor.__dict__.update(svd=(np.eye(24), np.ones(24), np.eye(24)),
+                                      singular_values=np.ones(24))
+        _, diag = self._solve(dataclasses.replace(system, rhs=system.rhs), strategy)
+        assert diag.condition_estimate == 1.0
+        hand_built = CollocationSystem(matrix=system.matrix, rhs=system.rhs,
+                                       centers=system.centers, mode=system.mode)
+        replaced = dataclasses.replace(system, matrix=np.array(system.matrix))
+        for fresh in (hand_built, replaced):
+            coeffs, diag = self._solve(fresh, strategy)
+            assert coeffs.tobytes() == want.tobytes() and diag.condition_estimate > 1.0
+        doubled, _ = self._solve(dataclasses.replace(system, matrix=2.0 * system.matrix), strategy)
+        assert np.allclose(2.0 * doubled, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+
+    @pytest.mark.parametrize("strategy", [LU(), TSVD(cutoff=0.0)], ids=repr)
+    def test_rank_deficient_warning_on_every_warm_solve(self, strategy):
+        problem = get_preset("helmholtz_disc")
+        knots = boundary_nodes(problem.domain, 48)
+        for seed in range(3):
+            data = np.random.default_rng(seed).standard_normal(48)
+            system = assemble(problem.operator, knots, "dirichlet", data)
+            with pytest.warns(RankDeficientWarning, match="N=48") as record:
+                solve_dense(system, strategy)
+            assert record[0].filename == __file__
+        assert bkm._cached_factor.cache_info().hits == 2
+
+    def test_a_four_geometry_sweep_fits(self):
+        problem = get_preset("helmholtz_star")
+        for _ in range(3):
+            for n in (8, 16, 24, 32):
+                knots = boundary_nodes(problem.domain, n)
+                self._solve(assemble(problem.operator, knots, "dirichlet", np.ones(n)), TSVD())
+        assert bkm._cached_factor.cache_info()[:2] == (8, 4)
 
 
 class TestEvalHomogeneous:

@@ -456,6 +456,19 @@ class TestCli:
                         "--knots", "8,x"]) == EXIT_CONFIG
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["solve", "converge"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command):
+        # each used to escape as a FileNotFoundError traceback and exit 1
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"preset": "helmholtz_disc", "knots": 16}))
+        output = tmp_path / "no" / "such" / "out.txt"
+        argv = (["solve", "--config", str(config)] if command == "solve"
+                else ["converge", "--preset", "helmholtz_disc", "--knots", "8,16"])
+        assert run_cli(argv + ["--output", str(output)]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and f"cannot write output file {str(output)!r}" in err
+        assert not output.parent.exists()
+
     def test_validate_passes(self, capsys):
         assert run_cli(["validate"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -507,8 +520,8 @@ def _reference_value_and_gradient(field, x1, x2):
                   alpha * kernel_gradient(sol.mode.op, (x1 - c[0], x2 - c[1])))
                  for alpha, c in zip(sol.coefficients, sol.centers)]
     else:
-        values, grads = trefftz_terms(sol.mode.order, sol.mode.center, sol.mode.scale,
-                                      x1, x2)
+        values, grads = (trefftz_terms(sol.mode.order, sol.mode.center, sol.mode.scale,
+                                       x1, x2, gradient) for gradient in (False, True))
         terms = [(a * v, a * g) for a, v, g in zip(sol.coefficients, values, grads)]
     value = sum(t[0] for t in terms)
     grad = sum(t[1] for t in terms)

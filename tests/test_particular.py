@@ -621,6 +621,24 @@ class TestCross:
         assert a.shape == (30, 0) and b.shape == (20, 0)
         assert fetched == {"rows": 1, "cols": 0}
 
+    def test_stop_refused_while_the_check_residual_stays(self):
+        """A rank-1 S whose third check sample is off by 1: after one exact
+        cross the next row's residual is zero, so the cross stops, but the
+        sample's residual of 1 > CHECK_TOL * 48 refuses the factor. Every
+        value is a small integer or an eighth: exact in any arithmetic."""
+        s = np.outer(np.arange(1.0, 9.0), np.arange(1.0, 7.0))
+        i, j = np.array([0, 3, 5, 7, 2]), np.array([1, 4, 0, 5, 3])
+        check = s[i, j] + np.array([0.0, 0.0, 1.0, 0.0, 0.0])
+        fetched = []
+
+        def rows(k):
+            fetched.append(k)
+            return s[k].copy()
+
+        factor = _cross(rows, lambda k: s[:, k].copy(), s.shape, check,
+                        lambda u, v: u[i] * v[j], at=i)
+        assert factor is None and fetched == [7, 5]
+
     def test_full_rank_matrix_past_the_cap(self):
         s = np.random.default_rng(15).standard_normal((64, 64))
         assert RANK_CAP < 64

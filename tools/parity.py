@@ -5,8 +5,11 @@
 Extracts REV's src/ into a temporary directory (git archive REV src | tar -x;
 the repository's .git is only read), then runs every case below twice in a
 subprocess, once with PYTHONPATH at the working tree's src/ and once at REV's,
-and compares exit codes and stdout bytes. In CSV output the *_ms timing
-columns are masked. Prints one SAME/DIFF line per case and exits 1 on any DIFF.
+and compares exit codes and stdout bytes. A third subprocess runs the case
+twice in one process through cli.run_cli, so the working tree's caches are
+warm, and its second exit code and stdout are compared with REV's too. In CSV
+output the *_ms timing columns are masked. Prints one SAME/DIFF line per case,
+cold and warm, and exits 1 on any DIFF.
 
 With --rtol or --atol, the numeric fields of JSON reports and CSV rows
 compare as |new - old| <= A + R |old|; exit codes, keys, headers and every
@@ -74,9 +77,19 @@ def cases(src: Path, workdir: Path):
         yield f"converge {preset}", ["converge", "--preset", preset, "--knots", "8,16,32,48"]
 
 
-def run(src: Path, args: list, cwd: Path) -> subprocess.CompletedProcess:
+# the case once with its output discarded, then again, exiting with its code
+WARM = """import contextlib, io, sys
+from quasirbf.cli import run_cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    run_cli(sys.argv[1:])
+sys.exit(run_cli(sys.argv[1:]))
+"""
+
+
+def run(src: Path, args: list, cwd: Path, warm: bool = False) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(src))
-    return subprocess.run([sys.executable, "-m", "quasirbf.cli"] + args, cwd=cwd,
+    entry = ["-c", WARM] if warm else ["-m", "quasirbf.cli"]
+    return subprocess.run([sys.executable] + entry + args, cwd=cwd,
                           env=env, capture_output=True)
 
 
@@ -154,6 +167,25 @@ def compare_numbers(new: bytes, old: bytes, rtol: float, atol: float):
     return within, moved
 
 
+def report(name: str, new: subprocess.CompletedProcess, old: subprocess.CompletedProcess,
+           tolerant: bool, rtol: float, atol: float) -> bool:
+    """Print the case's SAME, CLOSE or DIFF line; False for DIFF."""
+    same_code = new.returncode == old.returncode
+    same_out = mask_timings(new.stdout) == mask_timings(old.stdout)
+    if same_code and same_out:
+        print(f"SAME {name} (exit {new.returncode})")
+        return True
+    within, moved = (compare_numbers(new.stdout, old.stdout, rtol, atol)
+                     if tolerant and same_code else (False, {}))
+    why = [] if same_code else [f"exit {old.returncode} -> {new.returncode}"]
+    detail = "".join(f"\n    {field}: rel {rel:.3g}" for field, rel in moved.items())
+    if within:
+        print(f"CLOSE {name} (exit {new.returncode}){detail}")
+        return True
+    print(f"DIFF {name} ({', '.join(why + ([] if same_out else ['stdout']))}){detail}")
+    return False
+
+
 def main(argv: list) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev")
@@ -171,21 +203,10 @@ def main(argv: list) -> int:
         new_src, old_src = ROOT / "src", old_root / "src"
         diffs = 0
         for name, case_args in cases(new_src, tmp):
-            new, old = run(new_src, case_args, tmp), run(old_src, case_args, tmp)
-            same_code = new.returncode == old.returncode
-            same_out = mask_timings(new.stdout) == mask_timings(old.stdout)
-            if same_code and same_out:
-                print(f"SAME {name} (exit {new.returncode})")
-                continue
-            within, moved = (compare_numbers(new.stdout, old.stdout, rtol, atol)
-                             if tolerant and same_code else (False, {}))
-            why = [] if same_code else [f"exit {old.returncode} -> {new.returncode}"]
-            detail = "".join(f"\n    {field}: rel {rel:.3g}" for field, rel in moved.items())
-            if within:
-                print(f"CLOSE {name} (exit {new.returncode}){detail}")
-                continue
-            diffs += 1
-            print(f"DIFF {name} ({', '.join(why + ([] if same_out else ['stdout']))}){detail}")
+            old = run(old_src, case_args, tmp)
+            for label, warm in ((name, False), (f"{name} [warm]", True)):
+                diffs += not report(label, run(new_src, case_args, tmp, warm), old,
+                                    tolerant, rtol, atol)
     return 1 if diffs else 0
 
 
