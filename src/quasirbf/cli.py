@@ -14,8 +14,10 @@ overflow).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -139,6 +141,19 @@ def load_config(path: str) -> RunConfig:
     return parse_config(obj)
 
 
+def _check_output(path: Optional[str]):
+    """Raise _emit's error before any work, creating nothing, if path is a
+    directory, its directory is missing, or the file or directory is read-only."""
+    if not path:
+        return
+    parent = os.path.dirname(path) or "."
+    code = (errno.EISDIR if os.path.isdir(path) else errno.ENOENT if not os.path.isdir(parent)
+            else 0 if os.access(path if os.path.exists(path) else parent, os.W_OK) else errno.EACCES)
+    if code:
+        exc = OSError(code, os.strerror(code), path)
+        raise ConfigurationError(f"cannot write output file {path!r}: {exc}")
+
+
 def _emit(text: str, path: Optional[str]):
     """text to the file at path, or to stdout without one."""
     if not path:
@@ -153,6 +168,7 @@ def _emit(text: str, path: Optional[str]):
 
 def _cmd_solve(args) -> int:
     config = load_config(args.config)
+    _check_output(args.output)
     result = run_pipeline(config)
     points = evaluation_points(config)
     report = {
@@ -181,6 +197,7 @@ def _cmd_converge(args) -> int:
     except ValueError as exc:
         raise ConfigurationError(f"bad --knots list {args.knots!r}") from exc
     config = RunConfig(preset=args.preset)
+    _check_output(args.output)
     rows = convergence_study(config, knot_counts)
     _emit(rows_to_csv(rows), args.output)
     if any(row.error for row in rows):

@@ -7,7 +7,10 @@ a large-argument form at a fixed point:
 
     J0, J1:  ascending series for x < 12, summed term by term with
              compensation until the term falls below 1e-18 of the sum;
-             Hankel expansion for x >= 12, truncated at its smallest term
+             Hankel expansion for x >= 12, truncated at its smallest term.
+             A float steps as a Python float. An array steps all elements
+             on buffers updated in place; a finished element's compensation
+             (series) or term (Hankel) is zeroed, so its sums stay fixed
     I0, I1:  ascending series for x < 15 (DLMF 10.25.2) and the
              exponential asymptotic form for x >= 15 (DLMF 10.40.1), both
              as 32-term polynomials, evaluated for both orders at once by
@@ -34,43 +37,38 @@ I_SWITCH = 15.0
 I_OVERFLOW_LIMIT = 700.0
 
 
-def _iterate(step, state, limit: int, n_out: int):
-    """Apply `state, done = step(k, *state)` for k = 0 .. limit-1 and return
-    the first n_out entries of the state at the first `done`: for array
-    state, the state of each element at its own first `done`."""
-    if np.ndim(state[0]) == 0:
-        for k in range(limit):
-            state, done = step(k, *state)
-            if done:
-                break
-        return state[:n_out]
-    out = [a.copy() for a in state[:n_out]]
-    running = np.ones(state[0].shape, dtype=bool)
-    for k in range(limit):
-        state, done = step(k, *state)
-        for o, a in zip(out, state):
-            np.copyto(o, a, where=running)
-        running &= ~done
-        if not running.any():
-            break
-    return out
-
-
 def _series_bessel(nu: int, x):
     """Ascending series for J_nu, nu in {0, 1}.
 
     Kahan-compensated summation; terms generated by the two-term recurrence.
     """
-    def step(k, s, c, t, sq):
-        m = k + 1
-        t = t * sq / (m * (m + nu))  # -t * q, exactly
-        y = t - c
-        u = s + y
-        c = (u - s) - y
-        return (u, c, t, sq), abs(t) <= 1e-18 * abs(u) + 1e-300
-
     t = x * 0.5 if nu == 1 else 1.0 + 0.0 * x
-    return _iterate(step, (t, 0.0 * x, t, -(0.25 * x * x)), 399, 1)[0]
+    c, sq = 0.0 * x, -(0.25 * x * x)
+    if np.ndim(x) == 0:
+        s = t
+        for m in range(1, 400):
+            t = t * sq / (m * (m + nu))  # -t * q, exactly
+            y = t - c
+            u = s + y
+            c, s = (u - s) - y, u
+            if abs(t) <= 1e-18 * abs(u) + 1e-300:
+                break
+        return s
+    s, u, bound = t.copy(), np.empty_like(t), np.empty_like(t)
+    live = np.empty(x.shape, dtype=bool)
+    for m in range(1, 400):
+        np.divide(np.multiply(t, sq, out=t), m * (m + nu), out=t)
+        np.subtract(t, c, out=c)  # y, held in c
+        np.add(s, c, out=u)
+        np.subtract(np.subtract(u, s, out=s), c, out=c)  # (u - s) - y; s is free
+        s, u = u, s
+        np.add(np.multiply(np.abs(s, out=bound), 1e-18, out=bound), 1e-300, out=bound)
+        if not np.count_nonzero(np.greater(np.abs(t, out=u), bound, out=live)):
+            break
+        # a stopped element's later terms shrink, each below half an ulp of
+        # s, so with c = 0 they leave s unchanged
+        np.multiply(c, live, out=c)
+    return s
 
 
 def _hankel_coefficients(nu: int):
@@ -85,18 +83,30 @@ _HANKEL_A = (_hankel_coefficients(0), _hankel_coefficients(1))
 def _asymptotic(nu: int, x):
     """Hankel's large-argument form of J_nu, with P and Q built from the
     terms t_k = a_k / x^k truncated at the smallest term."""
-    def step(k, p, q, t, xk, x):
-        sign = -1 if k % 4 >= 2 else 1
-        if k % 2 == 0:
-            p = p + sign * t
-        else:
-            q = q + sign * t
-        xk = xk * x
-        nxt = _HANKEL_A[nu][k + 1] / xk
-        return (p, q, nxt, xk, x), abs(nxt) > abs(t)
-
-    zero = 0.0 * x
-    p, q = _iterate(step, (zero, zero, 1.0 + zero, 1.0 + zero, x), 60, 2)
+    a = _HANKEL_A[nu]
+    if np.ndim(x) == 0:
+        pq, t, xk = [0.0, 0.0], 1.0, 1.0
+        for k in range(60):
+            pq[k % 2] += -t if k % 4 >= 2 else t
+            xk *= x
+            nxt = a[k + 1] / xk
+            if abs(nxt) > abs(t):
+                break
+            t = nxt
+    else:
+        pq = np.zeros((2,) + x.shape)
+        t, xk, nxt, at, an = np.ones((5,) + x.shape)
+        live = np.empty(x.shape, dtype=bool)
+        for k in range(60):
+            (np.subtract if k % 4 >= 2 else np.add)(pq[k % 2], t, out=pq[k % 2])
+            np.divide(a[k + 1], np.multiply(xk, x, out=xk), out=nxt)
+            if not np.count_nonzero(np.less_equal(np.abs(nxt, out=an), at, out=live)):
+                break
+            # t = 0 holds a finished element's p and q; past the smallest
+            # term the terms only grow, so the element stays finished
+            np.multiply(nxt, live, out=nxt)
+            t, nxt, at, an = nxt, t, an, at
+    p, q = pq
     omega = x - nu * math.pi / 2 - math.pi / 4
     return np.sqrt(2.0 / (math.pi * x)) * (np.cos(omega) * p - np.sin(omega) * q)
 

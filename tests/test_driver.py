@@ -21,7 +21,7 @@ import quasirbf.pipeline
 from quasirbf.bkm import KernelMode, trefftz_terms
 from quasirbf.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, load_config,
                           parse_config, run_cli)
-from quasirbf.errors import ConfigurationError, ResonantBoxError
+from quasirbf.errors import ConfigurationError, ResonantBoxError, SingularMatrixError
 from quasirbf.geometry import Circle, Star, StarDomain
 from quasirbf.operators import (ConvectionDiffusion, Helmholtz, ModifiedHelmholtz,
                                 Poisson, kernel_gradient, kernel_value)
@@ -468,6 +468,43 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and f"cannot write output file {str(output)!r}" in err
         assert not output.parent.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "converge"])
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_output_fails_before_the_work(self, tmp_path, capsys, monkeypatch,
+                                                     command, target):
+        # the output path is checked before the solve or sweep, which raise
+        # here if called, with the message opening the file would give
+        def never(*args):
+            raise AssertionError("the work ran before the output was checked")
+        monkeypatch.setattr(quasirbf.cli, "run_pipeline", never)
+        monkeypatch.setattr(quasirbf.cli, "convergence_study", never)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"preset": "helmholtz_disc", "knots": 16}))
+        output = tmp_path / "no" / "out.txt" if target == "missing-dir" else tmp_path
+        argv = (["solve", "--config", str(config)] if command == "solve"
+                else ["converge", "--preset", "helmholtz_disc", "--knots", "8,16"])
+        with pytest.raises(OSError) as opening:
+            open(output, "w")
+        assert run_cli(argv + ["--output", str(output)]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"configuration error: cannot write output file "
+                                     f"{str(output)!r}: {opening.value}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_numerical_failure_leaves_the_output_untouched(self, tmp_path, monkeypatch):
+        # the early check neither creates nor truncates the output file
+        def fail(config):
+            raise SingularMatrixError("collocation matrix is exactly singular")
+        monkeypatch.setattr(quasirbf.cli, "run_pipeline", fail)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"preset": "helmholtz_disc", "knots": 16}))
+        fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+        kept.write_text("earlier report\n")
+        for output in (fresh, kept):
+            assert run_cli(["solve", "--config", str(config),
+                            "--output", str(output)]) == EXIT_NUMERICAL
+        assert not fresh.exists() and kept.read_text() == "earlier report\n"
 
     def test_validate_passes(self, capsys):
         assert run_cli(["validate"]) == EXIT_OK

@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from quasirbf.errors import DomainError
+from quasirbf.geometry import BLOCK_PAIRS
 from quasirbf.specfun import (I_SWITCH, _I_SERIES, bessel_i0, bessel_i0_i1,
                               bessel_i1, bessel_j0, bessel_j1)
 
@@ -212,3 +214,30 @@ class TestArrays:
         xs[7] = bad
         with pytest.raises(error):
             bessel_i0_i1(xs)
+
+
+class TestJBits:
+    """J0 and J1 keep their last bits: a digest pins the series range, and no
+    element depends on how many arguments one call takes."""
+
+    def test_series_range_digest(self):
+        # the series uses only +, -, *, / and abs, so its bits do not depend on
+        # numpy's SIMD dispatch or the BLAS core type; the Hankel form's cos and
+        # sin may, so x >= J_SWITCH = 12 is left out
+        x = np.concatenate([np.linspace(0.0, 12.0, 120001)[:-1],
+                            np.random.default_rng(2026).uniform(0.0, 12.0, 20000),
+                            [5e-324, 1e-300, 1e-8, 11.999999999999998]])
+        values = np.concatenate([bessel_j0(x), bessel_j1(x)]).astype("<f8")
+        assert hashlib.sha256(values.tobytes()).hexdigest() == (
+            "913490eb6cc1762403f12267e30ab47d3bd25723cbbaa42b336bce176a9a11d2")
+
+    @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1])
+    def test_no_element_depends_on_the_array_length(self, fn):
+        # prefixes that end a block of the pipeline's point batches, start one,
+        # or hold one element, of arguments that mix both forms, and float calls
+        xs = np.random.default_rng(21).uniform(0.0, 30.0, 2 * BLOCK_PAIRS + 1)
+        whole = fn(xs)
+        for n in (1, BLOCK_PAIRS - 1, BLOCK_PAIRS, BLOCK_PAIRS + 1):
+            assert fn(xs[:n]).tobytes() == whole[:n].tobytes()
+        for i in np.random.default_rng(22).integers(0, len(xs), 20):
+            assert np.float64(fn(float(xs[i]))).tobytes() == whole[i].tobytes()

@@ -9,12 +9,16 @@ REV's, per round, swapping which goes first every round. Each worker times:
 
 - bessel_i0 and bessel_i0_i1 on 1, 64 and 16384 seeded arguments in [0, 10),
   the range of the pipeline's kernel arguments mu r;
+- bessel_j0 and bessel_j1 on 1, 64 and 16384 seeded arguments in [0, 4.62),
+  the range of knots_sweep's k r, and as a loop of 1000 float calls on
+  linspace(0, 50, 1000), like the one acceptance criterion 02 times;
 - SolutionField.evaluate and .gradient at one point, on `convdiff_disc` and
   `modhelm_source` solved as the query_dense workload solves them (knots 64,
   grid 128), cycling over 50 seeded points inside the domain.
 
 A case's time is the median over 5 batches of --calls calls (of 5 batches of
---calls // 16 + 1 calls at 16384 arguments) of the mean time per call.
+--calls // 16 + 1 calls at 16384 arguments or of the float loop) of the mean
+time per call, the float loop counting as one call.
 
 Prints one line per round and case, then per case the median over rounds of
 REV's and the working tree's times in microseconds, the ratio REV / tree (above
@@ -61,12 +65,18 @@ def worker(calls: int) -> dict:
 
     rng = np.random.default_rng(2026)
     out = {}
-    for size in SIZES:
-        x = rng.uniform(0.0, 10.0, size)
-        n = calls if size < 1024 else calls // 16 + 1
-        for name in ("bessel_i0", "bessel_i0_i1"):
-            fn = getattr(specfun, name)
-            out[f"{name} P={size}"] = _per_call(lambda i: fn(x), n)
+    for names, hi in ((("bessel_i0", "bessel_i0_i1"), 10.0), (("bessel_j0", "bessel_j1"), 4.62)):
+        for size in SIZES:
+            x = rng.uniform(0.0, hi, size)
+            n = calls if size < 1024 else calls // 16 + 1
+            for name in names:
+                fn = getattr(specfun, name)
+                out[f"{name} P={size}"] = _per_call(lambda i: fn(x), n)
+    floats = [float(v) for v in np.linspace(0.0, 50.0, 1000)]
+    for name in ("bessel_j0", "bessel_j1"):
+        fn = getattr(specfun, name)
+        out[f"{name} 1000 floats"] = _per_call(lambda i: [fn(v) for v in floats],
+                                               calls // 16 + 1)
     for name in PRESETS:
         field = pipeline.run_pipeline(pipeline.RunConfig(preset=name, knots=64, grid=128)).field
         domain = get_preset(name).domain
