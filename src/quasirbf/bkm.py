@@ -8,7 +8,17 @@ uses the circular-harmonic (Trefftz) basis
     { 1, (rho/R)^m cos(m theta), (rho/R)^m sin(m theta) },  m = 1..order,
 
 about a given center with scale R, every member of which is harmonic.
-assemble alone makes that choice; assembly and evaluation share _terms.
+assemble alone makes that choice and builds its matrix from _terms.
+
+Evaluation sums no kernels: u_h = e^{-a.(x - o)} Re sum_{m <= M} b_m Z_m(mu r) e^{i m theta}
+about the centres' centroid o, b from Graf's addition theorem once per solution (_expand;
+the harmonics: mu = 2 / R, Z_m = (r/R)^m), grad u_h from the ladder (d_x -/+ i d_y) Z_m
+e^{i m theta} = mu Z_{m-1} e^{i(m-1)theta} (m mu for the harmonics), sign mu Z_{m+1}
+e^{i(m+1)theta}. M is the first order whose term bound (mu^2 rho_max r / 4)^M / M!^2 is
+at most 1e-17, with r = 2 rho_max or a block's farthest point (|J_M(mu r)| <= 1 caps the
+r part for J; I gains e^{(mu/2)^2 (rho_max^2 + r^2) / (M+1)}); bessel_orders fixes the
+series length. Conv-diff's drift split, a = v / 2D outside the sum and w_j = e^{a.(s_j - o)}
+in b, costs relative rounding up to e^{|a| (rho_max + r)}.
 
 Dense solves are LU with partial pivoting, or truncated SVD for
 ill-conditioned systems; condition estimates are always reported so the
@@ -25,14 +35,16 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, RankDeficientWarning, SingularMatrixError
+from .errors import (ConfigurationError, KernelOverflowError, RankDeficientWarning,
+                     SingularMatrixError, UnsupportedOperatorError)
 from .geometry import BoundaryKnots, point_blocks
 from .operators import OperatorSpec, Poisson, kernel_gradient, kernel_value
 from .particular import _read_only
+from .specfun import bessel_orders
 
 DEFAULT_TSVD_CUTOFF = 1e-12
 
@@ -105,11 +117,43 @@ class SolveDiagnostics:
     strategy_used: str
 
 
+class _Expansion(NamedTuple):  # u_h = e^{-drift.(x - center)} Re sum b_m Z_m(mu r) e^{i m theta}
+    center: np.ndarray
+    mu: float
+    sign: int  # picks Z: -1 J, +1 I, 0 the harmonics (specfun.bessel_orders)
+    drift: np.ndarray  # v / 2D
+    radius: float  # the centres' largest distance from center
+    orders: int
+    b: np.ndarray
+
+
 @dataclass(frozen=True)
 class HomogeneousSolution:
     mode: Mode
     coefficients: np.ndarray
     centers: np.ndarray  # (N, 2) centre positions
+    expansion = cached_property(lambda self: _expand(self))  # built once: keep the arrays fixed
+
+
+def _expand(sol: HomogeneousSolution, reach: float = 0.0) -> _Expansion:
+    """sol's expansion with the orders that r <= max(reach, 2 radius) needs."""
+    c, mode = sol.coefficients, sol.mode
+    if isinstance(mode, TrefftzMode):  # b_0 = c_0, b_m = c_{2m-1} - i c_{2m}
+        return _Expansion(np.asarray(mode.center, float), 2.0 / mode.scale, 0, np.zeros(2), 0.0,
+                          mode.order, np.append(c[:1], c[1::2] - 1j * c[2::2]))
+    k = mode.op.coefficients
+    if k.mu2 == 0.0:
+        raise UnsupportedOperatorError(f"{mode.op!r} has mu = 0 and no radial kernel")
+    d = sol.centers - (center := sol.centers.mean(axis=0))
+    rho, sign, drift = float(np.hypot(*d.T).max()), int(np.sign(k.mu2)), k.v / (2.0 * k.D)
+    hp, hr = 0.5 * k.mu * rho, 0.5 * k.mu * max(reach, 2.0 * rho)  # (mu/2) (rho, r)
+    orders, near, far, growth = 0, 1.0, 1.0, hp * hp + hr * hr if sign > 0 else 0.0
+    while near * min(far, 1e300 if sign > 0 else 1.0) > 1e-17 * math.exp(-growth / (orders + 1)):
+        orders += 1
+        near, far = near * hp / orders, far * hr / orders
+    b = (c * np.exp(d @ drift) @ bessel_orders(k.mu * (d @ [1, 1j]), orders, sign)).conj()
+    b[1:] *= 2.0 * (-sign) ** np.arange(1, orders + 1)  # eps_m sigma_m
+    return _Expansion(center, k.mu, sign, drift, rho, orders, b)
 
 
 def trefftz_terms(order: int, center, scale: float, x1, x2, gradient: bool) -> np.ndarray:
@@ -226,11 +270,25 @@ def solve_dense(system: CollocationSystem,
 
 def _evaluate(sol: HomogeneousSolution, x, gradient: bool) -> np.ndarray:
     """u_h (shape (...)) or grad u_h (shape (..., 2)) at points x (2,) or (..., 2)."""
-    pts, blocks, shape = point_blocks(x, len(sol.coefficients))
-    out = np.empty((len(pts), 2) if gradient else len(pts))
-    for blk in blocks:
-        out[blk] = np.einsum("pj...,j->p...", _terms(sol.mode, sol.centers, pts[blk], gradient),
-                             sol.coefficients)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+        e = sol.expansion
+        pts, blocks, shape = point_blocks(x, e.orders + 2)
+        out = np.empty((len(pts), 2) if gradient else len(pts))
+        for blk in blocks:
+            d = pts[blk] - e.center
+            z = e.mu * (d @ [1, 1j])
+            reach = float(np.abs(z).max(initial=0.0)) / e.mu
+            f = _expand(sol, reach) if e.sign and reach > 2.0 * e.radius else e
+            phi = bessel_orders(z, f.orders + gradient, f.sign)
+            u, drift = (phi[:, :f.orders + 1] @ f.b).real, np.exp(-(d @ f.drift))
+            if gradient:  # a, b: sums of b_m Z_{m-1} e^{i(m-1)theta}, b_m Z_{m+1} e^{i(m+1)theta}
+                down = np.arange(1.0, f.orders + 1) if f.sign == 0 else 1.0  # the harmonics' m
+                a = phi[:, :f.orders] @ (f.b[1:] * down) + f.sign * f.b[0] * phi[:, 1].conj()
+                b = f.sign * (phi[:, 1:] @ f.b)  # Z_{-1} e^{-i theta} = sign conj(Z_1 e^{i theta})
+                u = 0.5 * f.mu * np.stack([(a + b).real, (b - a).imag], -1) - u[:, None] * f.drift
+            out[blk] = (drift[:, None] if gradient else drift) * u
+    if not np.isfinite(out).all():
+        raise KernelOverflowError(f"u_h's expansion about {e.center} overflows double precision")
     return out.reshape(shape + out.shape[1:])
 
 

@@ -26,6 +26,7 @@ array result equals the float result for that element, bit for bit.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -35,6 +36,7 @@ from .errors import DomainError, KernelOverflowError
 J_SWITCH = 12.0
 I_SWITCH = 15.0
 I_OVERFLOW_LIMIT = 700.0
+ORDERS_SWITCH = 4.0
 
 
 def _series_bessel(nu: int, x):
@@ -209,3 +211,53 @@ def bessel_i1(x):
 def bessel_i0_i1(x):
     """(I0(x), I1(x)) from one evaluation of both orders."""
     return tuple(_bessel("bessel_i0_i1", slice(0, 2), x, True))
+
+
+@lru_cache(maxsize=16)
+def _orders_table(orders: int, sign: int) -> np.ndarray:
+    """T[k, m] = sign^k / (k! (m+k)!), m <= orders, k <= 16 (ones, k = 0, for sign 0): 16 is
+    the first K with q^K / K!^2 <= 1e-17 at q = ORDERS_SWITCH^2 / 4. Read-only: it is shared."""
+    k, m = np.arange(17)[:, None], np.arange(orders + 1)
+    inverse = 1.0 / np.cumprod(np.maximum(np.arange(orders + 17), 1.0))  # 1 / n!
+    table = sign ** k * inverse[k] * inverse[k + m] if sign else np.ones((1, orders + 1))
+    table.flags.writeable = False
+    return table
+
+
+def _miller(x, orders: int, sign: int) -> np.ndarray:
+    """J_m(x) or I_m(x) (sign -1 or +1), m <= orders, as (orders + 1, P): f_{m-1} = 2m/x f_m +
+    sign f_{m+1} run down from order max(orders, x) + 20 + sqrt(40 max(orders, x)) (Numerical
+    Recipes 6.5), then scaled by J0 + 2 sum J_2k = 1 or I0 + 2 sum I_k = e^x."""
+    top = max(orders, float(x.max()))
+    n = 2 * int((top + 20.0 + math.sqrt(40.0 * top)) / 2.0)
+    f = np.zeros((n + 2, len(x)))
+    f[n], step = 1.0, 2.0 / x
+    for m in range(n, 0, -1):
+        f[m - 1] = m * step * f[m] + sign * f[m + 1]
+        huge = np.abs(f[m - 1]) > 1e250  # keeps every column finite
+        if huge.any():
+            f[m - 1:, huge] *= 1e-250
+    total = f[0] + 2.0 * (f[1:] if sign > 0 else f[2::2]).sum(axis=0)
+    return f[:orders + 1] / total * (np.exp(x) if sign > 0 else 1.0)
+
+
+def bessel_orders(z, orders: int, sign: int) -> np.ndarray:
+    """Z_m(|z|) e^{i m arg z}, m <= orders, at complex z (P,) as (P, orders + 1): Z = J for sign
+    -1, I for +1 (inf past |z| = 709), and for 0 Z_m(x) = (x/2)^m, so the harmonics (z/2)^m. Below
+    ORDERS_SWITCH one product of fixed size gives every order as (z/2)^m sum_k (sign q)^k /
+    (k! (m+k)!), q = |z|^2 / 4; past it, where that cancels like eps I0(|z|) for J, _miller times
+    (z / |z|)^m. Error on [0, 12]: 4.4e-16 absolute for J_m, 8.8e-16 of I0 for I_m."""
+    z = np.asarray(z, dtype=complex)
+    x = np.abs(z)
+    hi = float(x.max(initial=0.0))
+    if not hi <= 1e4:  # also bounds _miller's (n, P) table
+        raise DomainError(f"bessel_orders is defined for |z| <= 1e4, got |z| = {hi}")
+    table = _orders_table(orders, sign)
+    phase = np.empty((len(z), orders + 1), dtype=complex)
+    phase[:, 0], phase[:, 1:] = 1.0, 0.5 * z[:, None]
+    out = (0.25 * x * x)[:, None] ** np.arange(len(table)) @ table * np.cumprod(phase, axis=1)
+    if sign and hi >= ORDERS_SWITCH:  # the series rows there are replaced
+        big = x >= ORDERS_SWITCH
+        phase[big, 1:] = (z[big] / x[big])[:, None]
+        out[big] = _miller(x[big], orders, sign).T * np.cumprod(phase[big], axis=1)
+    return out

@@ -24,6 +24,8 @@ from quasirbf.presets import get_preset
 from oracles import min_norm_from_factors, oracle_i0
 
 UNIT_DISC = StarDomain(Circle(1.0))
+# u_h from two summation orders of one sum differs by ~N eps of the terms' magnitudes
+BATCH_TOL = 1e-12
 ONE_KNOT = BoundaryKnots(param=np.zeros(1), points=np.array([[1.0, 0.0]]),
                          normals=np.array([[1.0, 0.0]]))
 
@@ -440,6 +442,56 @@ class TestEvalHomogeneous:
         for p, normal in zip(nodes.points[:4], nodes.normals[:4]):
             g = eval_homogeneous_gradient(sol, p)
             assert abs(float(normal @ g) - 1.0) <= 1e-8
+
+
+STAR = StarDomain(Star(1.0, 0.2, 5))
+EXPANSION_CASES = {  # (operator, domain, knots); one knot has all its centres at o
+    "helmholtz2 star": (Helmholtz(2.0), STAR, 48),
+    "helmholtz20 disc": (Helmholtz(20.0), UNIT_DISC, 48),
+    "modhelm1 disc": (ModifiedHelmholtz(1.0), UNIT_DISC, 48),
+    "modhelm20 disc": (ModifiedHelmholtz(20.0), UNIT_DISC, 48),
+    "convdiff1 disc": (ConvectionDiffusion(1.0, (2.0, 0.0), 1.0), UNIT_DISC, 48),
+    "convdiff0.2 disc": (ConvectionDiffusion(0.2, (2.0, 0.0), 1.0), UNIT_DISC, 48),
+    "poisson star": (Poisson(), STAR, 48),
+    "helmholtz2 one knot": (Helmholtz(2.0), UNIT_DISC, 1),
+    "modhelm20 one knot": (ModifiedHelmholtz(20.0), UNIT_DISC, 1),
+    "convdiff1 one knot": (ConvectionDiffusion(1.0, (2.0, 0.0), 1.0), UNIT_DISC, 1),
+}
+
+
+@pytest.mark.parametrize("case", EXPANSION_CASES)
+def test_expansion_matches_the_direct_sum(case):
+    """u_h and grad u_h from the expansion against the sum of c_j times each basis term
+    (_terms @ c: the kernel about each centre, or the harmonics), point by point, within
+    BATCH_TOL of the terms' magnitudes, for seeded random coefficients (a solve's smooth
+    data would leave the high orders nearly empty). The points, all in one call: interior
+    points, off-knot boundary points, one point at three times the knots' radius and,
+    without drift, one at ten times, past the twice-radius the kept orders are chosen for.
+    With drift the split costs e^{|v| (rho + r) / 2D} in rounding (bkm's docstring), so
+    ten radii is out of reach there.
+    The direct sum's J0 / J1 carry up to 1e-12 absolute error (criterion 02), about
+    BATCH_TOL of the terms at mu r up to 40, so for Helmholtz the bound adds
+    1e-12 sum |c_j| (times mu for the gradient)."""
+    op, domain, n = EXPANSION_CASES[case]
+    knots = boundary_nodes(domain, n) if n > 1 else ONE_KNOT
+    mode = TrefftzMode(8, domain.center, domain.max_radius()) if isinstance(op, Poisson) \
+        else KernelMode(op)
+    coeffs = np.random.default_rng(21).standard_normal(17 if isinstance(op, Poisson) else n)
+    sol = HomogeneousSolution(mode, coeffs, knots.points)
+    t = 2.0 * math.pi * (np.arange(4 * n) + 0.5) / (4 * n)
+    center = knots.points.mean(axis=0)
+    radius = max(np.hypot(*(knots.points - center).T).max(), 1.0)
+    far = [3.0] if op.coefficients.drift else [3.0, 10.0]
+    pts = np.vstack([interior_eval_points(domain, 4, 50), domain.boundary_point(t)]
+                    + [center + f * radius * np.array([math.cos(1.0), math.sin(1.0)]) for f in far])
+    values = bkm._terms(mode, knots.points, pts, False) * coeffs
+    grads = bkm._terms(mode, knots.points, pts, True) * coeffs[:, None]
+    j_error = 1e-12 * np.abs(coeffs).sum() if isinstance(op, Helmholtz) else 0.0
+    bound_v = BATCH_TOL * np.abs(values).sum(axis=1) + j_error
+    bound_g = BATCH_TOL * np.abs(grads).sum(axis=1).max(axis=1) + j_error * op.coefficients.mu
+    assert np.all(np.abs(eval_homogeneous(sol, pts) - values.sum(axis=1)) <= bound_v)
+    assert np.all(np.abs(eval_homogeneous_gradient(sol, pts) - grads.sum(axis=1)).max(axis=1)
+                  <= bound_g)
 
 
 LINEARITY_OPS = [Helmholtz(2.0), ModifiedHelmholtz(1.0),

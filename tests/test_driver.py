@@ -323,6 +323,16 @@ class TestCli:
         assert report["max_err"] <= 1e-4
         assert report["boundary_residual"] <= 1e-4
 
+    @pytest.mark.parametrize("preset", ["helmholtz_disc", "helmholtz_star"])
+    def test_interior_residual_is_not_u_h_rounding(self, tmp_path, capsys, preset):
+        """The reported FD residual divides u's rounding by h^2 = 1e-6. u_h as a kernel sum
+        read 7.1e-5 / 7.4e-5 here, as one expansion 5.2e-7 / 6.2e-7: the stencil's own
+        O(h^2) error. Criterion 07 allows 1e-3."""
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"preset": preset}))
+        assert run_cli(["solve", "--config", str(config)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["interior_residual"] <= 1e-5
+
     def test_solve_missing_config_exits_2(self, capsys):
         assert run_cli(["solve", "--config", "/no/such.json"]) == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from quasirbf import cli
+from quasirbf import bkm, cli
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -41,7 +41,9 @@ def test_instrument_then_restore(tracing):
 
 
 def test_patched_names_are_the_ones_called(tmp_path, tracing):
-    """One traced `quasirbf solve` reaches every hot layer the tracer names."""
+    """One traced `quasirbf solve` reaches every hot layer the tracer names. Only
+    assembly calls bessel_i0 and kernel_value, so the factor cache starts cold."""
+    bkm._cached_factor.cache_clear()
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"preset": "convdiff_disc", "knots": 16, "grid": 32}))
     tracer = tracing.Tracer()
@@ -70,21 +72,27 @@ def test_patched_names_are_the_ones_called(tmp_path, tracing):
     ({"type": "modified_helmholtz", "k": 1.0}, ("specfun.bessel_i0", "specfun.bessel_i1")),
 ], ids=["helmholtz", "modified_helmholtz"])
 def test_patched_bessel_names_are_the_ones_called(tmp_path, tracing, operator, names):
-    """A Neumann solve reaches the kernel's Z0 and its gradient's Z1, each
-    through the name the tracer patches in the operators module."""
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"problem": {
-        "operator": operator, "domain": {"type": "circle", "radius": 1.0},
-        "bc_kind": "neumann"}, "knots": 16}))
-    tracer = tracing.Tracer()
-    try:
-        tracing.instrument(tracer)
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = tracer.root("test.solve", lambda: cli.run_cli(
-                ["solve", "--config", str(config)]))
-    finally:
-        tracer.restore()
-    assert code == cli.EXIT_OK
-    calls = {name: stat[0] for name, stat in tracer.stats.items()}
-    for name in names + ("operators.kernel_gradient",):
-        assert calls.get(name, 0) > 0, name
+    """Assembly reaches the kernel's Z0 through kernel_value in a Dirichlet solve
+    and its gradient's Z1 through kernel_gradient in a Neumann solve, each through
+    the name the tracer patches in the operators module (u_h's evaluation runs on
+    specfun.bessel_orders instead). The factor cache starts cold, so both solves
+    assemble whatever ran before."""
+    bkm._cached_factor.cache_clear()
+    for bc_kind, z_name, kernel_name in (("dirichlet", names[0], "operators.kernel_value"),
+                                         ("neumann", names[1], "operators.kernel_gradient")):
+        config = tmp_path / f"{bc_kind}.json"
+        config.write_text(json.dumps({"problem": {
+            "operator": operator, "domain": {"type": "circle", "radius": 1.0},
+            "bc_kind": bc_kind}, "knots": 16}))
+        tracer = tracing.Tracer()
+        try:
+            tracing.instrument(tracer)
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = tracer.root("test.solve", lambda: cli.run_cli(
+                    ["solve", "--config", str(config)]))
+        finally:
+            tracer.restore()
+        assert code == cli.EXIT_OK, bc_kind
+        calls = {name: stat[0] for name, stat in tracer.stats.items()}
+        for name in (z_name, kernel_name):
+            assert calls.get(name, 0) > 0, (bc_kind, name)

@@ -14,10 +14,13 @@ REV's, per round, swapping which goes first every round. Each worker times:
   linspace(0, 50, 1000), like the one acceptance criterion 02 times;
 - SolutionField.evaluate and .gradient at one point, on `convdiff_disc` and
   `modhelm_source` solved as the query_dense workload solves them (knots 64,
-  grid 128), cycling over 50 seeded points inside the domain.
+  grid 128), cycling over 50 seeded points inside the domain;
+- on `helmholtz_star` at knots 64 (no source, so u = u_h): evaluate and
+  gradient together at one point, cycling over 50 seeded points, and
+  evaluate on one batch of 1024 seeded points inside the domain.
 
 A case's time is the median over 5 batches of --calls calls (of 5 batches of
---calls // 16 + 1 calls at 16384 arguments or of the float loop) of the mean
+--calls // 16 + 1 calls at 16384 arguments, 1024 points or of the float loop) of the mean
 time per call, the float loop counting as one call.
 
 Prints one line per round and case, then per case the median over rounds of
@@ -77,15 +80,23 @@ def worker(calls: int) -> dict:
         fn = getattr(specfun, name)
         out[f"{name} 1000 floats"] = _per_call(lambda i: [fn(v) for v in floats],
                                                calls // 16 + 1)
+    def interior(name, count):
+        domain = get_preset(name).domain
+        t = rng.uniform(0.0, 2.0 * np.pi, count)
+        s = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, count))
+        return domain.center + s[:, None] * (domain.boundary_point(t) - domain.center)
+
     for name in PRESETS:
         field = pipeline.run_pipeline(pipeline.RunConfig(preset=name, knots=64, grid=128)).field
-        domain = get_preset(name).domain
-        t = rng.uniform(0.0, 2.0 * np.pi, 50)
-        s = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, 50))
-        pts = [tuple(map(float, p)) for p in
-               domain.center + s[:, None] * (domain.boundary_point(t) - domain.center)]
+        pts = [tuple(map(float, p)) for p in interior(name, 50)]
         out[f"{name} evaluate"] = _per_call(lambda i: field.evaluate(*pts[i % 50]), calls)
         out[f"{name} gradient"] = _per_call(lambda i: field.gradient(*pts[i % 50]), calls)
+    field = pipeline.run_pipeline(pipeline.RunConfig(preset="helmholtz_star", knots=64)).field
+    pts = [tuple(map(float, p)) for p in interior("helmholtz_star", 50)]
+    out["helmholtz_star value+grad"] = _per_call(
+        lambda i: (field.evaluate(*pts[i % 50]), field.gradient(*pts[i % 50])), calls)
+    batch = interior("helmholtz_star", 1024).T
+    out["helmholtz_star P=1024"] = _per_call(lambda i: field.evaluate(*batch), calls // 16 + 1)
     return out
 
 
