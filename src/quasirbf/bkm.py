@@ -8,7 +8,10 @@ uses the circular-harmonic (Trefftz) basis
     { 1, (rho/R)^m cos(m theta), (rho/R)^m sin(m theta) },  m = 1..order,
 
 about a given center with scale R, every member of which is harmonic.
-assemble alone makes that choice and builds its matrix from _terms.
+assemble alone makes that choice and builds its matrix from _terms: kernel
+columns from operators' kernel, harmonic column j as the expansion below of
+the unit coefficients e_j, so the harmonics and their gradient ladder are
+written once, for assembly and evaluation alike.
 
 Evaluation sums no kernels: u_h = e^{-a.(x - o)} Re sum_{m <= M} b_m Z_m(mu r) e^{i m theta}
 about the centres' centroid o, b from Graf's addition theorem once per solution (_expand;
@@ -121,16 +124,16 @@ class _Expansion(NamedTuple):  # u_h = e^{-drift.(x - center)} Re sum b_m Z_m(mu
     center: np.ndarray
     mu: float
     sign: int  # picks Z: -1 J, +1 I, 0 the harmonics (specfun.bessel_orders)
-    drift: np.ndarray  # v / 2D
+    drift: Optional[np.ndarray]  # v / 2D, None for v = 0
     radius: float  # the centres' largest distance from center
     orders: int
-    b: np.ndarray
+    b: np.ndarray  # (orders + 1,), or (orders + 1, K) for coefficients (width, K)
 
 
 @dataclass(frozen=True)
 class HomogeneousSolution:
     mode: Mode
-    coefficients: np.ndarray
+    coefficients: np.ndarray  # (width,); the harmonics also take (width, K), K solutions
     centers: np.ndarray  # (N, 2) centre positions
     expansion = cached_property(lambda self: _expand(self))  # built once: keep the arrays fixed
 
@@ -139,8 +142,8 @@ def _expand(sol: HomogeneousSolution, reach: float = 0.0) -> _Expansion:
     """sol's expansion with the orders that r <= max(reach, 2 radius) needs."""
     c, mode = sol.coefficients, sol.mode
     if isinstance(mode, TrefftzMode):  # b_0 = c_0, b_m = c_{2m-1} - i c_{2m}
-        return _Expansion(np.asarray(mode.center, float), 2.0 / mode.scale, 0, np.zeros(2), 0.0,
-                          mode.order, np.append(c[:1], c[1::2] - 1j * c[2::2]))
+        return _Expansion(np.asarray(mode.center, float), 2.0 / mode.scale, 0, None, 0.0,
+                          mode.order, np.concatenate([c[:1], c[1::2] - 1j * c[2::2]]))
     k = mode.op.coefficients
     if k.mu2 == 0.0:
         raise UnsupportedOperatorError(f"{mode.op!r} has mu = 0 and no radial kernel")
@@ -151,35 +154,17 @@ def _expand(sol: HomogeneousSolution, reach: float = 0.0) -> _Expansion:
     while near * min(far, 1e300 if sign > 0 else 1.0) > 1e-17 * math.exp(-growth / (orders + 1)):
         orders += 1
         near, far = near * hp / orders, far * hr / orders
-    b = (c * np.exp(d @ drift) @ bessel_orders(k.mu * (d @ [1, 1j]), orders, sign)).conj()
+    b = (c * np.exp(d @ drift) @ bessel_orders(k.mu * d.view(complex)[:, 0], orders, sign)).conj()
     b[1:] *= 2.0 * (-sign) ** np.arange(1, orders + 1)  # eps_m sigma_m
-    return _Expansion(center, k.mu, sign, drift, rho, orders, b)
-
-
-def trefftz_terms(order: int, center, scale: float, x1, x2, gradient: bool) -> np.ndarray:
-    """Values (..., 2*order+1) or gradients (..., 2*order+1, 2) of the
-    circular-harmonic basis terms at points with coordinates x1, x2 (...)."""
-    z = ((np.asarray(x1, dtype=float) - center[0])
-         + 1j * (np.asarray(x2, dtype=float) - center[1])) / scale
-    terms = np.empty(z.shape + (2 * order + 1, 2 if gradient else 1))
-    terms[..., 0, :] = 0.0 if gradient else 1.0
-    zpow = np.ones_like(z)
-    for m in range(1, order + 1):
-        # f = z^m = u + i v, or f' = d/dz z^m in box coordinates, whence
-        # grad u = (Re f', -Im f') and grad v = (Im f', Re f')
-        f = m * zpow / scale if gradient else zpow * z
-        zpow = zpow * z if gradient else f
-        terms[..., 2 * m - 1, 0], terms[..., 2 * m, 0] = f.real, f.imag
-        if gradient:
-            terms[..., 2 * m - 1, 1], terms[..., 2 * m, 1] = -f.imag, f.real
-    return terms if gradient else terms[..., 0]
+    return _Expansion(center, k.mu, sign, drift if k.drift else None, rho, orders, b)
 
 
 def _terms(mode: Mode, centers: np.ndarray, x: np.ndarray, gradient: bool) -> np.ndarray:
-    """Basis values (P, M) or gradients (P, M, 2) at points x (P, 2): the
-    kernel about each of the M centres, or the M circular harmonics."""
+    """Basis values (P, M) or gradients (P, M, 2) at points x (P, 2): the kernel about
+    each of the M centres, or the M circular harmonics, column j the expansion of e_j."""
     if isinstance(mode, TrefftzMode):
-        return trefftz_terms(mode.order, mode.center, mode.scale, x[:, 0], x[:, 1], gradient)
+        eye = np.eye(2 * mode.order + 1)
+        return _evaluate(HomogeneousSolution(mode, eye, centers), x, gradient)
     d = x[:, None, :] - centers[None, :, :]
     return (kernel_gradient if gradient else kernel_value)(mode.op, d)
 
@@ -269,24 +254,28 @@ def solve_dense(system: CollocationSystem,
 
 
 def _evaluate(sol: HomogeneousSolution, x, gradient: bool) -> np.ndarray:
-    """u_h (shape (...)) or grad u_h (shape (..., 2)) at points x (2,) or (..., 2)."""
+    """u_h (shape (...) + K) or grad u_h (shape (...) + K + (2,)) at points x (2,) or (..., 2),
+    for coefficients of shape (width,) + K."""
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
         e = sol.expansion
         pts, blocks, shape = point_blocks(x, e.orders + 2)
-        out = np.empty((len(pts), 2) if gradient else len(pts))
+        out = np.empty((len(pts),) + e.b.shape[1:] + ((2,) if gradient else ()))
         for blk in blocks:
             d = pts[blk] - e.center
-            z = e.mu * (d @ [1, 1j])
+            z = e.mu * d.view(complex)[:, 0]
             reach = float(np.abs(z).max(initial=0.0)) / e.mu
             f = _expand(sol, reach) if e.sign and reach > 2.0 * e.radius else e
             phi = bessel_orders(z, f.orders + gradient, f.sign)
-            u, drift = (phi[:, :f.orders + 1] @ f.b).real, np.exp(-(d @ f.drift))
+            u = (phi[:, :f.orders + 1] @ f.b).real
             if gradient:  # a, b: sums of b_m Z_{m-1} e^{i(m-1)theta}, b_m Z_{m+1} e^{i(m+1)theta}
-                down = np.arange(1.0, f.orders + 1) if f.sign == 0 else 1.0  # the harmonics' m
-                a = phi[:, :f.orders] @ (f.b[1:] * down) + f.sign * f.b[0] * phi[:, 1].conj()
-                b = f.sign * (phi[:, 1:] @ f.b)  # Z_{-1} e^{-i theta} = sign conj(Z_1 e^{i theta})
-                u = 0.5 * f.mu * np.stack([(a + b).real, (b - a).imag], -1) - u[:, None] * f.drift
-            out[blk] = (drift[:, None] if gradient else drift) * u
+                if f.sign:  # Z_{-1} e^{-i theta} = sign conj(Z_1 e^{i theta})
+                    a = phi[:, :f.orders] @ f.b[1:] + (f.sign * f.b[:1].T * phi[:, 1].conj()).T
+                    b = f.sign * (phi[:, 1:] @ f.b)
+                else:  # the harmonics: m Z_{m-1} e^{i(m-1)theta}, and no up-ladder
+                    a, b = phi[:, :f.orders] @ (f.b[1:].T * np.arange(1.0, f.orders + 1)).T, 0.0
+                g = 0.5 * f.mu * np.stack([(a + b).real, (b - a).imag], -1)
+                u = g if f.drift is None else g - u[..., None] * f.drift
+            out[blk] = u if f.drift is None else (np.exp(-(d @ f.drift)) * u.T).T
     if not np.isfinite(out).all():
         raise KernelOverflowError(f"u_h's expansion about {e.center} overflows double precision")
     return out.reshape(shape + out.shape[1:])

@@ -29,9 +29,6 @@ import numpy as np
 from .errors import ConfigurationError, KernelOverflowError, UnsupportedOperatorError
 from .specfun import bessel_i0, bessel_i0_i1, bessel_i1, bessel_j0, bessel_j1
 
-_LOG_MAX = math.log(np.finfo(float).max)  # exp overflows above this argument
-
-
 class Coefficients(NamedTuple):
     """L u = D laplace(u) + v . grad(u) + c u, and the kernel's
     mu2 = |v|^2 / 4D^2 - c / D with mu = sqrt(|mu2|); drift is v != 0."""
@@ -158,20 +155,10 @@ def _kernel(op: OperatorSpec, d, gradient: bool):
         z1 = bessel_j1 if oscillating else bessel_i1
         return (-k.mu if oscillating else k.mu) * z1(k.mu * r) * d / safe_r
     z0, z1 = bessel_i0_i1(k.mu * r) if gradient else (bessel_i0(k.mu * r), None)
-    exponent = (k.v[0] * d[..., :1] + k.v[1] * d[..., 1:]) / (-2.0 * k.D)
-
-    def product():
-        drift = np.exp(exponent)
-        return ((drift * z0)[..., 0][()] if not gradient
-                else drift * (k.mu * z1 / safe_r * d - k.v / (2.0 * k.D) * z0))
-
-    # |v.d| / 2D <= |v| r / 2D and I0, I1 <= exp(mu r), so below this bound
-    # nothing overflows
-    growth = k.mu + math.hypot(*k.v) / (2.0 * k.D)
-    if float(r.max()) * growth + math.log1p(growth) < _LOG_MAX:
-        return product()
     with np.errstate(over="ignore", invalid="ignore"):
-        out = product()
+        drift = np.exp((k.v[0] * d[..., :1] + k.v[1] * d[..., 1:]) / (-2.0 * k.D))
+        out = ((drift * z0)[..., 0][()] if not gradient
+               else drift * (k.mu * z1 / safe_r * d - k.v / (2.0 * k.D) * z0))
     if not np.all(np.isfinite(out)):
         raise KernelOverflowError(
             f"the kernel of {op!r} overflows double precision: exp(-v.d / 2D) "

@@ -12,6 +12,8 @@ These deliberately avoid the code paths they check:
   even-odd ray casting against a dense polygon.
 * The taper oracle evaluates the separable bump weight point by point from
   its definition, without the package's per-axis sampling.
+* The circular-harmonic oracle takes numpy powers of z = (x + iy - c)/R,
+  not the package's product ladder.
 """
 from __future__ import annotations
 
@@ -115,6 +117,23 @@ def taper_weight(box, t: float, x) -> np.ndarray:
     xi = (np.asarray(x, dtype=float) - box.min_corner) / box.side
     w = np.minimum(eta(xi / t), eta((1.0 - xi) / t))
     return w[..., 0] * w[..., 1]
+
+
+def oracle_harmonics(order: int, center, scale: float, x):
+    """Values (P, 2 order + 1) and gradients (P, 2 order + 1, 2) of the circular
+    harmonics 1, Re z^m, Im z^m (m = 1..order) at points x (P, 2) or (2,), with
+    z = (x1 + i x2 - c) / R: f = z^m by numpy power and f' = m z^{m-1} / R, whence
+    grad Re f = (Re f', -Im f') and grad Im f = (Im f', Re f')."""
+    x = np.asarray(x, dtype=float).reshape(-1, 2)
+    z = (((x[:, 0] - center[0]) + 1j * (x[:, 1] - center[1])) / scale)[:, None]
+    m = np.arange(1, order + 1)
+    f, df = z ** m, m * z ** (m - 1) / scale
+    values = np.ones((len(x), 2 * order + 1))
+    values[:, 1::2], values[:, 2::2] = f.real, f.imag
+    grads = np.zeros((len(x), 2 * order + 1, 2))
+    grads[:, 1::2] = np.stack([df.real, -df.imag], -1)
+    grads[:, 2::2] = np.stack([df.imag, df.real], -1)
+    return values, grads
 
 
 def central_gradient(f, x1: float, x2: float, h: float = 1e-6) -> np.ndarray:

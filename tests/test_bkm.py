@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from quasirbf import bkm
 from quasirbf.bkm import (LU, TSVD, CollocationSystem, HomogeneousSolution,
                           KernelMode, TrefftzMode, assemble, eval_homogeneous,
-                          eval_homogeneous_gradient, solve_dense,
-                          trefftz_terms)
+                          eval_homogeneous_gradient, solve_dense)
 from quasirbf.errors import (ConfigurationError, RankDeficientWarning,
                              SingularMatrixError)
 from quasirbf.geometry import (BoundaryKnots, Circle, Star, StarDomain,
@@ -21,7 +20,7 @@ from quasirbf.operators import (ConvectionDiffusion, Helmholtz,
                                 ModifiedHelmholtz, Poisson, kernel_value)
 from quasirbf.presets import get_preset
 
-from oracles import min_norm_from_factors, oracle_i0
+from oracles import min_norm_from_factors, oracle_harmonics, oracle_i0
 
 UNIT_DISC = StarDomain(Circle(1.0))
 # u_h from two summation orders of one sum differs by ~N eps of the terms' magnitudes
@@ -94,10 +93,17 @@ class TestAssemble:
         assert np.allclose(system.matrix, system.matrix.T, atol=1e-14)
 
 
+def _harmonics_at(order: int, center, scale: float, x1, x2, gradient: bool) -> np.ndarray:
+    """bkm._terms of the harmonics at one point (x1, x2): values (2 order + 1,) or
+    gradients (2 order + 1, 2)."""
+    mode = TrefftzMode(order, np.asarray(center, float), scale)
+    return bkm._terms(mode, np.empty((0, 2)), np.array([[x1, x2]], float), gradient)[0]
+
+
 class TestTrefftzTerms:
     def test_first_harmonics(self):
-        values = trefftz_terms(2, (0.0, 0.0), 1.0, 0.3, 0.4, gradient=False)
-        grads = trefftz_terms(2, (0.0, 0.0), 1.0, 0.3, 0.4, gradient=True)
+        values = _harmonics_at(2, (0.0, 0.0), 1.0, 0.3, 0.4, gradient=False)
+        grads = _harmonics_at(2, (0.0, 0.0), 1.0, 0.3, 0.4, gradient=True)
         # 1, x, y, x^2 - y^2, 2 x y
         assert np.allclose(values, [1.0, 0.3, 0.4, 0.09 - 0.16, 0.24])
         assert np.allclose(grads[1], (1.0, 0.0))
@@ -106,25 +112,25 @@ class TestTrefftzTerms:
         assert np.allclose(grads[4], (0.8, 0.6))
 
     def test_scale_normalization(self):
-        values = trefftz_terms(1, (0.0, 0.0), 2.0, 2.0, 0.0, gradient=False)
+        values = _harmonics_at(1, (0.0, 0.0), 2.0, 2.0, 0.0, gradient=False)
         assert np.allclose(values, [1.0, 1.0, 0.0])
 
     def test_harmonicity_by_finite_differences(self):
         h = 1e-4
         for (x, y) in [(0.2, 0.5), (-0.6, 0.1), (0.4, -0.4)]:
             for idx in range(1, 13):
-                term = lambda a, b: trefftz_terms(6, (0.0, 0.0), 1.0, a, b, False)[idx]
+                term = lambda a, b: _harmonics_at(6, (0.0, 0.0), 1.0, a, b, False)[idx]
                 lap = (term(x + h, y) + term(x - h, y) + term(x, y + h)
                        + term(x, y - h) - 4.0 * term(x, y)) / h ** 2
                 assert abs(lap) <= 1e-5
 
     def test_gradients_match_finite_differences(self):
         h = 1e-6
-        values = lambda a, b: trefftz_terms(5, (0.1, -0.2), 1.5, a, b, gradient=False)
+        values = lambda a, b: _harmonics_at(5, (0.1, -0.2), 1.5, a, b, gradient=False)
         x, y = 0.7, 0.3
         fd = np.stack([(values(x + h, y) - values(x - h, y)) / (2 * h),
                        (values(x, y + h) - values(x, y - h)) / (2 * h)], axis=1)
-        grads = trefftz_terms(5, (0.1, -0.2), 1.5, x, y, gradient=True)
+        grads = _harmonics_at(5, (0.1, -0.2), 1.5, x, y, gradient=True)
         assert np.allclose(grads, fd, atol=1e-8)
 
 
@@ -453,30 +459,37 @@ EXPANSION_CASES = {  # (operator, domain, knots); one knot has all its centres a
     "convdiff1 disc": (ConvectionDiffusion(1.0, (2.0, 0.0), 1.0), UNIT_DISC, 48),
     "convdiff0.2 disc": (ConvectionDiffusion(0.2, (2.0, 0.0), 1.0), UNIT_DISC, 48),
     "poisson star": (Poisson(), STAR, 48),
+    "poisson disc order 180": (Poisson(), UNIT_DISC, 361),
     "helmholtz2 one knot": (Helmholtz(2.0), UNIT_DISC, 1),
     "modhelm20 one knot": (ModifiedHelmholtz(20.0), UNIT_DISC, 1),
     "convdiff1 one knot": (ConvectionDiffusion(1.0, (2.0, 0.0), 1.0), UNIT_DISC, 1),
 }
+TREFFTZ_ORDERS = {"poisson star": 8, "poisson disc order 180": 180}  # past 171! = inf
 
 
 @pytest.mark.parametrize("case", EXPANSION_CASES)
 def test_expansion_matches_the_direct_sum(case):
     """u_h and grad u_h from the expansion against the sum of c_j times each basis term
-    (_terms @ c: the kernel about each centre, or the harmonics), point by point, within
-    BATCH_TOL of the terms' magnitudes, for seeded random coefficients (a solve's smooth
-    data would leave the high orders nearly empty). The points, all in one call: interior
-    points, off-knot boundary points, one point at three times the knots' radius and,
-    without drift, one at ten times, past the twice-radius the kept orders are chosen for.
+    (the kernel about each centre, _terms, or oracle_harmonics' numpy powers), point by
+    point, within BATCH_TOL of the terms' magnitudes, for seeded random coefficients (a
+    solve's smooth data would leave the high orders nearly empty). The points, all in one
+    call: interior points, off-knot boundary points, one point at three times the knots'
+    radius and, without drift, one at ten times, past the twice-radius the kept orders
+    are chosen for.
     With drift the split costs e^{|v| (rho + r) / 2D} in rounding (bkm's docstring), so
     ten radii is out of reach there.
     The direct sum's J0 / J1 carry up to 1e-12 absolute error (criterion 02), about
     BATCH_TOL of the terms at mu r up to 40, so for Helmholtz the bound adds
-    1e-12 sum |c_j| (times mu for the gradient)."""
+    1e-12 sum |c_j| (times mu for the gradient).
+    Poisson's cases also check its Dirichlet and Neumann collocation matrices, which
+    assemble builds with the same evaluator, against the oracle at the knots, column by
+    column within BATCH_TOL of the column's largest entry."""
     op, domain, n = EXPANSION_CASES[case]
     knots = boundary_nodes(domain, n) if n > 1 else ONE_KNOT
-    mode = TrefftzMode(8, domain.center, domain.max_radius()) if isinstance(op, Poisson) \
-        else KernelMode(op)
-    coeffs = np.random.default_rng(21).standard_normal(17 if isinstance(op, Poisson) else n)
+    mode = TrefftzMode(TREFFTZ_ORDERS[case], domain.center, domain.max_radius()) \
+        if isinstance(op, Poisson) else KernelMode(op)
+    coeffs = np.random.default_rng(21).standard_normal(
+        2 * mode.order + 1 if isinstance(op, Poisson) else n)
     sol = HomogeneousSolution(mode, coeffs, knots.points)
     t = 2.0 * math.pi * (np.arange(4 * n) + 0.5) / (4 * n)
     center = knots.points.mean(axis=0)
@@ -484,14 +497,24 @@ def test_expansion_matches_the_direct_sum(case):
     far = [3.0] if op.coefficients.drift else [3.0, 10.0]
     pts = np.vstack([interior_eval_points(domain, 4, 50), domain.boundary_point(t)]
                     + [center + f * radius * np.array([math.cos(1.0), math.sin(1.0)]) for f in far])
-    values = bkm._terms(mode, knots.points, pts, False) * coeffs
-    grads = bkm._terms(mode, knots.points, pts, True) * coeffs[:, None]
+    if isinstance(mode, TrefftzMode):
+        values, grads = oracle_harmonics(mode.order, mode.center, mode.scale, pts)
+        values, grads = values * coeffs, grads * coeffs[:, None]
+    else:
+        values = bkm._terms(mode, knots.points, pts, False) * coeffs
+        grads = bkm._terms(mode, knots.points, pts, True) * coeffs[:, None]
     j_error = 1e-12 * np.abs(coeffs).sum() if isinstance(op, Helmholtz) else 0.0
     bound_v = BATCH_TOL * np.abs(values).sum(axis=1) + j_error
     bound_g = BATCH_TOL * np.abs(grads).sum(axis=1).max(axis=1) + j_error * op.coefficients.mu
     assert np.all(np.abs(eval_homogeneous(sol, pts) - values.sum(axis=1)) <= bound_v)
     assert np.all(np.abs(eval_homogeneous_gradient(sol, pts) - grads.sum(axis=1)).max(axis=1)
                   <= bound_g)
+    if isinstance(mode, TrefftzMode):  # Poisson's collocation matrices: the same evaluator
+        values, grads = oracle_harmonics(mode.order, mode.center, mode.scale, knots.points)
+        for kind, want in (("dirichlet", values),
+                           ("neumann", np.einsum("pjk,pk->pj", grads, knots.normals))):
+            got = assemble(op, knots, kind, np.zeros(n), mode).matrix
+            assert np.all(np.abs(got - want) <= BATCH_TOL * np.abs(want).max(axis=0)), kind
 
 
 LINEARITY_OPS = [Helmholtz(2.0), ModifiedHelmholtz(1.0),

@@ -19,9 +19,9 @@ prints CLOSE. CLOSE and DIFF lines list the largest relative difference
 
 Cases: `quasirbf solve` on every preset at the defaults and at knots 48 /
 grid 512, on the source presets at grid 32 (whose sources are sampled, not
-factored, so u_p uses its real matrix), on a resonant config and on a
-kernel-overflow config, and `quasirbf converge` on helmholtz_disc and
-helmholtz_star at 8,16,32,48.
+factored, so u_p uses its real matrix), on a resonant config, on a
+kernel-overflow config and on poisson_disc at knots 400 / trefftz_order 180,
+and `quasirbf converge` on helmholtz_disc and helmholtz_star at 8,16,32,48.
 """
 from __future__ import annotations
 
@@ -38,6 +38,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 RESONANT = {"preset": "helmholtz_resonant", "box_margin": 0.5, "grid": 64}
 SAMPLED = ("modhelm_source", "convdiff_disc", "poisson_disc", "helmholtz_resonant")
+# Trefftz orders past 170, where a factorial-based harmonic basis would overflow
+HIGH_ORDER = {"preset": "poisson_disc", "knots": 400, "trefftz_order": 180}
 OVERFLOW = {"problem": {"operator": {"type": "modified_helmholtz", "k": 400},
                         "domain": {"type": "circle", "radius": 1}}, "knots": 16}
 
@@ -69,6 +71,7 @@ def cases(src: Path, workdir: Path):
         configs[f"solve {name} grid=32"] = {"preset": name, "grid": 32}
     configs["solve resonant"] = RESONANT
     configs["solve overflow"] = OVERFLOW
+    configs["solve poisson_disc knots=400 trefftz_order=180"] = HIGH_ORDER
     for i, (name, config) in enumerate(configs.items()):
         path = workdir / f"case{i}.json"
         path.write_text(json.dumps(config))
