@@ -14,14 +14,14 @@ the unit coefficients e_j, so the harmonics and their gradient ladder are
 written once, for assembly and evaluation alike.
 
 Evaluation sums no kernels: u_h = e^{-a.(x - o)} Re sum_{m <= M} b_m Z_m(mu r) e^{i m theta}
-about the centres' centroid o, b from Graf's addition theorem once per solution (_expand;
-the harmonics: mu = 2 / R, Z_m = (r/R)^m), grad u_h from the ladder (d_x -/+ i d_y) Z_m
-e^{i m theta} = mu Z_{m-1} e^{i(m-1)theta} (m mu for the harmonics), sign mu Z_{m+1}
-e^{i(m+1)theta}. M is the first order whose term bound (mu^2 rho_max r / 4)^M / M!^2 is
-at most 1e-17, with r = 2 rho_max or a block's farthest point (|J_M(mu r)| <= 1 caps the
-r part for J; I gains e^{(mu/2)^2 (rho_max^2 + r^2) / (M+1)}); bessel_orders fixes the
-series length. Conv-diff's drift split, a = v / 2D outside the sum and w_j = e^{a.(s_j - o)}
-in b, costs relative rounding up to e^{|a| (rho_max + r)}.
+about the centres' centroid o, b from Graf's addition theorem (the harmonics: mu = 2 / R,
+Z_m = (r/R)^m). u_h and, by the Bessel ladder, grad u_h are real-linear in the Z_m e^{i m
+theta} viewed as floats: _expand builds those maps once per solution (_expansion), so a block
+of points costs one bessel_orders call and one real GEMM. M is the first order whose term
+bound (mu^2 rho_max r / 4)^M / M!^2 is at most 1e-17, with r = 2 rho_max or a block's
+farthest point (|J_M(mu r)| <= 1 caps the r part for J; I gains e^{(mu/2)^2 (rho_max^2 +
+r^2) / (M+1)}). Conv-diff's drift split, a = v / 2D outside the sum and w_j = e^{a.(s_j -
+o)} in b, costs relative rounding up to e^{|a| (rho_max + r)}.
 
 Dense solves are LU with partial pivoting, or truncated SVD for
 ill-conditioned systems; condition estimates are always reported so the
@@ -127,7 +127,7 @@ class _Expansion(NamedTuple):  # u_h = e^{-drift.(x - center)} Re sum b_m Z_m(mu
     drift: Optional[np.ndarray]  # v / 2D, None for v = 0
     radius: float  # the centres' largest distance from center
     orders: int
-    b: np.ndarray  # (orders + 1,), or (orders + 1, K) for coefficients (width, K)
+    maps: Tuple[np.ndarray, np.ndarray]  # b's maps to u_h and to grad u_h (_expansion)
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,8 @@ def _expand(sol: HomogeneousSolution, reach: float = 0.0) -> _Expansion:
     """sol's expansion with the orders that r <= max(reach, 2 radius) needs."""
     c, mode = sol.coefficients, sol.mode
     if isinstance(mode, TrefftzMode):  # b_0 = c_0, b_m = c_{2m-1} - i c_{2m}
-        return _Expansion(np.asarray(mode.center, float), 2.0 / mode.scale, 0, None, 0.0,
-                          mode.order, np.concatenate([c[:1], c[1::2] - 1j * c[2::2]]))
+        return _expansion(np.asarray(mode.center, float), 2.0 / mode.scale, 0, None, 0.0,
+                          np.concatenate([c[:1], c[1::2] - 1j * c[2::2]]))
     k = mode.op.coefficients
     if k.mu2 == 0.0:
         raise UnsupportedOperatorError(f"{mode.op!r} has mu = 0 and no radial kernel")
@@ -156,17 +156,34 @@ def _expand(sol: HomogeneousSolution, reach: float = 0.0) -> _Expansion:
         near, far = near * hp / orders, far * hr / orders
     b = (c * np.exp(d @ drift) @ bessel_orders(k.mu * d.view(complex)[:, 0], orders, sign)).conj()
     b[1:] *= 2.0 * (-sign) ** np.arange(1, orders + 1)  # eps_m sigma_m
-    return _Expansion(center, k.mu, sign, drift if k.drift else None, rho, orders, b)
+    return _expansion(center, k.mu, sign, drift if k.drift else None, rho, b)
 
 
-def _terms(mode: Mode, centers: np.ndarray, x: np.ndarray, gradient: bool) -> np.ndarray:
-    """Basis values (P, M) or gradients (P, M, 2) at points x (P, 2): the kernel about
-    each of the M centres, or the M circular harmonics, column j the expansion of e_j."""
-    if isinstance(mode, TrefftzMode):
-        eye = np.eye(2 * mode.order + 1)
-        return _evaluate(HomogeneousSolution(mode, eye, centers), x, gradient)
-    d = x[:, None, :] - centers[None, :, :]
-    return (kernel_gradient if gradient else kernel_value)(mode.op, d)
+def _expansion(center, mu: float, sign: int, drift, radius: float, b: np.ndarray) -> _Expansion:
+    """b (M + 1,) + K's expansion, with maps (2 (M + 2), K) and (2 (M + 2), 2 K) that take phi_j
+    = Z_j e^{i j theta}, j <= M + 1, as floats to u and (d_x u, d_y u) per solution: rows [Re w,
+    -Im w] per term Re phi_j w_j, w = b; mu (dn + up) / 2 and i mu (dn - up) / 2 by the ladder
+    (d_x -/+ i d_y) phi_m = mu phi_{m-1}, sign mu phi_{m+1}: dn_j = b_{j+1} (times j + 1 for the
+    harmonics), up_j = sign b_{j-1} (+ sign conj(b_0) at j = 1: phi_{-1} = sign conj(phi_1))."""
+    b = b.reshape(len(b), -1)
+    u, dn, up = np.zeros((3, len(b) + 1, b.shape[1]), complex)
+    u[:-1], up[1:], dn[:-2] = b, sign * b, b[1:] * (1 if sign else np.arange(1.0, len(b))[:, None])
+    up[1] += sign * b[0].conj()
+    g = np.stack([0.5 * mu * (dn + up), 0.5j * mu * (dn - up)], axis=-1)
+    if drift is not None:
+        g -= u[..., None] * drift
+    return _Expansion(center, mu, sign, drift, radius, len(b) - 1, tuple(
+        np.stack([w.real, -w.imag], axis=1).reshape(2 * len(w), -1) for w in (u, g)))
+
+
+def _terms(basis, centers: np.ndarray, x: np.ndarray, gradient: bool) -> np.ndarray:
+    """Basis values (P, M) or gradients (P, M, 2) at points x (P, 2): the kernel about each of
+    the M centres, or the M circular harmonics (basis a TrefftzMode or its solution for I)."""
+    if isinstance(basis, TrefftzMode):
+        basis = HomogeneousSolution(basis, np.eye(2 * basis.order + 1), centers)
+    if isinstance(basis, HomogeneousSolution):
+        return _evaluate(basis, x, gradient)
+    return (kernel_gradient if gradient else kernel_value)(basis.op, x[:, None] - centers)
 
 
 def assemble(op: OperatorSpec, knots: BoundaryKnots, bc_kind: str, data,
@@ -200,8 +217,9 @@ def assemble(op: OperatorSpec, knots: BoundaryKnots, bc_kind: str, data,
                              *(np.asarray(a, float).tobytes() for a in (pos, normals))))
     if factor.matrix is None:
         matrix = np.empty((n, width))
+        terms = HomogeneousSolution(mode, np.eye(width), pos) if basis else mode  # I, expanded once
         for blk in point_blocks(pos, width)[1]:
-            t = _terms(mode, pos, pos[blk], neumann)
+            t = _terms(terms, pos, pos[blk], neumann)
             matrix[blk] = np.einsum("pjk,pk->pj", t, normals[blk]) if neumann else t
         factor.matrix = _read_only(matrix)[0]
     return CollocationSystem(factor.matrix, rhs, pos, mode, factor)
@@ -255,30 +273,24 @@ def solve_dense(system: CollocationSystem,
 
 def _evaluate(sol: HomogeneousSolution, x, gradient: bool) -> np.ndarray:
     """u_h (shape (...) + K) or grad u_h (shape (...) + K + (2,)) at points x (2,) or (..., 2),
-    for coefficients of shape (width,) + K."""
+    for coefficients of shape (width,) + K: per block, one real GEMM of the basis values
+    viewed as floats with the expansion's map, then the drift factor."""
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
         e = sol.expansion
         pts, blocks, shape = point_blocks(x, e.orders + 2)
-        out = np.empty((len(pts),) + e.b.shape[1:] + ((2,) if gradient else ()))
+        out = np.empty((len(pts), e.maps[gradient].shape[1]))
         for blk in blocks:
             d = pts[blk] - e.center
             z = e.mu * d.view(complex)[:, 0]
-            reach = float(np.abs(z).max(initial=0.0)) / e.mu
+            reach = float(np.maximum.reduce(np.abs(z))) / e.mu
             f = _expand(sol, reach) if e.sign and reach > 2.0 * e.radius else e
-            phi = bessel_orders(z, f.orders + gradient, f.sign)
-            u = (phi[:, :f.orders + 1] @ f.b).real
-            if gradient:  # a, b: sums of b_m Z_{m-1} e^{i(m-1)theta}, b_m Z_{m+1} e^{i(m+1)theta}
-                if f.sign:  # Z_{-1} e^{-i theta} = sign conj(Z_1 e^{i theta})
-                    a = phi[:, :f.orders] @ f.b[1:] + (f.sign * f.b[:1].T * phi[:, 1].conj()).T
-                    b = f.sign * (phi[:, 1:] @ f.b)
-                else:  # the harmonics: m Z_{m-1} e^{i(m-1)theta}, and no up-ladder
-                    a, b = phi[:, :f.orders] @ (f.b[1:].T * np.arange(1.0, f.orders + 1)).T, 0.0
-                g = 0.5 * f.mu * np.stack([(a + b).real, (b - a).imag], -1)
-                u = g if f.drift is None else g - u[..., None] * f.drift
-            out[blk] = u if f.drift is None else (np.exp(-(d @ f.drift)) * u.T).T
+            phi = bessel_orders(z, f.orders + gradient, f.sign).view(np.float64)
+            u = np.matmul(phi, f.maps[gradient][:phi.shape[1]], out=out[blk])
+            if f.drift is not None:
+                u *= np.exp(-(d @ f.drift))[:, None]
     if not np.isfinite(out).all():
         raise KernelOverflowError(f"u_h's expansion about {e.center} overflows double precision")
-    return out.reshape(shape + out.shape[1:])
+    return out.reshape(shape + sol.coefficients.shape[1:] + ((2,) if gradient else ()))
 
 
 def eval_homogeneous(sol: HomogeneousSolution, x):

@@ -250,9 +250,13 @@ class SpectralField:
     at -n/2) of a Hermitian (n, n) array `coeffs`; `half` is given as an
     array or as a _HalfSpectrum. With phases a_k, b_k of mode k = 0..n/2 on
     the two axes, u_p = [cos a, sin a] M [cos b, sin b] (`real_matrix`) = row
-    dot of [cos a, sin a] U and [cos b, sin b] V (`_factor`). `half`, `coeffs`
-    and `real_matrix` are formed only when read (for conv-diff, whose symbol is
-    not even, `coeffs` differs from a full fft2 division on the Nyquist ring).
+    dot of [cos a, sin a] U and [cos b, sin b] V (`_factor`). d/dx maps (cos
+    a_k, sin a_k) to w_k (-sin a_k, cos a_k), the pair times J = [[0, w_k],
+    [-w_k, 0]]: d_x u_p is the row dot of [cos a, sin a] J U and [cos b, sin b]
+    V, d_y u_p alike with J V (J U, J V cached: `_gradient_factor`; with M, J
+    goes on the phase rows). `half`, `coeffs` and `real_matrix` are formed only
+    when read (for conv-diff, whose symbol is not even, `coeffs` differs from a
+    full fft2 division on the Nyquist ring).
     """
 
     def __init__(self, box: Box2, n: int, half, compensator: Optional[Compensator] = None):
@@ -355,13 +359,20 @@ class SpectralField:
         return u, v
 
     @cached_property
+    def _gradient_factor(self):
+        """([U, J U], [V, J V]), (n+2, 2r), for _factor (U, V), or None (see the class)."""
+        w = self.omega[:, None, None] * np.array([[1.0], [-1.0]])
+        return self._factor and tuple(np.concatenate(
+            [z, (z.reshape(-1, 2, z.shape[1])[:, ::-1] * w).reshape(z.shape)], axis=1)
+            for z in self._factor)
+
+    @cached_property
     def _split_tables(self):
-        """i w_q of the fine modes q < L, coarse turns L p / side of the modes
-        L p <= n/2 (extended precision), L = isqrt(n/2 + 1), and i w_k of all."""
+        """i w_q of the fine modes q < L, and coarse turns L p / side of the modes
+        L p <= n/2 (extended precision), L = isqrt(n/2 + 1)."""
         step = math.isqrt(self.n // 2 + 1)
         return (1j * self.omega[:step],
-                np.arange(0, self.n // 2 + 1, step, dtype=np.longdouble) / self.box.side[0],
-                1j * self.omega)
+                np.arange(0, self.n // 2 + 1, step, dtype=np.longdouble) / self.box.side[0])
 
     def _phases(self, x: np.ndarray) -> np.ndarray:
         """Phase factors exp(i w_k (x - min_corner)) of the modes k = 0..n/2
@@ -378,21 +389,26 @@ class SpectralField:
         if not ((d >= 0.0).all() and (x <= self.box.max_corner).all()):
             x1, x2 = x[np.argmin(self.box.contains(x))]
             raise DomainError(f"point ({x1}, {x2}) lies outside the embedding box")
-        fine_iw, coarse_turns, _ = self._split_tables
-        turns = d.astype(np.longdouble) * coarse_turns
-        turns -= np.round(turns)
-        coarse = np.exp(2j * np.pi * turns.astype(float))
-        fine = np.exp(fine_iw * d)
-        z = coarse[..., None] * fine[:, :, None, :]
+        fine_iw, coarse_turns = self._split_tables
+        turns = d * coarse_turns  # in extended precision
+        turns -= np.rint(turns)
+        coarse = np.exp(np.multiply(turns, 2j * np.pi, dtype=complex))
+        z = coarse[..., None] * np.exp(fine_iw * d)[:, :, None, :]
         return z.reshape(2, len(x), -1)[..., :self.n // 2 + 1]
 
-    def _series(self, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
-        """Re sum_kl (ex M)_k ey_l per point for phase factors ex, ey (P, n/2+1)
-        of the two axes, or their derivatives, viewed as floats: the row dot
-        of ex M and ey, or of ex U and ey V."""
+    def _series(self, ex: np.ndarray, ey: np.ndarray, gradient: bool = False) -> np.ndarray:
+        """u_p (P,) or grad u_p (P, 2) from phase factors ex, ey (P, n/2+1) viewed as floats:
+        row dots of ex U and ey V, or of ex M and ey, with J on one axis for the gradient (J U
+        and J V from _gradient_factor; with M, the rows i w e beside e)."""
+        n = len(ex)
+        if gradient and self._factor is None:
+            ex, ey = (np.stack([e, 1j * self.omega * e], 1).reshape(2 * n, -1) for e in (ex, ey))
         a, b = ex.view(np.float64), ey.view(np.float64)
-        u, v = self._factor or (self.real_matrix, None)
-        return np.einsum("pk,pk->p", a @ u, b if v is None else b @ v)
+        u, v = (self._gradient_factor if gradient else self._factor) or (self.real_matrix, None)
+        p, q = a @ u, b if v is None else b @ v
+        if not gradient:
+            return np.einsum("pk,pk->p", p, q)
+        return np.add.reduce(p.reshape(n, 2, -1)[:, ::-1] * q.reshape(n, 2, -1), axis=2)
 
 
 def _frequencies(n: int, side: float) -> np.ndarray:
@@ -596,22 +612,13 @@ def _check_resonances(op: OperatorSpec, spectrum: _HalfSpectrum):
 def _evaluate(sf: SpectralField, x, gradient: bool) -> np.ndarray:
     """u_p (shape (...)) or grad u_p (shape (..., 2)) at points x (2,) or (..., 2):
     per block of points, real GEMMs of the phase factors with the folded matrix
-    or its factor (see SpectralField). The derivative phases i w exp(i w x) of
-    both axes go through the same matrices in one series, two rows per point."""
+    or its factor (see SpectralField)."""
     pts, blocks, shape = point_blocks(x, (sf.n // 2 + 1) * (1 + gradient))
     out = np.empty((len(pts), 2) if gradient else len(pts))
-    iw = sf._split_tables[2]
     for blk in blocks:
-        ex, ey = sf._phases(pts[blk])
-        if gradient:
-            ex, ey = np.concatenate([iw * ex, ex]), np.concatenate([ey, iw * ey])
-            out[blk] = sf._series(ex, ey).reshape(2, -1).T
-        else:
-            out[blk] = sf._series(ex, ey)
-        del ex, ey  # frees this block's phases before the next block's are built
+        out[blk] = sf._series(*sf._phases(pts[blk]), gradient)
     if sf.compensator is not None:
-        c = sf.compensator
-        out += (c.gradient if gradient else c.value)(pts[:, 0], pts[:, 1])
+        out += (sf.compensator.gradient if gradient else sf.compensator.value)(*pts.T)
     return out.reshape(shape + out.shape[1:])
 
 

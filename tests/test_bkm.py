@@ -19,6 +19,7 @@ from quasirbf.geometry import (BoundaryKnots, Circle, Star, StarDomain,
 from quasirbf.operators import (ConvectionDiffusion, Helmholtz,
                                 ModifiedHelmholtz, Poisson, kernel_value)
 from quasirbf.presets import get_preset
+from quasirbf.specfun import bessel_orders
 
 from oracles import min_norm_from_factors, oracle_harmonics, oracle_i0
 
@@ -47,6 +48,15 @@ class TestAssemble:
         system = assemble(ModifiedHelmholtz(1.0), knots, "dirichlet", np.zeros(2))
         i0 = oracle_i0(1.0)
         assert np.allclose(system.matrix, [[1.0, i0], [i0, 1.0]], atol=1e-12)
+
+    @pytest.mark.parametrize("bc_kind", ["dirichlet", "neumann"])
+    def test_poisson_assembly_expands_the_identity_once(self, monkeypatch, bc_kind):
+        # knots 400 at order 180 is 9 blocks of 45 knots; each used to expand I afresh
+        calls, expand = [], bkm._expand
+        monkeypatch.setattr(bkm, "_expand", lambda *a: calls.append(a) or expand(*a))
+        bkm._cached_factor.cache_clear()
+        assemble(Poisson(), boundary_nodes(UNIT_DISC, 400), bc_kind, np.zeros(400), _trefftz(180))
+        assert len(calls) == 1
 
     def test_trefftz_constant_column(self):
         nodes = boundary_nodes(UNIT_DISC, 9)
@@ -515,6 +525,52 @@ def test_expansion_matches_the_direct_sum(case):
                            ("neumann", np.einsum("pjk,pk->pj", grads, knots.normals))):
             got = assemble(op, knots, kind, np.zeros(n), mode).matrix
             assert np.all(np.abs(got - want) <= BATCH_TOL * np.abs(want).max(axis=0)), kind
+
+
+def _complex_ladder(phi, b, e):
+    """u_h and grad u_h before the drift factor, as the complex sums of b (M + 1, K) that
+    the expansion's real maps replace, at phi = Z_m e^{i m theta}, m <= M + 1, (P, M + 2):
+    Re sum b_m phi_m and, with the ladder sums a = sum b_m phi_{m-1} (phi_{-1} = sign
+    conj(phi_1); m b_m for the harmonics) and c = sign sum b_m phi_{m+1}, mu / 2 (Re(a +
+    c), Im(c - a)), less drift u."""
+    m = len(b) - 1
+    u = (phi[:, :m + 1] @ b).real
+    if e.sign:
+        a = phi[:, :m] @ b[1:] + e.sign * phi[:, 1:2].conj() * b[:1]
+        c = e.sign * (phi[:, 1:] @ b)
+    else:
+        a, c = phi[:, :m] @ (b[1:] * np.arange(1.0, m + 1)[:, None]), 0.0
+    g = 0.5 * e.mu * np.stack([(a + c).real, (c - a).imag], axis=-1)
+    return u, g if e.drift is None else g - u[..., None] * e.drift
+
+
+@pytest.mark.parametrize("case", EXPANSION_CASES)
+def test_real_maps_match_the_complex_ladder(case):
+    """The expansion's maps, applied to the basis values viewed as floats, against the
+    complex sums they replace (_complex_ladder), for seeded complex b with two solutions,
+    at one point and at the 200 interior evaluation points, within BATCH_TOL of the terms'
+    magnitudes (times the ladder weight, mu and the drift for the gradient)."""
+    op, domain, n = EXPANSION_CASES[case]
+    knots = boundary_nodes(domain, n) if n > 1 else ONE_KNOT
+    mode = TrefftzMode(TREFFTZ_ORDERS[case], domain.center, domain.max_radius()) \
+        if isinstance(op, Poisson) else KernelMode(op)
+    width = 2 * mode.order + 1 if isinstance(op, Poisson) else n
+    e = HomogeneousSolution(mode, np.zeros(width), knots.points).expansion
+    rng = np.random.default_rng(23)
+    b = rng.standard_normal((e.orders + 1, 2)) + 1j * rng.standard_normal((e.orders + 1, 2))
+    value_map, gradient_map = bkm._expansion(e.center, e.mu, e.sign, e.drift, e.radius, b).maps
+    weight = np.arange(1.0, e.orders + 2)[:, None] * max(e.mu, 1.0)
+    drift = 0.0 if e.drift is None else float(np.abs(e.drift).max())
+    pts = interior_eval_points(domain, 4, 50)
+    for x in (pts[:1], pts):
+        with np.errstate(over="ignore"):  # as in _evaluate: _orders_table's n! overflows past 170
+            phi = bessel_orders(e.mu * (x - e.center).view(complex)[:, 0], e.orders + 1, e.sign)
+        want_u, want_g = _complex_ladder(phi, b, e)
+        scale = np.abs(phi[:, :-1]) @ np.abs(b)
+        got_u, got_g = phi.view(np.float64) @ value_map, phi.view(np.float64) @ gradient_map
+        assert np.all(np.abs(got_u - want_u) <= BATCH_TOL * scale)
+        bound = BATCH_TOL * (np.abs(phi[:, :-1]) @ (np.abs(b) * weight) + drift * scale)
+        assert np.all(np.abs(got_g.reshape(want_g.shape) - want_g) <= bound[..., None])
 
 
 LINEARITY_OPS = [Helmholtz(2.0), ModifiedHelmholtz(1.0),

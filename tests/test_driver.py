@@ -644,13 +644,13 @@ class TestBatchedEvaluation:
 @given(st.lists(st.tuples(st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)),
                 min_size=1, max_size=12))
 def test_batch_matches_point_loop_property(points):
-    field = _property_field()
-    TestBatchedEvaluation()._check(field, points)
+    for name in ("convdiff_disc", "modhelm_source"):  # the query_dense presets
+        TestBatchedEvaluation()._check(_property_field(name), points)
 
 
-@functools.lru_cache(maxsize=1)
-def _property_field():
-    return run_pipeline(RunConfig(preset="convdiff_disc", knots=16, grid=32)).field
+@functools.lru_cache(maxsize=None)
+def _property_field(name):
+    return run_pipeline(RunConfig(preset=name, knots=16, grid=32)).field
 
 
 PROPERTY_OPS = [Helmholtz(2.0), ModifiedHelmholtz(1.0),

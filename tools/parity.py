@@ -12,10 +12,11 @@ output the *_ms timing columns are masked. Prints one SAME/DIFF line per case,
 cold and warm, and exits 1 on any DIFF.
 
 With --rtol or --atol, the numeric fields of JSON reports and CSV rows
-compare as |new - old| <= A + R |old|; exit codes, keys, headers and every
-other byte stay exact. A case whose output differs only within that bound
-prints CLOSE. CLOSE and DIFF lines list the largest relative difference
-|new - old| / |old| of each field that moved, over the case's rows.
+compare as |new - old| <= A + R |old|, plus for the residual fields a noise
+floor (NOISE_FLOORS); exit codes, keys, headers and every other byte stay
+exact. A case whose output differs only within that bound prints CLOSE.
+CLOSE and DIFF lines list the largest relative difference |new - old| / |old|
+of each field that moved, over the case's rows.
 
 Cases: `quasirbf solve` on every preset at the defaults and at knots 48 /
 grid 512, on the source presets at grid 32 (whose sources are sampled, not
@@ -42,6 +43,14 @@ SAMPLED = ("modhelm_source", "convdiff_disc", "poisson_disc", "helmholtz_resonan
 HIGH_ORDER = {"preset": "poisson_disc", "knots": 400, "trefftz_order": 180}
 OVERFLOW = {"problem": {"operator": {"type": "modified_helmholtz", "k": 400},
                         "domain": {"type": "circle", "radius": 1}}, "knots": 16}
+# Rounding noise of the residual fields, by the knots N, for data and solutions of order
+# one (every preset's): 16 eps times the field's scale. The boundary residual is in u's
+# units; the solver residual is the 2-norm of N rows in those units; the interior residual
+# applies the finite-difference stencil, weights 8 / h^2 in all at the h = 1e-3 that
+# `quasirbf solve` uses, to u. A residual that small is noise: --rtol cannot judge it.
+NOISE_FLOORS = {"boundary_residual": lambda n: 16 * sys.float_info.epsilon,
+                "solver_residual_norm": lambda n: 16 * sys.float_info.epsilon * math.sqrt(n),
+                "interior_residual": lambda n: 16 * sys.float_info.epsilon * 8 / 1e-3 ** 2}
 
 
 def extract_src(rev: str, dest: Path) -> bool:
@@ -147,17 +156,18 @@ def _relative(new: float, old: float) -> float:
 
 def compare_numbers(new: bytes, old: bytes, rtol: float, atol: float):
     """(within, {field: largest relative difference}) for two outputs of one
-    case; within is False if any field moves past atol + rtol |old| or any
-    non-numeric part differs."""
+    case; within is False if any field moves past atol + rtol |old| (plus its
+    NOISE_FLOORS entry at the row's knots) or any non-numeric part differs."""
     a, b = _fields(new), _fields(old)
     if a is None or b is None or a.keys() != b.keys():
         return False, {}
     within, moved = True, {}
+    knots = b.get("knots") or b.get("N") or []
     for field, olds in b.items():
         news = a[field]
         if len(news) != len(olds):
             return False, {}
-        for x, y in zip(news, olds):
+        for x, y, n in zip(news, olds, knots or [0] * len(olds)):
             nx, ny = _number(x), _number(y)
             if nx is None or ny is None:
                 within = within and x == y
@@ -166,7 +176,8 @@ def compare_numbers(new: bytes, old: bytes, rtol: float, atol: float):
             if rel > 0.0:
                 moved[field] = max(moved.get(field, 0.0), rel)
             both_nan = math.isnan(nx) and math.isnan(ny)
-            within = within and (both_nan or abs(nx - ny) <= atol + rtol * abs(ny))
+            floor = NOISE_FLOORS[field](float(n)) if field in NOISE_FLOORS else 0.0
+            within = within and (both_nan or abs(nx - ny) <= atol + rtol * abs(ny) + floor)
     return within, moved
 
 

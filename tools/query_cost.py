@@ -1,33 +1,37 @@
 """Time the single-point query path and its I0/I1 evaluation at revision REV and in the working tree.
 
-    python tools/query_cost.py REV [--rounds 8] [--calls 200]
+    python tools/query_cost.py REV [--rounds 40] [--calls 200] [--only SUBSTRING]
 
 Extracts REV's src/ into a temporary directory as tools/parity.py does (git
-archive REV src | tar -x; the repository's .git is only read), then runs a
-worker subprocess once with PYTHONPATH at the working tree's src/ and once at
-REV's, per round, swapping which goes first every round. Each worker times:
+archive REV src | tar -x; the repository's .git is only read), then starts
+two worker subprocesses, one with PYTHONPATH at the working tree's src/ and
+one at REV's, and keeps both alive for the whole run. Each worker builds its
+cases once; then, per round and case, the two workers run one short batch
+each, one after the other, the side that goes first alternating with the
+round and the case, so both sides see the same load. The cases:
 
 - bessel_i0 and bessel_i0_i1 on 1, 64 and 16384 seeded arguments in [0, 10),
   the range of the pipeline's kernel arguments mu r;
 - bessel_j0 and bessel_j1 on 1, 64 and 16384 seeded arguments in [0, 4.62),
   the range of knots_sweep's k r, and as a loop of 1000 float calls on
   linspace(0, 50, 1000), like the one acceptance criterion 02 times;
-- SolutionField.evaluate and .gradient at one point, on `convdiff_disc` and
-  `modhelm_source` solved as the query_dense workload solves them (knots 64,
-  grid 128), cycling over 50 seeded points inside the domain;
+- on `convdiff_disc` and `modhelm_source` solved as the query_dense workload
+  solves them (knots 64, grid 128), cycling over 50 seeded points inside the
+  domain: SolutionField.evaluate and .gradient at one point, and per layer
+  bkm.eval_homogeneous(_gradient) and particular.eval_particular(_gradient)
+  at one point;
 - on `helmholtz_star` at knots 64 (no source, so u = u_h): evaluate and
   gradient together at one point, cycling over 50 seeded points, and
   evaluate on one batch of 1024 seeded points inside the domain.
 
-A case's time is the median over 5 batches of --calls calls (of 5 batches of
---calls // 16 + 1 calls at 16384 arguments, 1024 points or of the float loop) of the mean
-time per call, the float loop counting as one call.
-
-Prints one line per round and case, then per case the median over rounds of
-REV's and the working tree's times in microseconds, the ratio REV / tree (above
-1: the tree is faster) and the number of rounds in which the tree read lower.
-Not part of tier-1; the machine's load moves every number, so compare only
-runs made side by side.
+A batch is --calls calls (--calls // 16 + 1 at 16384 arguments, 1024 points
+or of the float loop, which counts as one call); its time is the mean per
+call. Per case the summary prints the median over rounds of REV's and the
+working tree's times in microseconds, the median over rounds of the ratio
+REV / tree of one round's two batches (above 1: the tree is faster) and the
+number of rounds in which the tree read lower. --only keeps the cases whose
+name contains SUBSTRING. Not part of tier-1; load still moves every number,
+so judge a change by the ratio and the count, not by one side's times.
 """
 from __future__ import annotations
 
@@ -47,39 +51,27 @@ SIZES = (1, 64, 16384)
 PRESETS = ("convdiff_disc", "modhelm_source")
 
 
-def _per_call(fn, calls: int) -> float:
-    """Median over 5 batches of the mean seconds per call of fn(i), i = 0 .. calls-1."""
-    fn(0)
-    batches = []
-    for _ in range(5):
-        t0 = time.perf_counter()
-        for i in range(calls):
-            fn(i)
-        batches.append((time.perf_counter() - t0) / calls)
-    return statistics.median(batches)
-
-
-def worker(calls: int) -> dict:
-    """{case: seconds per call} for the quasirbf on PYTHONPATH."""
+def cases(calls: int) -> dict:
+    """{case: (fn, calls per batch)} for the quasirbf on PYTHONPATH; fn(i) is one call."""
     import numpy as np
 
-    from quasirbf import pipeline, specfun
+    from quasirbf import bkm, particular, pipeline, specfun
+    from quasirbf.geometry import stack_xy
     from quasirbf.presets import get_preset
 
     rng = np.random.default_rng(2026)
-    out = {}
+    out, few = {}, calls // 16 + 1
     for names, hi in ((("bessel_i0", "bessel_i0_i1"), 10.0), (("bessel_j0", "bessel_j1"), 4.62)):
         for size in SIZES:
             x = rng.uniform(0.0, hi, size)
-            n = calls if size < 1024 else calls // 16 + 1
             for name in names:
-                fn = getattr(specfun, name)
-                out[f"{name} P={size}"] = _per_call(lambda i: fn(x), n)
+                out[f"{name} P={size}"] = (lambda i, f=getattr(specfun, name), x=x: f(x),
+                                           calls if size < 1024 else few)
     floats = [float(v) for v in np.linspace(0.0, 50.0, 1000)]
     for name in ("bessel_j0", "bessel_j1"):
-        fn = getattr(specfun, name)
-        out[f"{name} 1000 floats"] = _per_call(lambda i: [fn(v) for v in floats],
-                                               calls // 16 + 1)
+        out[f"{name} 1000 floats"] = (
+            lambda i, f=getattr(specfun, name): [f(v) for v in floats], few)
+
     def interior(name, count):
         domain = get_preset(name).domain
         t = rng.uniform(0.0, 2.0 * np.pi, count)
@@ -89,54 +81,95 @@ def worker(calls: int) -> dict:
     for name in PRESETS:
         field = pipeline.run_pipeline(pipeline.RunConfig(preset=name, knots=64, grid=128)).field
         pts = [tuple(map(float, p)) for p in interior(name, 50)]
-        out[f"{name} evaluate"] = _per_call(lambda i: field.evaluate(*pts[i % 50]), calls)
-        out[f"{name} gradient"] = _per_call(lambda i: field.gradient(*pts[i % 50]), calls)
+        xs = [stack_xy(*p) for p in pts]
+        h, p = field.homogeneous, field.particular
+        out[f"{name} evaluate"] = (lambda i, f=field, pts=pts: f.evaluate(*pts[i % 50]), calls)
+        out[f"{name} gradient"] = (lambda i, f=field, pts=pts: f.gradient(*pts[i % 50]), calls)
+        for layer, fn, sol in (("bkm", bkm.eval_homogeneous, h),
+                               ("bkm grad", bkm.eval_homogeneous_gradient, h),
+                               ("particular", particular.eval_particular, p),
+                               ("particular grad", particular.eval_particular_gradient, p)):
+            out[f"{name} {layer}"] = (lambda i, fn=fn, sol=sol, xs=xs: fn(sol, xs[i % 50]), calls)
     field = pipeline.run_pipeline(pipeline.RunConfig(preset="helmholtz_star", knots=64)).field
     pts = [tuple(map(float, p)) for p in interior("helmholtz_star", 50)]
-    out["helmholtz_star value+grad"] = _per_call(
+    out["helmholtz_star value+grad"] = (
         lambda i: (field.evaluate(*pts[i % 50]), field.gradient(*pts[i % 50])), calls)
     batch = interior("helmholtz_star", 1024).T
-    out["helmholtz_star P=1024"] = _per_call(lambda i: field.evaluate(*batch), calls // 16 + 1)
+    out["helmholtz_star P=1024"] = (lambda i: field.evaluate(*batch), few)
     return out
 
 
-def run_worker(src: Path, calls: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, __file__, "--worker", "--calls", str(calls)],
-                          env=env, capture_output=True, check=True)
-    return json.loads(done.stdout)
+def worker(calls: int):
+    """Build the cases, print their names as one JSON line, then for each case name
+    read from stdin run one batch and print its mean seconds per call."""
+    table = cases(calls)
+    for fn, _ in table.values():
+        fn(0)
+    print(json.dumps(list(table)), flush=True)
+    for line in sys.stdin:
+        fn, n = table[line.strip()]
+        t0 = time.perf_counter()
+        for i in range(n):
+            fn(i)
+        print((time.perf_counter() - t0) / n, flush=True)
+
+
+class Worker:
+    """A worker subprocess on one src/ tree."""
+
+    def __init__(self, src: Path, calls: int):
+        env = dict(os.environ, PYTHONPATH=str(src))
+        self.proc = subprocess.Popen(
+            [sys.executable, __file__, "--worker", "--calls", str(calls)], env=env,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        self.names = json.loads(self.proc.stdout.readline())
+
+    def batch(self, case: str) -> float:
+        self.proc.stdin.write(case + "\n")
+        self.proc.stdin.flush()
+        return float(self.proc.stdout.readline())
+
+    def close(self):
+        self.proc.stdin.close()
+        self.proc.wait()
 
 
 def main(argv: list) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", nargs="?")
-    parser.add_argument("--rounds", type=int, default=8)
+    parser.add_argument("--rounds", type=int, default=40)
     parser.add_argument("--calls", type=int, default=200)
+    parser.add_argument("--only", default="")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        print(json.dumps(worker(args.calls)))
+        worker(args.calls)
         return 0
     if args.rev is None or args.rounds < 1 or args.calls < 1:
         parser.error("give REV, and --rounds and --calls of at least 1")
     with tempfile.TemporaryDirectory() as tmp:
         if not extract_src(args.rev, Path(tmp)):
             return 2
-        sides = {"rev": Path(tmp) / "src", "tree": ROOT / "src"}
-        rounds = []
-        for r in range(args.rounds):
-            order = ("rev", "tree") if r % 2 == 0 else ("tree", "rev")
-            got = {side: run_worker(sides[side], args.calls) for side in order}
-            rounds.append(got)
-            for case in got["rev"]:
-                print(f"round {r + 1} {case}: {args.rev} {got['rev'][case] * 1e6:.1f} us, "
-                      f"tree {got['tree'][case] * 1e6:.1f} us", flush=True)
-    print(f"{'case':<26} {args.rev + ' us':>12} {'tree us':>10} {'ratio':>7} {'tree lower':>10}")
-    for case in rounds[0]["rev"]:
-        old, new = (statistics.median(got[side][case] for got in rounds) for side in ("rev", "tree"))
-        lower = sum(got["tree"][case] < got["rev"][case] for got in rounds)
-        print(f"{case:<26} {old * 1e6:12.1f} {new * 1e6:10.1f} {old / new:7.2f} "
-              f"{lower:>5}/{len(rounds)}")
+        workers = {"rev": Worker(Path(tmp) / "src", args.calls),
+                   "tree": Worker(ROOT / "src", args.calls)}
+        try:
+            names = [n for n in workers["rev"].names
+                     if n in workers["tree"].names and args.only in n]
+            times = {n: {"rev": [], "tree": []} for n in names}
+            for r in range(args.rounds):
+                for i, name in enumerate(names):
+                    for side in (("rev", "tree") if (r + i) % 2 == 0 else ("tree", "rev")):
+                        times[name][side].append(workers[side].batch(name))
+        finally:
+            for w in workers.values():
+                w.close()
+    print(f"{'case':<34} {args.rev + ' us':>12} {'tree us':>10} {'ratio':>7} {'tree lower':>10}")
+    for name, got in times.items():
+        old, new = (statistics.median(got[side]) for side in ("rev", "tree"))
+        ratio = statistics.median(a / b for a, b in zip(got["rev"], got["tree"]))
+        lower = sum(b < a for a, b in zip(got["rev"], got["tree"]))
+        print(f"{name:<34} {old * 1e6:12.1f} {new * 1e6:10.1f} {ratio:7.2f} "
+              f"{lower:>5}/{args.rounds}")
     return 0
 
 
