@@ -16,12 +16,12 @@ written once, for assembly and evaluation alike.
 Evaluation sums no kernels: u_h = e^{-a.(x - o)} Re sum_{m <= M} b_m Z_m(mu r) e^{i m theta}
 about the centres' centroid o, b from Graf's addition theorem (the harmonics: mu = 2 / R,
 Z_m = (r/R)^m). u_h and, by the Bessel ladder, grad u_h are real-linear in the Z_m e^{i m
-theta} viewed as floats: _expand builds those maps once per solution (_expansion), so a block
-of points costs one bessel_orders call and one real GEMM. M is the first order whose term
-bound (mu^2 rho_max r / 4)^M / M!^2 is at most 1e-17, with r = 2 rho_max or a block's
-farthest point (|J_M(mu r)| <= 1 caps the r part for J; I gains e^{(mu/2)^2 (rho_max^2 +
-r^2) / (M+1)}). Conv-diff's drift split, a = v / 2D outside the sum and w_j = e^{a.(s_j -
-o)} in b, costs relative rounding up to e^{|a| (rho_max + r)}.
+theta} viewed as floats: each map is built once per solution, on first use (_Expansion), so a
+block of points costs one bessel_orders call and one real GEMM. M is the first order whose
+term bound (mu^2 rho_max r / 4)^M / M!^2 is at most 1e-17, with r = 2 rho_max or a block's
+farthest point (|J_M(mu r)| <= 1 caps the r part for J; I gains e^{(mu/2)^2 (rho_max^2 + r^2)
+/ (M+1)}). Conv-diff's drift split, a = v / 2D outside the sum and w_j = e^{a.(s_j - o)} in b,
+costs relative rounding up to e^{|a| (rho_max + r)}.
 
 Dense solves are LU with partial pivoting, or truncated SVD for
 ill-conditioned systems; condition estimates are always reported so the
@@ -38,7 +38,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -120,14 +120,32 @@ class SolveDiagnostics:
     strategy_used: str
 
 
-class _Expansion(NamedTuple):  # u_h = e^{-drift.(x - center)} Re sum b_m Z_m(mu r) e^{i m theta}
+@dataclass(frozen=True)
+class _Expansion:  # u_h = e^{-drift.(x - center)} Re sum b_m Z_m(mu r) e^{i m theta}
+    """Real maps, each built on first use, from phi_j = Z_j e^{i j theta} as floats to u (values,
+    j <= M) and to (d_x u, d_y u) (gradients, j <= M + 1) per solution: rows [Re w_j, -Im w_j] for
+    the terms Re phi_j w_j, w = b, or mu (dn + up) / 2 and i mu (dn - up) / 2 less drift u by the
+    ladder (d_x -/+ i d_y) phi_m = mu phi_{m-1}, sign mu phi_{m+1}: dn_j = b_{j+1} (j + 1 times for
+    the harmonics), up_j = sign b_{j-1} (+ sign conj(b_0) at j = 1: phi_{-1} = sign conj(phi_1))."""
     center: np.ndarray
     mu: float
     sign: int  # picks Z: -1 J, +1 I, 0 the harmonics (specfun.bessel_orders)
     drift: Optional[np.ndarray]  # v / 2D, None for v = 0
     radius: float  # the centres' largest distance from center
-    orders: int
-    maps: Tuple[np.ndarray, np.ndarray]  # b's maps to u_h and to grad u_h (_expansion)
+    b: np.ndarray  # (M + 1,) + K, M = orders
+    orders = property(lambda self: len(self.b) - 1)
+    values = cached_property(lambda s: np.stack([s.b.real, -s.b.imag], 1).reshape(2 * len(s.b), -1))
+
+    @cached_property
+    def gradients(self) -> np.ndarray:  # (2 (M + 2), 2 K)
+        b, sign = self.b.reshape(len(self.b), -1), self.sign
+        dn, up = np.zeros((2, len(b) + 1, b.shape[1]), complex)
+        up[1:], dn[:-2] = sign * b, b[1:] * (1 if sign else np.arange(1.0, len(b))[:, None])
+        up[1] += sign * b[0].conj()
+        g = np.stack([0.5 * self.mu * (dn + up), 0.5j * self.mu * (dn - up)], axis=-1)
+        if self.drift is not None:
+            g[:-1] -= b[..., None] * self.drift
+        return np.stack([g.real, -g.imag], 1).reshape(2 * len(g), -1)
 
 
 @dataclass(frozen=True)
@@ -142,7 +160,7 @@ def _expand(sol: HomogeneousSolution, reach: float = 0.0) -> _Expansion:
     """sol's expansion with the orders that r <= max(reach, 2 radius) needs."""
     c, mode = sol.coefficients, sol.mode
     if isinstance(mode, TrefftzMode):  # b_0 = c_0, b_m = c_{2m-1} - i c_{2m}
-        return _expansion(np.asarray(mode.center, float), 2.0 / mode.scale, 0, None, 0.0,
+        return _Expansion(np.asarray(mode.center, float), 2.0 / mode.scale, 0, None, 0.0,
                           np.concatenate([c[:1], c[1::2] - 1j * c[2::2]]))
     k = mode.op.coefficients
     if k.mu2 == 0.0:
@@ -156,31 +174,13 @@ def _expand(sol: HomogeneousSolution, reach: float = 0.0) -> _Expansion:
         near, far = near * hp / orders, far * hr / orders
     b = (c * np.exp(d @ drift) @ bessel_orders(k.mu * d.view(complex)[:, 0], orders, sign)).conj()
     b[1:] *= 2.0 * (-sign) ** np.arange(1, orders + 1)  # eps_m sigma_m
-    return _expansion(center, k.mu, sign, drift if k.drift else None, rho, b)
+    return _Expansion(center, k.mu, sign, drift if k.drift else None, rho, b)
 
 
-def _expansion(center, mu: float, sign: int, drift, radius: float, b: np.ndarray) -> _Expansion:
-    """b (M + 1,) + K's expansion, with maps (2 (M + 2), K) and (2 (M + 2), 2 K) that take phi_j
-    = Z_j e^{i j theta}, j <= M + 1, as floats to u and (d_x u, d_y u) per solution: rows [Re w,
-    -Im w] per term Re phi_j w_j, w = b; mu (dn + up) / 2 and i mu (dn - up) / 2 by the ladder
-    (d_x -/+ i d_y) phi_m = mu phi_{m-1}, sign mu phi_{m+1}: dn_j = b_{j+1} (times j + 1 for the
-    harmonics), up_j = sign b_{j-1} (+ sign conj(b_0) at j = 1: phi_{-1} = sign conj(phi_1))."""
-    b = b.reshape(len(b), -1)
-    u, dn, up = np.zeros((3, len(b) + 1, b.shape[1]), complex)
-    u[:-1], up[1:], dn[:-2] = b, sign * b, b[1:] * (1 if sign else np.arange(1.0, len(b))[:, None])
-    up[1] += sign * b[0].conj()
-    g = np.stack([0.5 * mu * (dn + up), 0.5j * mu * (dn - up)], axis=-1)
-    if drift is not None:
-        g -= u[..., None] * drift
-    return _Expansion(center, mu, sign, drift, radius, len(b) - 1, tuple(
-        np.stack([w.real, -w.imag], axis=1).reshape(2 * len(w), -1) for w in (u, g)))
-
-
-def _terms(basis, centers: np.ndarray, x: np.ndarray, gradient: bool) -> np.ndarray:
+def _terms(basis: Union[KernelMode, HomogeneousSolution], centers: np.ndarray, x: np.ndarray,
+           gradient: bool) -> np.ndarray:
     """Basis values (P, M) or gradients (P, M, 2) at points x (P, 2): the kernel about each of
-    the M centres, or the M circular harmonics (basis a TrefftzMode or its solution for I)."""
-    if isinstance(basis, TrefftzMode):
-        basis = HomogeneousSolution(basis, np.eye(2 * basis.order + 1), centers)
+    the M centres, or the M circular harmonics (basis: their solution for the identity)."""
     if isinstance(basis, HomogeneousSolution):
         return _evaluate(basis, x, gradient)
     return (kernel_gradient if gradient else kernel_value)(basis.op, x[:, None] - centers)
@@ -278,14 +278,14 @@ def _evaluate(sol: HomogeneousSolution, x, gradient: bool) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
         e = sol.expansion
         pts, blocks, shape = point_blocks(x, e.orders + 2)
-        out = np.empty((len(pts), e.maps[gradient].shape[1]))
+        out = np.empty((len(pts), e.b[0].size * (1 + gradient)))
         for blk in blocks:
             d = pts[blk] - e.center
             z = e.mu * d.view(complex)[:, 0]
             reach = float(np.maximum.reduce(np.abs(z))) / e.mu
             f = _expand(sol, reach) if e.sign and reach > 2.0 * e.radius else e
             phi = bessel_orders(z, f.orders + gradient, f.sign).view(np.float64)
-            u = np.matmul(phi, f.maps[gradient][:phi.shape[1]], out=out[blk])
+            u = np.matmul(phi, f.gradients if gradient else f.values, out=out[blk])
             if f.drift is not None:
                 u *= np.exp(-(d @ f.drift))[:, None]
     if not np.isfinite(out).all():

@@ -107,7 +107,8 @@ def _harmonics_at(order: int, center, scale: float, x1, x2, gradient: bool) -> n
     """bkm._terms of the harmonics at one point (x1, x2): values (2 order + 1,) or
     gradients (2 order + 1, 2)."""
     mode = TrefftzMode(order, np.asarray(center, float), scale)
-    return bkm._terms(mode, np.empty((0, 2)), np.array([[x1, x2]], float), gradient)[0]
+    basis = HomogeneousSolution(mode, np.eye(2 * order + 1), np.empty((0, 2)))
+    return bkm._terms(basis, np.empty((0, 2)), np.array([[x1, x2]], float), gradient)[0]
 
 
 class TestTrefftzTerms:
@@ -558,7 +559,8 @@ def test_real_maps_match_the_complex_ladder(case):
     e = HomogeneousSolution(mode, np.zeros(width), knots.points).expansion
     rng = np.random.default_rng(23)
     b = rng.standard_normal((e.orders + 1, 2)) + 1j * rng.standard_normal((e.orders + 1, 2))
-    value_map, gradient_map = bkm._expansion(e.center, e.mu, e.sign, e.drift, e.radius, b).maps
+    maps = dataclasses.replace(e, b=b)
+    value_map, gradient_map = maps.values, maps.gradients
     weight = np.arange(1.0, e.orders + 2)[:, None] * max(e.mu, 1.0)
     drift = 0.0 if e.drift is None else float(np.abs(e.drift).max())
     pts = interior_eval_points(domain, 4, 50)
@@ -567,11 +569,22 @@ def test_real_maps_match_the_complex_ladder(case):
             phi = bessel_orders(e.mu * (x - e.center).view(complex)[:, 0], e.orders + 1, e.sign)
         want_u, want_g = _complex_ladder(phi, b, e)
         scale = np.abs(phi[:, :-1]) @ np.abs(b)
-        got_u, got_g = phi.view(np.float64) @ value_map, phi.view(np.float64) @ gradient_map
+        floats = phi.view(np.float64)  # the value map stops one order short
+        got_u, got_g = floats[:, :len(value_map)] @ value_map, floats @ gradient_map
         assert np.all(np.abs(got_u - want_u) <= BATCH_TOL * scale)
         bound = BATCH_TOL * (np.abs(phi[:, :-1]) @ (np.abs(b) * weight) + drift * scale)
         assert np.all(np.abs(got_g.reshape(want_g.shape) - want_g) <= bound[..., None])
 
+
+
+def test_values_build_no_gradient_map():
+    """Each real map is built on first use: values alone leave the gradient map unbuilt."""
+    knots = boundary_nodes(UNIT_DISC, 16)
+    sol = HomogeneousSolution(KernelMode(Helmholtz(2.0)), np.ones(16), knots.points)
+    eval_homogeneous(sol, np.array([[0.1, 0.2], [0.3, -0.4]]))
+    assert "values" in vars(sol.expansion) and "gradients" not in vars(sol.expansion)
+    eval_homogeneous_gradient(sol, np.array([0.1, 0.2]))
+    assert "gradients" in vars(sol.expansion)
 
 LINEARITY_OPS = [Helmholtz(2.0), ModifiedHelmholtz(1.0),
                  ConvectionDiffusion(1.0, (2.0, 0.0), 0.0), Poisson()]

@@ -12,9 +12,10 @@ output the *_ms timing columns are masked. Prints one SAME/DIFF line per case,
 cold and warm, and exits 1 on any DIFF.
 
 With --rtol or --atol, the numeric fields of JSON reports and CSV rows
-compare as |new - old| <= A + R |old|, plus for the residual fields a noise
-floor (NOISE_FLOORS); exit codes, keys, headers and every other byte stay
-exact. A case whose output differs only within that bound prints CLOSE.
+compare as |new - old| <= A + R |old|, plus for the boundary and solver
+residuals a noise floor (NOISE_FLOORS); exit codes, keys, headers and every
+other byte stay exact. A case whose output differs only within that bound
+prints CLOSE.
 CLOSE and DIFF lines list the largest relative difference |new - old| / |old|
 of each field that moved, over the case's rows.
 
@@ -43,14 +44,14 @@ SAMPLED = ("modhelm_source", "convdiff_disc", "poisson_disc", "helmholtz_resonan
 HIGH_ORDER = {"preset": "poisson_disc", "knots": 400, "trefftz_order": 180}
 OVERFLOW = {"problem": {"operator": {"type": "modified_helmholtz", "k": 400},
                         "domain": {"type": "circle", "radius": 1}}, "knots": 16}
-# Rounding noise of the residual fields, by the knots N, for data and solutions of order
-# one (every preset's): 16 eps times the field's scale. The boundary residual is in u's
-# units; the solver residual is the 2-norm of N rows in those units; the interior residual
-# applies the finite-difference stencil, weights 8 / h^2 in all at the h = 1e-3 that
-# `quasirbf solve` uses, to u. A residual that small is noise: --rtol cannot judge it.
+# Rounding noise of the residual fields, by the knots N: 16 eps times the field's scale for
+# u of order one (|u| <= 2.72 on every preset). The boundary residual is in u's units (its
+# largest rounding move seen is 8 eps); the solver residual is the 2-norm of N rows in those
+# units. A residual that small is noise: --rtol cannot judge it. The interior residual gets
+# no floor: its stencil weighs u by 8 / h^2 = 8e6 at `quasirbf solve`'s h = 1e-3, so a move
+# of u by 2 eps moves it by 3.6e-9, already 2 % of the smallest case's (1.7e-7).
 NOISE_FLOORS = {"boundary_residual": lambda n: 16 * sys.float_info.epsilon,
-                "solver_residual_norm": lambda n: 16 * sys.float_info.epsilon * math.sqrt(n),
-                "interior_residual": lambda n: 16 * sys.float_info.epsilon * 8 / 1e-3 ** 2}
+                "solver_residual_norm": lambda n: 16 * sys.float_info.epsilon * math.sqrt(n)}
 
 
 def extract_src(rev: str, dest: Path) -> bool:

@@ -1,6 +1,6 @@
 """Time the single-point query path and its I0/I1 evaluation at revision REV and in the working tree.
 
-    python tools/query_cost.py REV [--rounds 40] [--calls 200] [--only SUBSTRING]
+    python tools/query_cost.py REV [--rounds 40] [--calls 200]
 
 Extracts REV's src/ into a temporary directory as tools/parity.py does (git
 archive REV src | tar -x; the repository's .git is only read), then starts
@@ -29,9 +29,9 @@ or of the float loop, which counts as one call); its time is the mean per
 call. Per case the summary prints the median over rounds of REV's and the
 working tree's times in microseconds, the median over rounds of the ratio
 REV / tree of one round's two batches (above 1: the tree is faster) and the
-number of rounds in which the tree read lower. --only keeps the cases whose
-name contains SUBSTRING. Not part of tier-1; load still moves every number,
-so judge a change by the ratio and the count, not by one side's times.
+number of rounds in which the tree read lower. Not part of tier-1; load
+still moves every number, so judge a change by the ratio and the count, not
+by one side's times.
 """
 from __future__ import annotations
 
@@ -139,7 +139,6 @@ def main(argv: list) -> int:
     parser.add_argument("rev", nargs="?")
     parser.add_argument("--rounds", type=int, default=40)
     parser.add_argument("--calls", type=int, default=200)
-    parser.add_argument("--only", default="")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
@@ -153,8 +152,7 @@ def main(argv: list) -> int:
         workers = {"rev": Worker(Path(tmp) / "src", args.calls),
                    "tree": Worker(ROOT / "src", args.calls)}
         try:
-            names = [n for n in workers["rev"].names
-                     if n in workers["tree"].names and args.only in n]
+            names = [n for n in workers["rev"].names if n in workers["tree"].names]
             times = {n: {"rev": [], "tree": []} for n in names}
             for r in range(args.rounds):
                 for i, name in enumerate(names):
