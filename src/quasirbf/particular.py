@@ -267,18 +267,19 @@ class SpectralField:
     @cached_property
     def half(self) -> np.ndarray:
         """The half spectrum (n, n/2 + 1)."""
-        return self.spectrum.block()
+        return _read_only(self.spectrum.block())[0]
 
     @cached_property
     def coeffs(self) -> np.ndarray:
         """The full (n, n) coefficients: the Hermitian completion of `half`."""
         tail = np.conj(self.half[-np.arange(self.n) % self.n, self.n // 2 - 1:0:-1])
-        return np.concatenate([self.half, tail], axis=1)
+        return _read_only(np.concatenate([self.half, tail], axis=1))[0]
 
     @cached_property
     def omega(self) -> np.ndarray:
         """Frequencies 2 pi k / side of the modes k = 0..n/2 of one axis."""
-        return np.abs(_frequencies(self.n, float(self.box.side[0]))[:self.n // 2 + 1])
+        w = _frequencies(self.n, float(self.box.side[0]))[:self.n // 2 + 1]
+        return _read_only(np.abs(w))[0]
 
     @cached_property
     def real_matrix(self) -> np.ndarray:
@@ -308,7 +309,7 @@ class SpectralField:
         c = _fold(self.n, half[:self.n // 2 + 1], half[partner])
         out = c.view(np.float64).reshape(len(c), 2, -1, 2) * gains
         out[-1, 1, 1:-1] = 0.0  # row (n/2, sin) keeps the columns l = 0, n/2
-        return out.reshape(self.n + 2, -1)
+        return _read_only(out.reshape(self.n + 2, -1))[0]
 
     @cached_property
     def _factor(self):
@@ -356,23 +357,23 @@ class SpectralField:
         u, v = (np.concatenate([z / d, e[:, None]], axis=1) for z, e in
                 zip(cross, (np.zeros(n + 2), last)))
         u[-1, -1] = 1.0
-        return u, v
+        return _read_only(u, v)
 
     @cached_property
     def _gradient_factor(self):
         """([U, J U], [V, J V]), (n+2, 2r), for _factor (U, V), or None (see the class)."""
         w = self.omega[:, None, None] * np.array([[1.0], [-1.0]])
-        return self._factor and tuple(np.concatenate(
+        return self._factor and _read_only(*(np.concatenate(
             [z, (z.reshape(-1, 2, z.shape[1])[:, ::-1] * w).reshape(z.shape)], axis=1)
-            for z in self._factor)
+            for z in self._factor))
 
     @cached_property
     def _split_tables(self):
         """i w_q of the fine modes q < L, and coarse turns L p / side of the modes
         L p <= n/2 (extended precision), L = isqrt(n/2 + 1)."""
         step = math.isqrt(self.n // 2 + 1)
-        return (1j * self.omega[:step],
-                np.arange(0, self.n // 2 + 1, step, dtype=np.longdouble) / self.box.side[0])
+        coarse = np.arange(0, self.n // 2 + 1, step, dtype=np.longdouble) / self.box.side[0]
+        return _read_only(1j * self.omega[:step], coarse)
 
     def _phases(self, x: np.ndarray) -> np.ndarray:
         """Phase factors exp(i w_k (x - min_corner)) of the modes k = 0..n/2
@@ -532,6 +533,7 @@ def solve_particular(op: OperatorSpec, grid: SourceGrid) -> SpectralField:
     else:
         a, b = grid.factors
         p, q, total = np.fft.fft(a, axis=0), np.fft.rfft(b, axis=0), a.sum(axis=0) @ b.sum(axis=0)
+    _read_only(*(z for z in (p, q) if z is not None))
     D, v, c = op.coefficients[:3]
     key = (n, (D, tuple(v.tolist()), c), float(grid.box.side[0]))
     spectrum = _HalfSpectrum(p, q, *_symbol(*key), None if q is None else _reciprocal_factor(*key))

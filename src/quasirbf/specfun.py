@@ -218,7 +218,8 @@ def _orders_table(orders: int, sign: int):
     """(k, T[k, m] = sign^k / (k! (m+k)!)), m <= orders, k <= 16 (ones, k = 0, for sign 0): 16 is
     the first K with q^K / K!^2 <= 1e-17 at q = ORDERS_SWITCH^2 / 4. Read-only: they are shared."""
     k, m = np.arange(17)[:, None], np.arange(orders + 1)
-    inverse = 1.0 / np.cumprod(np.maximum(np.arange(orders + 17), 1.0))  # 1 / n!
+    inverse = np.zeros(orders + 17 if sign else 0)  # 1 / n!: 0 past 170, where n! overflows
+    inverse[:171] = 1.0 / np.cumprod(np.maximum(np.arange(min(len(inverse), 171)), 1.0))
     table = sign ** k * inverse[k] * inverse[k + m] if sign else np.ones((1, orders + 1))
     powers = np.arange(len(table), dtype=float)
     powers.flags.writeable = table.flags.writeable = False

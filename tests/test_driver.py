@@ -138,6 +138,7 @@ class TestRunPipeline:
         monkeypatch.setattr(quasirbf.cli, "run_pipeline",
                             lambda config: results.append(run(config)) or results[-1])
         argv = ["solve", "--config", str(config)]
+        quasirbf.pipeline._cached_particular.cache_clear()  # the first run solves u_p
         assert run_cli(argv) == EXIT_OK  # first use: imports and lazy module state
         tracemalloc.start()
         try:
@@ -553,6 +554,80 @@ class TestCli:
         assert run_cli(["presets"]) == EXIT_OK
         capsys.readouterr()
         assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+
+class TestParticularCache:
+    """run_pipeline solves each particular problem once: u_p's field is cached by the
+    source, the domain, box_margin, grid, taper and the operator's (D, v, c)."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self, monkeypatch):
+        """Start cold and count the calls of the particular layer, through the names
+        run_pipeline looks up."""
+        quasirbf.pipeline._cached_particular.cache_clear()
+        self.calls = {"extend_source": 0, "solve_particular": 0}
+        for name in self.calls:
+            def counted(*args, _name=name, _fn=getattr(quasirbf.pipeline, name)):
+                self.calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(quasirbf.pipeline, name, counted)
+
+    def test_converge_solves_the_source_once(self, capsys):
+        argv = ["converge", "--preset", "modhelm_source", "--knots", "8,16,32,48"]
+        assert run_cli(argv) == EXIT_OK
+        assert len(capsys.readouterr().out.strip().split("\n")) == 5
+        assert self.calls == {"extend_source": 1, "solve_particular": 1}
+
+    def test_repeated_solve_shares_the_field(self, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"preset": "convdiff_disc", "knots": 32, "grid": 128}))
+        results, run = [], quasirbf.cli.run_pipeline
+        monkeypatch.setattr(quasirbf.cli, "run_pipeline",
+                            lambda config: results.append(run(config)) or results[-1])
+        outputs = []
+        for _ in range(2):
+            assert run_cli(["solve", "--config", str(config)]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert results[0].field.particular is results[1].field.particular
+        assert self.calls == {"extend_source": 1, "solve_particular": 1}
+
+    @pytest.mark.parametrize("config, preset", [
+        ({"grid": 64}, {}), ({"taper": 0.05}, {}), ({"box_margin": 1.5}, {}),
+        ({}, {"operator": ConvectionDiffusion(2.0, (2.0, 0.0), 1.0)}),
+        ({}, {"operator": ConvectionDiffusion(1.0, (0.0, 2.0), 1.0)}),
+        ({}, {"operator": ConvectionDiffusion(1.0, (2.0, 0.0), 2.0)}),
+        ({}, {"domain": StarDomain(Circle(0.9))}),
+        ({}, {"domain": StarDomain(Circle(1.0), (0.25, 0.0))}),
+    ], ids=["grid", "taper", "box_margin", "D", "v", "c", "shape", "center"])
+    def test_each_key_part_is_a_miss(self, monkeypatch, config, preset):
+        cfg = RunConfig(preset="convdiff_disc", knots=16, grid=128)
+        first = run_pipeline(cfg).field.particular
+        problem = dataclasses.replace(get_preset("convdiff_disc"), **preset)
+        monkeypatch.setattr(quasirbf.pipeline, "get_preset", lambda _: problem)
+        second = run_pipeline(dataclasses.replace(cfg, **config)).field.particular
+        assert second is not first
+        assert self.calls == {"extend_source": 2, "solve_particular": 2}
+
+    def test_shared_arrays_are_read_only(self):
+        sf = run_pipeline(RunConfig(preset="modhelm_source", knots=16, grid=128)).field.particular
+        assert sf._factor is not None
+        for a in (*sf._factor, *sf._gradient_factor, *sf._split_tables, sf.omega,
+                  sf.spectrum.p, sf.spectrum.q):
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1.0
+
+    def test_failures_are_not_cached(self):
+        cfg = RunConfig(preset="modhelm_source", knots=16, grid=64)
+        run_pipeline(cfg)
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="particular stage"):
+                run_pipeline(dataclasses.replace(cfg, box_margin=0.0))
+        resonant = RunConfig(preset="helmholtz_resonant", knots=16, grid=64, box_margin=0.5)
+        for _ in range(2):
+            with pytest.raises(ResonantBoxError):
+                run_pipeline(resonant)
+        assert self.calls == {"extend_source": 5, "solve_particular": 3}
 
 
 # Reordered float64 sums over N <= 64 terms differ by at most ~N eps of the

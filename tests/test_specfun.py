@@ -1,13 +1,14 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from quasirbf.errors import DomainError
 from quasirbf.geometry import BLOCK_PAIRS
-from quasirbf.specfun import (I_SWITCH, _I_SERIES, bessel_i0, bessel_i0_i1,
-                              bessel_i1, bessel_j0, bessel_j1)
+from quasirbf.specfun import (I_SWITCH, _I_SERIES, _orders_table, bessel_i0, bessel_i0_i1,
+                              bessel_i1, bessel_j0, bessel_j1, bessel_orders)
 
 from oracles import (_decimal_series, j0_first_zero, oracle_i0, oracle_i1,
                      oracle_j0, oracle_j1)
@@ -241,3 +242,14 @@ class TestJBits:
             assert fn(xs[:n]).tobytes() == whole[:n].tobytes()
         for i in np.random.default_rng(22).integers(0, len(xs), 20):
             assert np.float64(fn(float(xs[i]))).tobytes() == whole[i].tobytes()
+
+
+@pytest.mark.parametrize("sign", [-1, 0, 1])
+def test_high_order_table_builds_without_warnings(sign):
+    """Orders past 153 need 1 / n! past n = 170, where n! overflows a double: the
+    table holds 0 there, and building it warns of nothing."""
+    _orders_table.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = bessel_orders(np.array([0.5 + 0.25j, 3.0 - 1.0j, 0.0]), 181, sign)
+    assert out.shape == (3, 182) and np.all(np.isfinite(out))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from quasirbf import bkm, cli
+from quasirbf import bkm, cli, pipeline
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -42,8 +42,10 @@ def test_instrument_then_restore(tracing):
 
 def test_patched_names_are_the_ones_called(tmp_path, tracing):
     """One traced `quasirbf solve` reaches every hot layer the tracer names. Only
-    assembly calls bessel_i0 and kernel_value, so the factor cache starts cold."""
+    assembly calls bessel_i0 and kernel_value, so the factor cache starts cold, and
+    only a miss of u_p's cache calls extend_source and solve_particular."""
     bkm._cached_factor.cache_clear()
+    pipeline._cached_particular.cache_clear()
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"preset": "convdiff_disc", "knots": 16, "grid": 32}))
     tracer = tracing.Tracer()

@@ -12,8 +12,8 @@ output the *_ms timing columns are masked. Prints one SAME/DIFF line per case,
 cold and warm, and exits 1 on any DIFF.
 
 With --rtol or --atol, the numeric fields of JSON reports and CSV rows
-compare as |new - old| <= A + R |old|, plus for the boundary and solver
-residuals a noise floor (NOISE_FLOORS); exit codes, keys, headers and every
+compare as |new - old| <= A + R |old|, plus for the errors and the boundary
+and solver residuals a noise floor (NOISE_FLOORS); exit codes, keys, headers and every
 other byte stay exact. A case whose output differs only within that bound
 prints CLOSE.
 CLOSE and DIFF lines list the largest relative difference |new - old| / |old|
@@ -23,7 +23,9 @@ Cases: `quasirbf solve` on every preset at the defaults and at knots 48 /
 grid 512, on the source presets at grid 32 (whose sources are sampled, not
 factored, so u_p uses its real matrix), on a resonant config, on a
 kernel-overflow config and on poisson_disc at knots 400 / trefftz_order 180,
-and `quasirbf converge` on helmholtz_disc and helmholtz_star at 8,16,32,48.
+and `quasirbf converge` at 8,16,32,48 on helmholtz_disc and helmholtz_star and
+on the source presets modhelm_source and convdiff_disc, whose N share one
+cached u_p.
 """
 from __future__ import annotations
 
@@ -44,13 +46,16 @@ SAMPLED = ("modhelm_source", "convdiff_disc", "poisson_disc", "helmholtz_resonan
 HIGH_ORDER = {"preset": "poisson_disc", "knots": 400, "trefftz_order": 180}
 OVERFLOW = {"problem": {"operator": {"type": "modified_helmholtz", "k": 400},
                         "domain": {"type": "circle", "radius": 1}}, "knots": 16}
-# Rounding noise of the residual fields, by the knots N: 16 eps times the field's scale for
-# u of order one (|u| <= 2.72 on every preset). The boundary residual is in u's units (its
-# largest rounding move seen is 8 eps); the solver residual is the 2-norm of N rows in those
-# units. A residual that small is noise: --rtol cannot judge it. The interior residual gets
+# Rounding noise of the error and residual fields, by the knots N: 16 eps times the field's
+# scale for u of order one (|u| <= 2.72 on every preset). max_err and rms_err are relative to
+# max |u*|, and the boundary residual is in u's units (its largest rounding move seen is
+# 8 eps); the solver residual is the 2-norm of N rows in those units. A value that small is
+# noise: --rtol cannot judge it. The interior residual gets
 # no floor: its stencil weighs u by 8 / h^2 = 8e6 at `quasirbf solve`'s h = 1e-3, so a move
 # of u by 2 eps moves it by 3.6e-9, already 2 % of the smallest case's (1.7e-7).
-NOISE_FLOORS = {"boundary_residual": lambda n: 16 * sys.float_info.epsilon,
+NOISE_FLOORS = {"max_err": lambda n: 16 * sys.float_info.epsilon,
+                "rms_err": lambda n: 16 * sys.float_info.epsilon,
+                "boundary_residual": lambda n: 16 * sys.float_info.epsilon,
                 "solver_residual_norm": lambda n: 16 * sys.float_info.epsilon * math.sqrt(n)}
 
 
@@ -86,7 +91,7 @@ def cases(src: Path, workdir: Path):
         path = workdir / f"case{i}.json"
         path.write_text(json.dumps(config))
         yield name, ["solve", "--config", str(path)]
-    for preset in ("helmholtz_disc", "helmholtz_star"):
+    for preset in ("helmholtz_disc", "helmholtz_star", "modhelm_source", "convdiff_disc"):
         yield f"converge {preset}", ["converge", "--preset", preset, "--knots", "8,16,32,48"]
 
 
