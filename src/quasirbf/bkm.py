@@ -38,7 +38,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -86,9 +86,9 @@ Strategy = Union[LU, TSVD]
 
 @dataclass(eq=False)
 class _Factor:
-    """A matrix (N, M), None until assemble fills it; on first use its thin SVD for TSVD or
-    values-only singular values for LU (last bits differ). About 24 N M bytes, 1.5 MiB at 256."""
-    matrix: Optional[np.ndarray] = None
+    """A matrix (N, M) and, on first use, its thin SVD for TSVD or values-only singular values
+    for LU (last bits differ). About 24 N M bytes, 1.5 MiB at 256."""
+    matrix: np.ndarray
 
     @cached_property
     def svd(self):
@@ -99,7 +99,16 @@ class _Factor:
         return _read_only(np.linalg.svd(self.matrix, compute_uv=False))[0]
 
 
-_cached_factor = lru_cache(maxsize=8)(lambda key: _Factor())  # a sweep of 4 N's needs 4
+@dataclass(frozen=True)
+class _Keyed:
+    """An lru_cache argument that hashes and compares as `key` alone. A miss keeps what
+    `build()` returns; a build that raises keeps nothing, so it takes no slot."""
+    key: tuple
+    build: Callable[[], object] = field(compare=False)
+
+
+# a sweep of 4 N's needs 4
+_cached_factor = lru_cache(maxsize=8)(lambda keyed: _Factor(keyed.build()))
 
 
 @dataclass(frozen=True)
@@ -213,15 +222,18 @@ def assemble(op: OperatorSpec, knots: BoundaryKnots, bc_kind: str, data,
         mode, width = trefftz, 2 * trefftz.order + 1
         basis = (trefftz.order, np.asarray(trefftz.center, float).tobytes(), float(trefftz.scale))
     pos, normals = knots.points, knots.normals
-    factor = _cached_factor((tuple(np.hstack(op.coefficients[:3])), neumann, basis,  # (D, v, c)
-                             *(np.asarray(a, float).tobytes() for a in (pos, normals))))
-    if factor.matrix is None:
+
+    def build():
         matrix = np.empty((n, width))
         terms = HomogeneousSolution(mode, np.eye(width), pos) if basis else mode  # I, expanded once
         for blk in point_blocks(pos, width)[1]:
             t = _terms(terms, pos, pos[blk], neumann)
             matrix[blk] = np.einsum("pjk,pk->pj", t, normals[blk]) if neumann else t
-        factor.matrix = _read_only(matrix)[0]
+        return _read_only(matrix)[0]
+
+    key = (tuple(np.hstack(op.coefficients[:3])), neumann, basis,  # (D, v, c)
+           *(np.asarray(a, float).tobytes() for a in (pos, normals)))
+    factor = _cached_factor(_Keyed(key, build))
     return CollocationSystem(factor.matrix, rhs, pos, mode, factor)
 
 

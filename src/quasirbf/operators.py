@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from .errors import ConfigurationError, KernelOverflowError, UnsupportedOperatorError
-from .specfun import bessel_i0, bessel_i0_i1, bessel_i1, bessel_j0, bessel_j1
+from .specfun import bessel_i0, bessel_i1, bessel_j0, bessel_j1
 
 class Coefficients(NamedTuple):
     """L u = D laplace(u) + v . grad(u) + c u, and the kernel's
@@ -154,7 +154,7 @@ def _kernel(op: OperatorSpec, d, gradient: bool):
             return (bessel_j0 if oscillating else bessel_i0)(k.mu * r)[..., 0][()]
         z1 = bessel_j1 if oscillating else bessel_i1
         return (-k.mu if oscillating else k.mu) * z1(k.mu * r) * d / safe_r
-    z0, z1 = bessel_i0_i1(k.mu * r) if gradient else (bessel_i0(k.mu * r), None)
+    z0, z1 = bessel_i0(k.mu * r), (bessel_i1(k.mu * r) if gradient else None)
     with np.errstate(over="ignore", invalid="ignore"):
         drift = np.exp((k.v[0] * d[..., :1] + k.v[1] * d[..., 1:]) / (-2.0 * k.D))
         out = ((drift * z0)[..., 0][()] if not gradient

@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import bkm
-from .bkm import LU, TSVD, HomogeneousSolution, SolveDiagnostics, Strategy
+from .bkm import LU, TSVD, HomogeneousSolution, SolveDiagnostics, Strategy, _Keyed
 from .errors import ConfigurationError, QuasiRbfError
 from .geometry import (StarDomain, boundary_nodes, bounding_box,
                        interior_eval_points, stack_xy)
@@ -160,9 +160,8 @@ class ConvergenceRow:
 
 
 # u_p's field by what extend_source and solve_particular read, not by knots, data or solver (one
-# entry per source preset): a slot filled on first success, so a failure caches nothing; the
-# shared field's arrays are read-only
-_cached_particular = lru_cache(maxsize=4)(lambda key: [])
+# entry per source preset); a failed solve takes no entry; the field's arrays are read-only
+_cached_particular = lru_cache(maxsize=4)(lambda keyed: keyed.build())
 
 
 @contextmanager
@@ -183,14 +182,12 @@ def run_pipeline(config: RunConfig) -> RunResult:
     ms = {"particular": 0.0}
     if problem.source is not None:
         with _stage("particular", ms):
-            slot = _cached_particular((problem.source, domain.shape, domain.center.tobytes(),
-                                       config.box_margin, config.grid, config.taper,
-                                       tuple(np.hstack(op.coefficients[:3]))))  # (D, v, c)
-            if not slot:
-                box = bounding_box(domain, config.box_margin)
-                slot.append(solve_particular(op, extend_source(
-                    problem.source, domain, box, config.grid, TaperSpec(config.taper))))
-            sf = slot[0]
+            sf = _cached_particular(_Keyed(
+                (problem.source, domain.shape, domain.center.tobytes(), config.box_margin,
+                 config.grid, config.taper, tuple(np.hstack(op.coefficients[:3]))),  # (D, v, c)
+                lambda: solve_particular(op, extend_source(
+                    problem.source, domain, bounding_box(domain, config.box_margin),
+                    config.grid, TaperSpec(config.taper)))))
 
     with _stage("assembly", ms):
         knots = boundary_nodes(domain, config.knots)

@@ -12,7 +12,7 @@ from quasirbf import bkm
 from quasirbf.bkm import (LU, TSVD, CollocationSystem, HomogeneousSolution,
                           KernelMode, TrefftzMode, assemble, eval_homogeneous,
                           eval_homogeneous_gradient, solve_dense)
-from quasirbf.errors import (ConfigurationError, RankDeficientWarning,
+from quasirbf.errors import (ConfigurationError, KernelOverflowError, RankDeficientWarning,
                              SingularMatrixError)
 from quasirbf.geometry import (BoundaryKnots, Circle, Star, StarDomain,
                                boundary_nodes, interior_eval_points)
@@ -396,6 +396,17 @@ class TestFactorCache:
                 knots = boundary_nodes(problem.domain, n)
                 self._solve(assemble(problem.operator, knots, "dirichlet", np.ones(n)), TSVD())
         assert bkm._cached_factor.cache_info()[:2] == (8, 4)
+
+    def test_a_failed_assembly_takes_no_slot(self):
+        # eight overflowing conv-diff assemblies between two Helmholtz ones of one
+        # geometry: the second Helmholtz assembly still finds its matrix
+        knots = boundary_nodes(self.STAR, 8)
+        first = assemble(Helmholtz(3.0), knots, "dirichlet", np.ones(8))
+        for v in range(400, 1101, 100):
+            with pytest.raises(KernelOverflowError):
+                assemble(ConvectionDiffusion(1.0, [v, 0.0], 1.0), knots, "dirichlet", np.ones(8))
+        assert assemble(Helmholtz(3.0), knots, "dirichlet", np.ones(8)).matrix is first.matrix
+        assert bkm._cached_factor.cache_info()[:2] == (1, 9)
 
 
 class TestEvalHomogeneous:

@@ -629,6 +629,16 @@ class TestParticularCache:
                 run_pipeline(resonant)
         assert self.calls == {"extend_source": 5, "solve_particular": 3}
 
+    def test_failures_take_no_entry(self):
+        # four failed solves fit in the four entries only if they take none
+        cfg = RunConfig(preset="modhelm_source", knots=16, grid=64)
+        first = run_pipeline(cfg).field.particular
+        for margin in (0.0, 0.01, 0.02, 0.03):
+            with pytest.raises(ConfigurationError, match="particular stage"):
+                run_pipeline(dataclasses.replace(cfg, box_margin=margin))
+        assert run_pipeline(cfg).field.particular is first
+        assert quasirbf.pipeline._cached_particular.cache_info()[:2] == (1, 5)
+
 
 # Reordered float64 sums over N <= 64 terms differ by at most ~N eps of the
 # sum of the terms' magnitudes; 1e-12 (about 4500 eps) bounds that with room.

@@ -3,7 +3,7 @@ depend on how many arguments one call takes."""
 import numpy as np
 import pytest
 
-from quasirbf.specfun import I_CHUNK, I_SWITCH, bessel_i0, bessel_i0_i1, bessel_i1
+from quasirbf.specfun import I_SWITCH, bessel_i0, bessel_i0_i1, bessel_i1
 
 from oracles import oracle_i0, oracle_i1
 
@@ -29,12 +29,13 @@ def _pair(fn):
 @pytest.mark.parametrize("lo, hi", [(0.0, 2.0 * I_SWITCH), (0.0, I_SWITCH), (I_SWITCH, 50.0)],
                          ids=["both-forms", "series", "asymptotic"])
 def test_no_element_depends_on_the_array_length(fn, lo, hi):
-    # the arguments go through I_CHUNK at a time; every prefix of one seeded
-    # array, at lengths that end a chunk, start one, or run past two, gives
-    # the same bits as the whole array, and so does each float call
-    xs = np.random.default_rng(19).uniform(lo, hi, 2 * I_CHUNK + 1)
+    # every prefix of one seeded array, at lengths around a power of two and
+    # past twice it, gives the same bits as the whole array, and so does each
+    # float call
+    block = 16384
+    xs = np.random.default_rng(19).uniform(lo, hi, 2 * block + 1)
     whole = _pair(fn)(xs)
-    for n in (1, I_CHUNK - 1, I_CHUNK, I_CHUNK + 1):
+    for n in (1, block - 1, block, block + 1):
         assert np.array_equal(_pair(fn)(xs[:n]), whole[:, :n])
     for i in np.random.default_rng(20).integers(0, len(xs), 20):
         assert np.array_equal(np.array(fn(float(xs[i]))).reshape(-1), whole[:, i])

@@ -72,7 +72,9 @@ def test_patched_names_are_the_ones_called(tmp_path, tracing):
 @pytest.mark.parametrize("operator, names", [
     ({"type": "helmholtz", "k": 2.0}, ("specfun.bessel_j0", "specfun.bessel_j1")),
     ({"type": "modified_helmholtz", "k": 1.0}, ("specfun.bessel_i0", "specfun.bessel_i1")),
-], ids=["helmholtz", "modified_helmholtz"])
+    ({"type": "convection_diffusion", "diffusivity": 1.0, "velocity": [2.0, 0.0], "reaction": 1.0},
+     ("specfun.bessel_i0", "specfun.bessel_i1")),
+], ids=["helmholtz", "modified_helmholtz", "convection_diffusion"])
 def test_patched_bessel_names_are_the_ones_called(tmp_path, tracing, operator, names):
     """Assembly reaches the kernel's Z0 through kernel_value in a Dirichlet solve
     and its gradient's Z1 through kernel_gradient in a Neumann solve, each through
