@@ -14,8 +14,8 @@ reciprocal C depends only on the grid, the operator and the box: one cached
 cross X Y^T of C (_reciprocal_factor) serves every source, and u_p's half
 spectrum (P Q^T) o C is the product (P o X)(Q o Y)^T. SpectralField folds it
 into u_p's real matrix M and crosses that down to M's rank as U V^T; u_p is
-evaluated per block of points by two narrow GEMMs of the cos/sin phases with U
-and V. The three crosses are one _cross, checked on seeded samples of the
+evaluated per block of points by one stacked GEMM of each axis's cos/sin phases
+with U and V. The three crosses are one _cross, checked on seeded samples of the
 crossed matrix. A source with no cross of rank <= RANK_CAP keeps its samples
 (the r = n case, spectrum rfft2(samples)), as does a SourceGrid built from
 samples; such a field, or one whose C has no cross (a near-resonant box),
@@ -123,6 +123,8 @@ class SourceGrid:
         return _check_samples(self._sampler(), self.n)
 
 
+# _phases' constants, as arrays: numpy converts a Python scalar on every call
+_HEAD, _TURN, _ONE = np.array(-(1 << 27)), np.array(2j * np.pi), np.array(1.0 + 0j)
 ALL = slice(None)  # every index of an axis, for _HalfSpectrum.reciprocal
 
 
@@ -248,9 +250,10 @@ class SpectralField:
 
     The coefficients c are the half spectrum `half` (columns 0..n/2, the last
     at -n/2) of a Hermitian (n, n) array `coeffs`; `half` is given as an
-    array or as a _HalfSpectrum. With phases a_k, b_k of mode k = 0..n/2 on
-    the two axes, u_p = [cos a, sin a] M [cos b, sin b] (`real_matrix`) = row
-    dot of [cos a, sin a] U and [cos b, sin b] V (`_factor`). d/dx maps (cos
+    array or as a _HalfSpectrum. With phases a_k, b_k of mode k = 0..n/2 on the
+    two axes (`_phases`: two exponentials per point and axis, reduced exactly in
+    double arithmetic), u_p = [cos a, sin a] M [cos b, sin b] (`real_matrix`) =
+    row dot of [cos a, sin a] U and [cos b, sin b] V (`_factor`). d/dx maps (cos
     a_k, sin a_k) to w_k (-sin a_k, cos a_k), the pair times J = [[0, w_k],
     [-w_k, 0]]: d_x u_p is the row dot of [cos a, sin a] J U and [cos b, sin b]
     V, d_y u_p alike with J V (J U, J V cached: `_gradient_factor`; with M, J
@@ -313,7 +316,7 @@ class SpectralField:
 
     @cached_property
     def _factor(self):
-        """(U, V), (n+2, r), with M = U V^T to rounding, or None.
+        """U, V stacked, (2, n+2, r), with M = U V^T to rounding, or None.
 
         With the cross X Y^T of C (_HalfSpectrum.cross), H = A B^T for A = P o
         X and B = Q o Y (each column of P times each of X). The row fold of A
@@ -357,56 +360,64 @@ class SpectralField:
         u, v = (np.concatenate([z / d, e[:, None]], axis=1) for z, e in
                 zip(cross, (np.zeros(n + 2), last)))
         u[-1, -1] = 1.0
-        return _read_only(u, v)
+        return _read_only(np.stack([u, v]))[0]
 
     @cached_property
     def _gradient_factor(self):
-        """([U, J U], [V, J V]), (n+2, 2r), for _factor (U, V), or None (see the class)."""
-        w = self.omega[:, None, None] * np.array([[1.0], [-1.0]])
-        return self._factor and _read_only(*(np.concatenate(
-            [z, (z.reshape(-1, 2, z.shape[1])[:, ::-1] * w).reshape(z.shape)], axis=1)
-            for z in self._factor))
+        """([U, J U], [V, J V]), (2, n+2, 2r), for _factor (U, V), or None (see the class)."""
+        z, w = self._factor, self.omega[:, None, None] * np.array([[1.0], [-1.0]])
+        return None if z is None else _read_only(np.concatenate(
+            [z, (z.reshape(2, -1, 2, z.shape[2])[:, :, ::-1] * w).reshape(z.shape)], axis=2))[0]
 
     @cached_property
     def _split_tables(self):
-        """i w_q of the fine modes q < L, and coarse turns L p / side of the modes
-        L p <= n/2 (extended precision), L = isqrt(n/2 + 1)."""
-        step = math.isqrt(self.n // 2 + 1)
-        coarse = np.arange(0, self.n // 2 + 1, step, dtype=np.longdouble) / self.box.side[0]
-        return _read_only(1j * self.omega[:step], coarse)
+        """_phases' tables: 26-bit heads s_hi of the turn rates s = (L, 1) / side, L = isqrt(n/2
+        + 1); the exact rest s - s_hi, rounded (side's integer ratio); signs and box corners."""
+        step, (num, den) = math.isqrt(self.n // 2 + 1), float(self.box.side[0]).as_integer_ratio()
+        hi = (np.array([step * den / num, den / num]).view(np.int64) & _HEAD).view(np.float64)
+        lo = [(r * den * b - a * num) / (num * b)
+              for r, (a, b) in zip((step, 1), map(float.as_integer_ratio, hi.tolist()))]
+        corners = np.stack([-self.box.min_corner, self.box.max_corner])[:, :, None]
+        return _read_only(hi[:, None, None], np.array(lo)[:, None, None],
+                          np.array([1.0, -1.0])[:, None, None], corners)
 
     def _phases(self, x: np.ndarray) -> np.ndarray:
         """Phase factors exp(i w_k (x - min_corner)) of the modes k = 0..n/2
         at points x (P, 2) in the box (else DomainError), (2, P, n/2+1).
 
-        Mode k = L p + q, L = isqrt(n/2 + 1), is the product of a coarse
-        factor (w_{Lp}) and a fine one (w_q), so each axis exponentiates
-        about 2 sqrt(n/2) phases instead of n/2 + 1. Coarse phases reach
-        pi n; their turns L p (x - min_corner) / side are reduced mod 1 in
-        extended precision (np.longdouble) before the exponential: in double
-        precision the rounding of such arguments alone costs up to ~1e-12 at
-        n = 1024, as it does for a direct exp(i w_k (x - min_corner))."""
-        d = (x - self.box.min_corner).T[:, :, None]
-        if not ((d >= 0.0).all() and (x <= self.box.max_corner).all()):
+        Mode k = L p + q is c^p f^q, c = exp(i w_L d), f = exp(i w_1 d), d = x - min_corner: two
+        exponentials per point and axis and cumulative products, alike in any block. The turns d s
+        are reduced mod 1 exactly in double arithmetic (Dekker, Numer. Math. 1971): the 26-bit
+        heads of d and s multiply exactly, rint takes off the integer part, and the tails (d -
+        head) s_hi + d s_lo are added. Error ~1.5e-14 at n = 1024, on any platform."""
+        s_hi, s_lo, signs, corners = self._split_tables
+        d = x.T * signs + corners  # x - min_corner and max_corner - x, signs exact
+        if not np.minimum.reduce(d, None) >= 0.0:
             x1, x2 = x[np.argmin(self.box.contains(x))]
             raise DomainError(f"point ({x1}, {x2}) lies outside the embedding box")
-        fine_iw, coarse_turns = self._split_tables
-        turns = d * coarse_turns  # in extended precision
+        d = d[0]
+        head = (d.view(np.int64) & _HEAD).view(np.float64)
+        turns = head * s_hi  # exact; axes: rate, box axis, point
         turns -= np.rint(turns)
-        coarse = np.exp(np.multiply(turns, 2j * np.pi, dtype=complex))
-        z = coarse[..., None] * np.exp(fine_iw * d)[:, :, None, :]
-        return z.reshape(2, len(x), -1)[..., :self.n // 2 + 1]
+        turns += (d - head) * s_hi + d * s_lo
+        k, step = self.n // 2 + 1, math.isqrt(self.n // 2 + 1)
+        z = np.empty(turns.shape + (-(-k // step),), complex)  # powers 0..m-1, m >= step
+        z[...] = np.exp(turns * _TURN)[..., None]
+        z[..., 0] = _ONE
+        np.multiply.accumulate(z, axis=-1, out=z)
+        z = z[0, ..., None] * z[1, :, :, None, :step]
+        return z.reshape(2, len(x), -1)[..., :k]
 
-    def _series(self, ex: np.ndarray, ey: np.ndarray, gradient: bool = False) -> np.ndarray:
-        """u_p (P,) or grad u_p (P, 2) from phase factors ex, ey (P, n/2+1) viewed as floats:
-        row dots of ex U and ey V, or of ex M and ey, with J on one axis for the gradient (J U
-        and J V from _gradient_factor; with M, the rows i w e beside e)."""
-        n = len(ex)
+    def _series(self, z: np.ndarray, gradient: bool = False) -> np.ndarray:
+        """u_p (P,) or grad u_p (P, 2) from phase factors z (2, P, n/2+1) viewed as floats:
+        row dots of ex U and ey V (one stacked product), or of ex M and ey, with J on one axis
+        for the gradient (J U and J V from _gradient_factor; with M, the rows i w e beside e)."""
+        n = z.shape[1]
         if gradient and self._factor is None:
-            ex, ey = (np.stack([e, 1j * self.omega * e], 1).reshape(2 * n, -1) for e in (ex, ey))
-        a, b = ex.view(np.float64), ey.view(np.float64)
-        u, v = (self._gradient_factor if gradient else self._factor) or (self.real_matrix, None)
-        p, q = a @ u, b if v is None else b @ v
+            z = np.stack([z, 1j * self.omega * z], 2).reshape(2, 2 * n, -1)
+        f = z.view(np.float64)
+        uv = self._gradient_factor if gradient else self._factor
+        p, q = (f[0] @ self.real_matrix, f[1]) if uv is None else np.matmul(f, uv)
         if not gradient:
             return np.einsum("pk,pk->p", p, q)
         return np.add.reduce(p.reshape(n, 2, -1)[:, ::-1] * q.reshape(n, 2, -1), axis=2)
@@ -616,9 +627,8 @@ def _evaluate(sf: SpectralField, x, gradient: bool) -> np.ndarray:
     per block of points, real GEMMs of the phase factors with the folded matrix
     or its factor (see SpectralField)."""
     pts, blocks, shape = point_blocks(x, (sf.n // 2 + 1) * (1 + gradient))
-    out = np.empty((len(pts), 2) if gradient else len(pts))
-    for blk in blocks:
-        out[blk] = sf._series(*sf._phases(pts[blk]), gradient)
+    out = [sf._series(sf._phases(pts[blk]), gradient) for blk in blocks]
+    out = out[0] if len(out) == 1 else np.concatenate(out or [np.empty((0, 2) if gradient else 0)])
     if sf.compensator is not None:
         out += (sf.compensator.gradient if gradient else sf.compensator.value)(*pts.T)
     return out.reshape(shape + out.shape[1:])

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -377,9 +378,11 @@ class TestRealEvaluation:
             <= 1e-13 * (n / 2) * scale
 
     def test_split_phases_match_direct_exponential(self):
-        # Both forms are limited by the rounding of phase arguments up to
-        # pi n ~ 3217 at n = 1024 (ulp 4.5e-13); the direct form also rounds
-        # w_k, and alone differs from the exact phase by up to about 8e-13.
+        # The bound is the direct form's: it rounds w_k and phase arguments up
+        # to pi n ~ 3217 at n = 1024 (ulp 4.5e-13), and alone differs from the
+        # exact phase by up to about 8e-13. The split form reduces its turns
+        # exactly in double arithmetic and stays within 5e-14 of the exact
+        # phase (test_split_phases_match_exact_turns).
         n = 1024
         box = Box2(np.array([-1.3, -0.7]), np.array([2.1, 2.7]))
         sf = SpectralField(box=box, n=n, half=np.zeros((n, n // 2 + 1), dtype=complex))
@@ -389,6 +392,47 @@ class TestRealEvaluation:
         w = 2.0 * np.pi * np.arange(n // 2 + 1) / float(box.side[0])
         direct = np.exp(1j * w * (pts - box.min_corner).T[:, :, None])
         assert np.abs(sf._phases(pts) - direct).max() <= 1e-12
+
+    @pytest.mark.parametrize("box", [
+        Box2(np.array([-1.3, -0.7]), np.array([2.1, 2.7])),
+        _pi_box(),
+        Box2(np.array([-2.05, -1.1]), np.array([0.75, 1.7])),
+    ], ids=["offset", "pi", "narrow"])
+    def test_split_phases_match_exact_turns(self, box):
+        # The exact phase of mode k at the double d = x - min_corner the code
+        # forms is exp(2 pi i t), t = frac(k d / side): t is exact in rational
+        # arithmetic and reduced to [-1/2, 1/2] before it is rounded for
+        # cmath.exp (an error of a few 1e-16), so the reference owes nothing to
+        # the platform's extended precision.
+        n = 1024
+        sf = SpectralField(box=box, n=n, half=np.zeros((n, n // 2 + 1), dtype=complex))
+        t = np.random.default_rng(1024).uniform(0.0, 1.0, size=(100, 2))
+        t[:4] = [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0)]  # both edges of both axes
+        pts = np.minimum(box.min_corner + t * box.side, box.max_corner)
+        d = pts - box.min_corner
+        side = Fraction(float(box.side[0]))
+        got = sf._phases(pts)
+        err = 0.0
+        for (i, axis), dk in np.ndenumerate(d):
+            turn = Fraction(float(dk)) / side
+            a, b = turn.numerator, turn.denominator
+            want = []
+            for k in range(n // 2 + 1):
+                r = k * a % b
+                want.append(cmath.exp(2j * math.pi * ((r - b if 2 * r > b else r) / b)))
+            err = max(err, float(np.abs(got[axis, i] - want).max()))
+        assert err <= 5e-14
+
+    def test_phases_do_not_depend_on_the_block(self):
+        # _evaluate cuts points into blocks of up to BLOCK_PAIRS // (n/2 + 1)
+        # points (63 at n = 512), and a query evaluates one point at a time:
+        # each point's phases must be the same bits in any block
+        n, box = 512, Box2(np.array([-1.3, -0.7]), np.array([2.1, 2.7]))
+        sf = SpectralField(box=box, n=n, half=np.zeros((n, n // 2 + 1), dtype=complex))
+        pts = box.min_corner + np.random.default_rng(512).uniform(0.0, 1.0, (200, 2)) * box.side
+        block = sf._phases(pts)
+        for i, p in enumerate(pts):
+            assert np.array_equal(sf._phases(p[None]), block[:, i:i + 1])
 
 
 class TestEndToEndResidual:

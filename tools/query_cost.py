@@ -1,4 +1,4 @@
-"""Time the single-point query path and its I0/I1 evaluation at revision REV and in the working tree.
+"""Time the single-point query path, u_p blocks and Bessel evaluation at revision REV and in the working tree.
 
     python tools/query_cost.py REV [--rounds 40] [--calls 200]
 
@@ -20,18 +20,22 @@ round and the case, so both sides see the same load. The cases:
   domain: SolutionField.evaluate and .gradient at one point, and per layer
   bkm.eval_homogeneous(_gradient) and particular.eval_particular(_gradient)
   at one point;
+- on the same two presets solved as the source_fine workload solves them
+  (knots 48, grid 512): particular.eval_particular on 63 seeded points inside
+  the domain (one block of u_p's evaluation at grid 512) and on 200 (four
+  blocks), so one run shows u_p's one-point and block costs side by side;
 - on `helmholtz_star` at knots 64 (no source, so u = u_h): evaluate and
   gradient together at one point, cycling over 50 seeded points, and
   evaluate on one batch of 1024 seeded points inside the domain.
 
-A batch is --calls calls (--calls // 16 + 1 at 16384 arguments, 1024 points
-or of the float loop, which counts as one call); its time is the mean per
-call. Per case the summary prints the median over rounds of REV's and the
-working tree's times in microseconds, the median over rounds of the ratio
-REV / tree of one round's two batches (above 1: the tree is faster) and the
-number of rounds in which the tree read lower. Not part of tier-1; load
-still moves every number, so judge a change by the ratio and the count, not
-by one side's times.
+A batch is --calls calls (--calls // 16 + 1 at 16384 arguments, at 63 or 200
+points at grid 512, at 1024 points or of the float loop, which counts as one
+call); its time is the mean per call. Per case the summary prints the median
+over rounds of REV's and the working tree's times in microseconds, the median
+over rounds of the ratio REV / tree of one round's two batches (above 1: the
+tree is faster) and the number of rounds in which the tree read lower. Not
+part of tier-1; load still moves every number, so judge a change by the ratio
+and the count, not by one side's times.
 """
 from __future__ import annotations
 
@@ -48,6 +52,7 @@ from pathlib import Path
 from parity import ROOT, extract_src
 
 SIZES = (1, 64, 16384)
+BLOCKS = (63, 200)
 PRESETS = ("convdiff_disc", "modhelm_source")
 
 
@@ -90,6 +95,11 @@ def cases(calls: int) -> dict:
                                ("particular", particular.eval_particular, p),
                                ("particular grad", particular.eval_particular_gradient, p)):
             out[f"{name} {layer}"] = (lambda i, fn=fn, sol=sol, xs=xs: fn(sol, xs[i % 50]), calls)
+        fine = pipeline.run_pipeline(pipeline.RunConfig(preset=name, knots=48, grid=512)).field
+        block = interior(name, 200)
+        for size in BLOCKS:
+            out[f"{name} particular P={size} n=512"] = (
+                lambda i, sf=fine.particular, x=block[:size]: particular.eval_particular(sf, x), few)
     field = pipeline.run_pipeline(pipeline.RunConfig(preset="helmholtz_star", knots=64)).field
     pts = [tuple(map(float, p)) for p in interior("helmholtz_star", 50)]
     out["helmholtz_star value+grad"] = (
@@ -161,12 +171,12 @@ def main(argv: list) -> int:
         finally:
             for w in workers.values():
                 w.close()
-    print(f"{'case':<34} {args.rev + ' us':>12} {'tree us':>10} {'ratio':>7} {'tree lower':>10}")
+    print(f"{'case':<38} {args.rev + ' us':>12} {'tree us':>10} {'ratio':>7} {'tree lower':>10}")
     for name, got in times.items():
         old, new = (statistics.median(got[side]) for side in ("rev", "tree"))
         ratio = statistics.median(a / b for a, b in zip(got["rev"], got["tree"]))
         lower = sum(b < a for a, b in zip(got["rev"], got["tree"]))
-        print(f"{name:<34} {old * 1e6:12.1f} {new * 1e6:10.1f} {ratio:7.2f} "
+        print(f"{name:<38} {old * 1e6:12.1f} {new * 1e6:10.1f} {ratio:7.2f} "
               f"{lower:>5}/{args.rounds}")
     return 0
 
