@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
 
 from .errors import ConfigurationError
 
-_BOX_SAMPLES = 1024  # parameter samples used by bounding_box
+_BOX_SAMPLES = 1024  # parameter samples of the outline (bounding_box, max_radius)
 
 # Batched evaluations at many points work through blocks of at most this
 # many (point, basis function) pairs, which bounds their temporary memory.
@@ -132,18 +133,30 @@ class StarDomain:
         return stack_xy(self.center[0] + r * np.cos(t), self.center[1] + r * np.sin(t))
 
     def outward_normal(self, t):
-        """Unit outward normal at gamma(t), vectorized over t: the curve
-        tangent (counterclockwise parametrization) rotated by -90 degrees."""
+        """Unit outward normal at gamma(t), vectorized over t."""
+        return self.point_and_normal(t)[1]
+
+    def point_and_normal(self, t):
+        """gamma(t) and its unit outward normal, vectorized over t, from one
+        evaluation of rho, rho', cos t and sin t; the points are
+        boundary_point's. The normal is the curve tangent (counterclockwise
+        parametrization) rotated by -90 degrees."""
         t = np.asarray(t, dtype=float)
-        r = self.rho(t)
-        dr = self.rho_deriv(t)
+        r, dr, cos, sin = self.rho(t), self.rho_deriv(t), np.cos(t), np.sin(t)
         # gamma'(t) = rho'(cos,sin) + rho(-sin,cos)
-        tx = dr * np.cos(t) - r * np.sin(t)
-        ty = dr * np.sin(t) + r * np.cos(t)
+        tx = dr * cos - r * sin
+        ty = dr * sin + r * cos
         norm = np.hypot(tx, ty)
-        return np.stack([ty / norm, -tx / norm], axis=-1)
+        return (stack_xy(self.center[0] + r * cos, self.center[1] + r * sin),
+                stack_xy(ty / norm, -tx / norm))
 
     def max_radius(self) -> float:
+        """Largest rho over 1024 uniform parameters (the outline), computed
+        once per domain."""
+        return self._outline_radius
+
+    @cached_property
+    def _outline_radius(self) -> float:
         t = np.linspace(0.0, 2.0 * np.pi, _BOX_SAMPLES, endpoint=False)
         return float(np.max(self.rho(t)))
 
@@ -194,8 +207,7 @@ def boundary_nodes(domain: StarDomain, n: int) -> BoundaryKnots:
     if n < 1:
         raise ConfigurationError(f"need at least one boundary node, got {n}")
     t = 2.0 * np.pi * np.arange(n) / n
-    return BoundaryKnots(param=t, points=domain.boundary_point(t),
-                         normals=domain.outward_normal(t))
+    return BoundaryKnots(t, *domain.point_and_normal(t))
 
 
 def bounding_box(domain: StarDomain, margin_fraction: float) -> Box2:

@@ -205,8 +205,9 @@ def run_pipeline(config: RunConfig) -> RunResult:
 
 
 def _boundary_data(problem: ProblemPreset, sf: Optional[SpectralField],
-                   pts: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Data left for u_h at boundary points (P, 2) with outward normals:
+                   pts: np.ndarray, normals: Optional[np.ndarray]) -> np.ndarray:
+    """Data left for u_h at boundary points (P, 2) with outward normals (which
+    only Neumann data reads; Dirichlet data may pass None):
     u* - u_p (Dirichlet) or n.grad(u* - u_p) (Neumann). Without an exact
     solution u* is taken as 1 (Dirichlet) or zero-flux (Neumann)."""
     x1, x2 = pts[:, 0], pts[:, 1]
@@ -255,13 +256,13 @@ def boundary_residual(result: RunResult, samples_per_knot: int = 4) -> float:
     problem = result.problem
     n = result.config.knots * samples_per_knot
     t = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-    pts = problem.domain.boundary_point(t)
-    normals = problem.domain.outward_normal(t)
-    data = _boundary_data(problem, None, pts, normals)
     if problem.bc_kind == "dirichlet":
+        pts, normals = problem.domain.boundary_point(t), None
         got = result.field.evaluate(pts[:, 0], pts[:, 1])
     else:
+        pts, normals = problem.domain.point_and_normal(t)
         got = np.einsum("pk,pk->p", normals, result.field.gradient(pts[:, 0], pts[:, 1]))
+    data = _boundary_data(problem, None, pts, normals)
     return float(np.max(np.abs(got - data)))
 
 
@@ -274,12 +275,12 @@ def convergence_study(config: RunConfig,
                       knot_counts: Sequence[int]) -> List[ConvergenceRow]:
     if list(knot_counts) != sorted(set(knot_counts)):
         raise ConfigurationError("knot counts must be strictly increasing")
+    points = evaluation_points(config)  # depends on the domain and rings, not on N
     rows = []
     for n_knots in knot_counts:
         cfg = replace(config, knots=int(n_knots))
         try:
             result = run_pipeline(cfg)
-            points = evaluation_points(cfg)
             if result.problem.exact is not None:
                 max_err, rms_err = error_metrics(result.field.evaluate,
                                                  result.problem.exact, points)

@@ -123,8 +123,9 @@ def _i_form(nu: int, x, asymptotic: bool):
 
 
 def _bessel(name: str, nu: int, x, modified: bool):
-    """J_nu or (modified) I_nu on a float or an array. A float runs each form on
-    Python floats, an array on whole arrays, with the same operations."""
+    """J_nu or (modified) I_nu on a float or an array. A float or a one-element
+    array runs each form on Python floats, a larger array on whole arrays, with
+    the same operations."""
     switch, limit, form = (I_SWITCH, I_OVERFLOW_LIMIT, _i_form) if modified else (
         J_SWITCH, math.inf, lambda n, y, big: (_asymptotic if big else _series_bessel)(n, y))
     a = np.asarray(x, dtype=float)
@@ -134,8 +135,9 @@ def _bessel(name: str, nu: int, x, modified: bool):
         raise DomainError(f"{name} is defined for finite x >= 0, got {lo if not lo >= 0.0 else hi}")
     if hi > limit:
         raise KernelOverflowError(f"{name} overflows double precision for x > {limit}, got {hi}")
-    if a.ndim == 0:
-        return float(form(nu, lo, lo >= switch))
+    if a.size == 1:  # the float loop: an array's costs a dozen numpy calls per step
+        value = float(form(nu, lo, lo >= switch))
+        return value if a.ndim == 0 else np.full(a.shape, value)
     if hi < switch or lo >= switch:
         return form(nu, flat, lo >= switch).reshape(a.shape)
     out, small = np.empty_like(flat), flat < switch

@@ -176,6 +176,23 @@ class TestRunPipeline:
                                    evaluation_points(cfg))
         assert max_err <= NEUMANN_MAX_ERR[name]
 
+    @pytest.mark.parametrize("name", ["helmholtz_star", "modhelm_source"])
+    def test_neumann_boundary_residual(self, monkeypatch, name):
+        # the residual is n.grad(u - u*) at the 4N off-knot parameters, with the
+        # normals of outward_normal: Dirichlet data reads no normals, Neumann data must
+        preset = dataclasses.replace(get_preset(name), bc_kind="neumann")
+        monkeypatch.setattr(quasirbf.pipeline, "get_preset", lambda _: preset)
+        result = run_pipeline(RunConfig(preset=name, knots=24))
+        n = 4 * 24
+        t = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+        x1, x2 = preset.domain.boundary_point(t).T
+        normals = preset.domain.outward_normal(t)
+        got = np.einsum("pk,pk->p", normals, result.field.gradient(x1, x2))
+        want = np.einsum("pk,pk->p", normals, preset.exact_gradient(x1, x2))
+        residual = boundary_residual(result)
+        assert residual == float(np.max(np.abs(got - want)))
+        assert 0.0 < residual < 1e-3
+
 
 class TestMetrics:
     def test_error_metrics_exact_match(self):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,48 @@ class TestBoundaryNodes:
     def test_zero_nodes_rejected(self):
         with pytest.raises(ConfigurationError):
             boundary_nodes(UNIT_DISC, 0)
+
+
+OFF_CENTRE = [StarDomain(Circle(0.7), center=(1.5, -0.3)),
+              StarDomain(Ellipse(2.0, 1.0), center=(-0.4, 0.9)),
+              StarDomain(Star(base=2.0, amplitude=0.5, lobes=3), center=(0.1, 0.2))]
+
+
+class TestOnePassTrace:
+    @pytest.mark.parametrize("domain", OFF_CENTRE)
+    def test_point_and_normal_bits(self, domain):
+        # at the 4N off-knot parameters of the boundary residual: the points are
+        # boundary_point's, the normals those of the tangent rotated by -90 degrees
+        n = 4 * 13
+        t = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+        pts, normals = domain.point_and_normal(t)
+        r, dr = domain.rho(t), domain.rho_deriv(t)
+        tx = dr * np.cos(t) - r * np.sin(t)
+        ty = dr * np.sin(t) + r * np.cos(t)
+        norm = np.hypot(tx, ty)
+        want = np.stack([ty / norm, -tx / norm], axis=-1)
+        assert pts.tobytes() == domain.boundary_point(t).tobytes()
+        assert normals.tobytes() == want.tobytes()
+        assert domain.outward_normal(t).tobytes() == want.tobytes()
+        assert pts.shape == normals.shape == (n, 2)
+
+    @pytest.mark.parametrize("domain", OFF_CENTRE)
+    def test_boundary_nodes_fields(self, domain):
+        knots = boundary_nodes(domain, 13)
+        assert knots.points.tobytes() == domain.boundary_point(knots.param).tobytes()
+        assert knots.normals.tobytes() == domain.outward_normal(knots.param).tobytes()
+
+    @pytest.mark.parametrize("domain", OFF_CENTRE)
+    def test_outline_radius_computed_once(self, domain, monkeypatch):
+        domain = dataclasses.replace(domain)  # a fresh object: nothing cached yet
+        calls = []
+        rho = StarDomain.rho
+        monkeypatch.setattr(StarDomain, "rho", lambda self, t: calls.append(1) or rho(self, t))
+        first = domain.max_radius()
+        assert domain.max_radius() == first and len(calls) == 1
+        t = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
+        assert first == float(np.max(domain.shape.rho(t)))
+        assert isinstance(first, float)
 
 
 class TestBoundingBox:

@@ -7,8 +7,8 @@ import pytest
 
 from quasirbf.errors import DomainError
 from quasirbf.geometry import BLOCK_PAIRS
-from quasirbf.specfun import (I_SWITCH, _I_SERIES, _orders_table, bessel_i0, bessel_i0_i1,
-                              bessel_i1, bessel_j0, bessel_j1, bessel_orders)
+from quasirbf.specfun import (I_SWITCH, J_SWITCH, _I_SERIES, _orders_table, bessel_i0,
+                              bessel_i0_i1, bessel_i1, bessel_j0, bessel_j1, bessel_orders)
 
 from oracles import (_decimal_series, j0_first_zero, oracle_i0, oracle_i1,
                      oracle_j0, oracle_j1)
@@ -180,6 +180,18 @@ class TestArrays:
         assert np.array_equal(got.ravel(), fn(xs.ravel()))
         assert fn(np.empty((0, 2))).shape == (0, 2)
         assert isinstance(fn(1.5), float)
+
+    @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1, bessel_i0, bessel_i1])
+    @pytest.mark.parametrize("shape", [(1,), (1, 1)])
+    def test_one_element_array_takes_the_float_loop(self, fn, shape):
+        # on both sides of each switch: an array of the input's shape, with the
+        # bits of the float call and of the same argument in a longer array
+        for x in (np.nextafter(J_SWITCH, 0.0), J_SWITCH, np.nextafter(I_SWITCH, 0.0), I_SWITCH,
+                  0.0, 3.0, 40.0):
+            got = fn(np.full(shape, x))
+            assert isinstance(got, np.ndarray) and got.shape == shape
+            assert got.tobytes() == np.float64(fn(float(x))).tobytes()
+            assert got.tobytes() == fn(np.array([x, 1.0]))[:1].tobytes()
 
     @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1, bessel_i0, bessel_i1])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])

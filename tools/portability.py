@@ -9,14 +9,17 @@ from the repository root, with src/ first on PYTHONPATH) once per setting:
   OpenBLAS built with DYNAMIC_ARCH run that core's kernels;
 - NPY_DISABLE_CPU_FEATURES naming every runtime dispatch target of numpy
   above its compiled baseline (AVX2 and AVX-512 on x86-64), so numpy runs its
-  baseline kernels.
+  baseline kernels;
+- OPENBLAS_NUM_THREADS=1, so every BLAS call runs on one thread (its
+  blocking, and so the last bits of a product, can differ from a threaded
+  run's).
 
 Before each run, a short subprocess checks that the setting took effect
-(OpenBLAS reports that core; numpy reports those targets off); a setting that
-did not prints SKIP with what the subprocess printed. Prints one PASS, FAIL or
-SKIP line per setting, with pytest's summary line (and its FAILED/ERROR
-lines), and exits 1 if any run fails. This is not part of tier-1: each setting
-is a whole tier-1 run.
+(OpenBLAS reports that core, or one thread; numpy reports those targets off);
+a setting that did not prints SKIP with what the subprocess printed. Prints
+one PASS, FAIL or SKIP line per setting, with pytest's summary line (and its
+FAILED/ERROR lines), and exits 1 if any run fails. This is not part of
+tier-1: each setting is a whole tier-1 run.
 """
 from __future__ import annotations
 
@@ -29,10 +32,26 @@ from numpy._core import _multiarray_umath
 
 ROOT = Path(__file__).resolve().parents[1]
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
-# prints OpenBLAS's "Core: ..." line (with OPENBLAS_VERBOSE=2) and the list of
-# numpy's dispatch targets that are enabled
-PROBE = ("from numpy._core import _multiarray_umath as m; "
-         "print([t for t in m.__cpu_dispatch__ if m.__cpu_features__.get(t)])")
+# prints OpenBLAS's "Core: ..." line (with OPENBLAS_VERBOSE=2), the list of numpy's
+# dispatch targets that are enabled, and the thread count the loaded OpenBLAS reports
+PROBE = """
+import ctypes, glob, os
+import numpy as np
+from numpy._core import _multiarray_umath as m
+print([t for t in m.__cpu_dispatch__ if m.__cpu_features__.get(t)])
+for lib in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
+    try:
+        handle = ctypes.CDLL(lib)
+    except OSError:
+        continue
+    for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                "openblas_get_num_threads"):
+        fn = getattr(handle, sym, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_int
+            print(f"OpenBLAS threads: {fn()}")
+            break
+"""
 
 
 def settings():
@@ -41,6 +60,7 @@ def settings():
         yield f"OPENBLAS_CORETYPE={core}", {"OPENBLAS_CORETYPE": core}, f"Core: {core}\n"
     targets = " ".join(_multiarray_umath.__cpu_dispatch__)
     yield f"NPY_DISABLE_CPU_FEATURES={targets!r}", {"NPY_DISABLE_CPU_FEATURES": targets}, "[]\n"
+    yield "OPENBLAS_NUM_THREADS=1", {"OPENBLAS_NUM_THREADS": "1"}, "OpenBLAS threads: 1\n"
 
 
 def main(argv: list) -> int:
