@@ -7,11 +7,11 @@ uses the circular-harmonic (Trefftz) basis
 
     { 1, (rho/R)^m cos(m theta), (rho/R)^m sin(m theta) },  m = 1..order,
 
-about a given center with scale R, every member of which is harmonic.
-assemble alone makes that choice and builds its matrix from _terms: kernel
-columns from operators' kernel, harmonic column j as the expansion below of
-the unit coefficients e_j, so the harmonics and their gradient ladder are
-written once, for assembly and evaluation alike.
+about a given center with scale R, every member of which is harmonic. assemble alone makes
+that choice. Every collocation matrix, kernel or harmonic, Dirichlet or Neumann, is the
+expansion below of the identity's coefficients at the knots (column j: the basis member of
+unit coefficient e_j), of rank at most 2M + 1, or 2(2M + 3) for Neumann, up to rounding; so
+the basis and its gradient ladder are written once, for assembly and evaluation alike.
 
 Evaluation sums no kernels: u_h = e^{-a.(x - o)} Re sum_{m <= M} b_m Z_m(mu r) e^{i m theta}
 about the centres' centroid o, b from Graf's addition theorem (the harmonics: mu = 2 / R,
@@ -30,7 +30,7 @@ solve that inverts a singular value at or below s_max eps N emits a
 RankDeficientWarning (LU below full rank, TSVD with too small a cutoff).
 assemble caches each geometry's matrix (read-only) and its singular values,
 keyed on exactly what the matrix depends on: a repeated solve with new data
-skips the N^2 kernel evaluations and the O(N^3) decomposition.
+skips the expansion and the O(N^3) decomposition.
 """
 from __future__ import annotations
 
@@ -45,9 +45,10 @@ import numpy as np
 from .errors import (ConfigurationError, KernelOverflowError, RankDeficientWarning,
                      SingularMatrixError, UnsupportedOperatorError)
 from .geometry import BoundaryKnots, point_blocks
+# kernel_value / kernel_gradient go unused here: perfbench/tracing.py patches them on bkm
 from .operators import OperatorSpec, Poisson, kernel_gradient, kernel_value
 from .particular import _read_only
-from .specfun import bessel_orders
+from .specfun import bessel_i0, bessel_orders
 
 DEFAULT_TSVD_CUTOFF = 1e-12
 
@@ -130,7 +131,7 @@ class SolveDiagnostics:
 
 
 @dataclass(frozen=True)
-class _Expansion:  # u_h = e^{-drift.(x - center)} Re sum b_m Z_m(mu r) e^{i m theta}
+class _Expansion:  # u_h = 2^shift e^{-drift.(x - center)} Re sum b_m Z_m(mu r) e^{i m theta}
     """Real maps, each built on first use, from phi_j = Z_j e^{i j theta} as floats to u (values,
     j <= M) and to (d_x u, d_y u) (gradients, j <= M + 1) per solution: rows [Re w_j, -Im w_j] for
     the terms Re phi_j w_j, w = b, or mu (dn + up) / 2 and i mu (dn - up) / 2 less drift u by the
@@ -142,6 +143,7 @@ class _Expansion:  # u_h = e^{-drift.(x - center)} Re sum b_m Z_m(mu r) e^{i m t
     drift: Optional[np.ndarray]  # v / 2D, None for v = 0
     radius: float  # the centres' largest distance from center
     b: np.ndarray  # (M + 1,) + K, M = orders
+    shift: int = 0  # b holds b / 2^shift (exact), below 2^64, so I's phi @ b overflows late
     orders = property(lambda self: len(self.b) - 1)
     values = cached_property(lambda s: np.stack([s.b.real, -s.b.imag], 1).reshape(2 * len(s.b), -1))
 
@@ -160,7 +162,7 @@ class _Expansion:  # u_h = e^{-drift.(x - center)} Re sum b_m Z_m(mu r) e^{i m t
 @dataclass(frozen=True)
 class HomogeneousSolution:
     mode: Mode
-    coefficients: np.ndarray  # (width,); the harmonics also take (width, K), K solutions
+    coefficients: np.ndarray  # (width,) or (width, K), K solutions
     centers: np.ndarray  # (N, 2) centre positions
     expansion = cached_property(lambda self: _expand(self))  # built once: keep the arrays fixed
 
@@ -181,18 +183,11 @@ def _expand(sol: HomogeneousSolution, reach: float = 0.0) -> _Expansion:
     while near * min(far, 1e300 if sign > 0 else 1.0) > 1e-17 * math.exp(-growth / (orders + 1)):
         orders += 1
         near, far = near * hp / orders, far * hr / orders
-    b = (c * np.exp(d @ drift) @ bessel_orders(k.mu * d.view(complex)[:, 0], orders, sign)).conj()
-    b[1:] *= 2.0 * (-sign) ** np.arange(1, orders + 1)  # eps_m sigma_m
-    return _Expansion(center, k.mu, sign, drift if k.drift else None, rho, b)
-
-
-def _terms(basis: Union[KernelMode, HomogeneousSolution], centers: np.ndarray, x: np.ndarray,
-           gradient: bool) -> np.ndarray:
-    """Basis values (P, M) or gradients (P, M, 2) at points x (P, 2): the kernel about each of
-    the M centres, or the M circular harmonics (basis: their solution for the identity)."""
-    if isinstance(basis, HomogeneousSolution):
-        return _evaluate(basis, x, gradient)
-    return (kernel_gradient if gradient else kernel_value)(basis.op, x[:, None] - centers)
+    eps = np.append(1.0, 2.0 * (-sign) ** np.arange(1, orders + 1))  # eps_m sigma_m
+    z = bessel_orders(k.mu * d.view(complex)[:, 0], orders, sign).view(np.float64)
+    b = (((c.T * np.exp(d @ drift)) @ z).view(complex) * eps).T.conj()  # one real GEMM
+    shift = max(0, math.frexp(float(np.abs(b).max()))[1] - 64)  # I at large mu rho only
+    return _Expansion(center, k.mu, sign, drift if k.drift else None, rho, b * 2.0 ** -shift, shift)
 
 
 def assemble(op: OperatorSpec, knots: BoundaryKnots, bc_kind: str, data,
@@ -202,7 +197,9 @@ def assemble(op: OperatorSpec, knots: BoundaryKnots, bc_kind: str, data,
     bc_kind ("dirichlet" or "neumann") applies to every row: row i
     collocates u_h or n_i . grad u_h at knot i against data[i]. Poisson
     takes the basis `trefftz`, every other operator its kernel about each
-    knot; the system is N x (2 order + 1) or N x N."""
+    knot; the system is N x (2 order + 1) or N x N, one expansion of the
+    identity evaluated at the knots. I0 of mu times the knots' largest
+    distance raises KernelOverflowError past double precision."""
     n = len(knots)
     if bc_kind not in ("dirichlet", "neumann"):
         raise ConfigurationError(f"bc_kind must be 'dirichlet' or 'neumann', got {bc_kind!r}")
@@ -224,12 +221,11 @@ def assemble(op: OperatorSpec, knots: BoundaryKnots, bc_kind: str, data,
     pos, normals = knots.points, knots.normals
 
     def build():
-        matrix = np.empty((n, width))
-        terms = HomogeneousSolution(mode, np.eye(width), pos) if basis else mode  # I, expanded once
-        for blk in point_blocks(pos, width)[1]:
-            t = _terms(terms, pos, pos[blk], neumann)
-            matrix[blk] = np.einsum("pjk,pk->pj", t, normals[blk]) if neumann else t
-        return _read_only(matrix)[0]
+        if (k := op.coefficients).mu2 > 0.0:  # I0 of the largest kernel argument
+            x, y = pos.T
+            bessel_i0(k.mu * float(np.hypot(x[:, None] - x, y[:, None] - y).max()))
+        t = _evaluate(HomogeneousSolution(mode, np.eye(width), pos), pos, neumann)
+        return _read_only(np.einsum("pjk,pk->pj", t, normals) if neumann else t)[0]
 
     key = (tuple(np.hstack(op.coefficients[:3])), neumann, basis,  # (D, v, c)
            *(np.asarray(a, float).tobytes() for a in (pos, normals)))
@@ -300,6 +296,8 @@ def _evaluate(sol: HomogeneousSolution, x, gradient: bool) -> np.ndarray:
             u = np.matmul(phi, f.gradients if gradient else f.values, out=out[blk])
             if f.drift is not None:
                 u *= np.exp(-(d @ f.drift))[:, None]
+            if f.shift:
+                np.ldexp(u, f.shift, out=u)
     if not np.isfinite(out).all():
         raise KernelOverflowError(f"u_h's expansion about {e.center} overflows double precision")
     return out.reshape(shape + sol.coefficients.shape[1:] + ((2,) if gradient else ()))

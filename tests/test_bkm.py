@@ -16,8 +16,8 @@ from quasirbf.errors import (ConfigurationError, KernelOverflowError, RankDefici
                              SingularMatrixError)
 from quasirbf.geometry import (BoundaryKnots, Circle, Star, StarDomain,
                                boundary_nodes, interior_eval_points)
-from quasirbf.operators import (ConvectionDiffusion, Helmholtz,
-                                ModifiedHelmholtz, Poisson, kernel_value)
+from quasirbf.operators import (ConvectionDiffusion, Helmholtz, ModifiedHelmholtz,
+                                Poisson, kernel_gradient, kernel_value)
 from quasirbf.presets import get_preset
 from quasirbf.specfun import bessel_orders
 
@@ -51,12 +51,18 @@ class TestAssemble:
 
     @pytest.mark.parametrize("bc_kind", ["dirichlet", "neumann"])
     def test_poisson_assembly_expands_the_identity_once(self, monkeypatch, bc_kind):
-        # knots 400 at order 180 is 9 blocks of 45 knots; each used to expand I afresh
+        # knots 400 at order 180 is 9 blocks of 45 knots; each used to expand I afresh.
+        # The kernel operators' matrices are the same identity's expansion, built once.
         calls, expand = [], bkm._expand
         monkeypatch.setattr(bkm, "_expand", lambda *a: calls.append(a) or expand(*a))
-        bkm._cached_factor.cache_clear()
-        assemble(Poisson(), boundary_nodes(UNIT_DISC, 400), bc_kind, np.zeros(400), _trefftz(180))
-        assert len(calls) == 1
+        knots = boundary_nodes(UNIT_DISC, 400)
+        for op, trefftz in ((Poisson(), _trefftz(180)), (Helmholtz(2.0), None),
+                            (ModifiedHelmholtz(1.0), None),
+                            (ConvectionDiffusion(1.0, (2.0, 0.0), 1.0), None)):
+            calls.clear()
+            bkm._cached_factor.cache_clear()
+            assemble(op, knots, bc_kind, np.zeros(400), trefftz)
+            assert len(calls) == 1, op
 
     def test_trefftz_constant_column(self):
         nodes = boundary_nodes(UNIT_DISC, 9)
@@ -104,11 +110,11 @@ class TestAssemble:
 
 
 def _harmonics_at(order: int, center, scale: float, x1, x2, gradient: bool) -> np.ndarray:
-    """bkm._terms of the harmonics at one point (x1, x2): values (2 order + 1,) or
-    gradients (2 order + 1, 2)."""
+    """The harmonics at one point (x1, x2), as bkm._evaluate gives their solution for the
+    identity: values (2 order + 1,) or gradients (2 order + 1, 2)."""
     mode = TrefftzMode(order, np.asarray(center, float), scale)
     basis = HomogeneousSolution(mode, np.eye(2 * order + 1), np.empty((0, 2)))
-    return bkm._terms(basis, np.empty((0, 2)), np.array([[x1, x2]], float), gradient)[0]
+    return bkm._evaluate(basis, np.array([[x1, x2]], float), gradient)[0]
 
 
 class TestTrefftzTerms:
@@ -492,7 +498,7 @@ TREFFTZ_ORDERS = {"poisson star": 8, "poisson disc order 180": 180}  # past 171!
 @pytest.mark.parametrize("case", EXPANSION_CASES)
 def test_expansion_matches_the_direct_sum(case):
     """u_h and grad u_h from the expansion against the sum of c_j times each basis term
-    (the kernel about each centre, _terms, or oracle_harmonics' numpy powers), point by
+    (operators' kernel about each centre, or oracle_harmonics' numpy powers), point by
     point, within BATCH_TOL of the terms' magnitudes, for seeded random coefficients (a
     solve's smooth data would leave the high orders nearly empty). The points, all in one
     call: interior points, off-knot boundary points, one point at three times the knots'
@@ -503,9 +509,10 @@ def test_expansion_matches_the_direct_sum(case):
     The direct sum's J0 / J1 carry up to 1e-12 absolute error (criterion 02), about
     BATCH_TOL of the terms at mu r up to 40, so for Helmholtz the bound adds
     1e-12 sum |c_j| (times mu for the gradient).
-    Poisson's cases also check its Dirichlet and Neumann collocation matrices, which
-    assemble builds with the same evaluator, against the oracle at the knots, column by
-    column within BATCH_TOL of the column's largest entry."""
+    Every case also checks its Dirichlet and Neumann collocation matrices, which assemble
+    builds with the same evaluator, against the same reference at the knots, column by
+    column within BATCH_TOL of the column's largest entry (plus, for Helmholtz, the J
+    error of one unit coefficient)."""
     op, domain, n = EXPANSION_CASES[case]
     knots = boundary_nodes(domain, n) if n > 1 else ONE_KNOT
     mode = TrefftzMode(TREFFTZ_ORDERS[case], domain.center, domain.max_radius()) \
@@ -519,24 +526,29 @@ def test_expansion_matches_the_direct_sum(case):
     far = [3.0] if op.coefficients.drift else [3.0, 10.0]
     pts = np.vstack([interior_eval_points(domain, 4, 50), domain.boundary_point(t)]
                     + [center + f * radius * np.array([math.cos(1.0), math.sin(1.0)]) for f in far])
-    if isinstance(mode, TrefftzMode):
-        values, grads = oracle_harmonics(mode.order, mode.center, mode.scale, pts)
-        values, grads = values * coeffs, grads * coeffs[:, None]
-    else:
-        values = bkm._terms(mode, knots.points, pts, False) * coeffs
-        grads = bkm._terms(mode, knots.points, pts, True) * coeffs[:, None]
-    j_error = 1e-12 * np.abs(coeffs).sum() if isinstance(op, Helmholtz) else 0.0
-    bound_v = BATCH_TOL * np.abs(values).sum(axis=1) + j_error
-    bound_g = BATCH_TOL * np.abs(grads).sum(axis=1).max(axis=1) + j_error * op.coefficients.mu
+
+    def terms(x):  # each basis member's values (P, width) and gradients (P, width, 2) at x
+        if isinstance(mode, TrefftzMode):
+            return oracle_harmonics(mode.order, mode.center, mode.scale, x)
+        d = x[:, None] - knots.points
+        return kernel_value(op, d), kernel_gradient(op, d)
+
+    values, grads = terms(pts)
+    values, grads = values * coeffs, grads * coeffs[:, None]
+    j_error = 1e-12 if isinstance(op, Helmholtz) else 0.0  # per unit coefficient
+    bound_v = BATCH_TOL * np.abs(values).sum(axis=1) + j_error * np.abs(coeffs).sum()
+    bound_g = (BATCH_TOL * np.abs(grads).sum(axis=1).max(axis=1)
+               + j_error * np.abs(coeffs).sum() * op.coefficients.mu)
     assert np.all(np.abs(eval_homogeneous(sol, pts) - values.sum(axis=1)) <= bound_v)
     assert np.all(np.abs(eval_homogeneous_gradient(sol, pts) - grads.sum(axis=1)).max(axis=1)
                   <= bound_g)
-    if isinstance(mode, TrefftzMode):  # Poisson's collocation matrices: the same evaluator
-        values, grads = oracle_harmonics(mode.order, mode.center, mode.scale, knots.points)
-        for kind, want in (("dirichlet", values),
-                           ("neumann", np.einsum("pjk,pk->pj", grads, knots.normals))):
-            got = assemble(op, knots, kind, np.zeros(n), mode).matrix
-            assert np.all(np.abs(got - want) <= BATCH_TOL * np.abs(want).max(axis=0)), kind
+    values, grads = terms(knots.points)  # the collocation matrices: the same evaluator
+    trefftz = mode if isinstance(mode, TrefftzMode) else None
+    for kind, want, j in (("dirichlet", values, j_error),
+                          ("neumann", np.einsum("pjk,pk->pj", grads, knots.normals),
+                           j_error * op.coefficients.mu)):
+        got = assemble(op, knots, kind, np.zeros(n), trefftz).matrix
+        assert np.all(np.abs(got - want) <= BATCH_TOL * np.abs(want).max(axis=0) + j), kind
 
 
 def _complex_ladder(phi, b, e):

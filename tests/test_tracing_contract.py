@@ -41,9 +41,9 @@ def test_instrument_then_restore(tracing):
 
 
 def test_patched_names_are_the_ones_called(tmp_path, tracing):
-    """One traced `quasirbf solve` reaches every hot layer the tracer names. Only
-    assembly calls bessel_i0 and kernel_value, so the factor cache starts cold, and
-    only a miss of u_p's cache calls extend_source and solve_particular."""
+    """One traced `quasirbf solve` reaches every hot layer the tracer names. Only a
+    miss of u_p's cache calls extend_source and solve_particular, so both caches
+    start cold."""
     bkm._cached_factor.cache_clear()
     pipeline._cached_particular.cache_clear()
     config = tmp_path / "cfg.json"
@@ -58,8 +58,7 @@ def test_patched_names_are_the_ones_called(tmp_path, tracing):
         tracer.restore()
     assert code == cli.EXIT_OK
     calls = {name: stat[0] for name, stat in tracer.stats.items()}
-    for name in ("specfun.bessel_i0", "operators.kernel_value",
-                 "operators.apply_operator_fd",
+    for name in ("operators.apply_operator_fd",
                  "particular.extend_source", "particular.solve_particular",
                  "particular.eval_particular", "bkm.assemble", "bkm.solve_dense",
                  "bkm.eval_homogeneous", "pipeline.run_pipeline",
@@ -69,21 +68,17 @@ def test_patched_names_are_the_ones_called(tmp_path, tracing):
         assert calls.get(name, 0) > 0, name
 
 
-@pytest.mark.parametrize("operator, names", [
-    ({"type": "helmholtz", "k": 2.0}, ("specfun.bessel_j0", "specfun.bessel_j1")),
-    ({"type": "modified_helmholtz", "k": 1.0}, ("specfun.bessel_i0", "specfun.bessel_i1")),
-    ({"type": "convection_diffusion", "diffusivity": 1.0, "velocity": [2.0, 0.0], "reaction": 1.0},
-     ("specfun.bessel_i0", "specfun.bessel_i1")),
+@pytest.mark.parametrize("operator", [
+    {"type": "helmholtz", "k": 2.0},
+    {"type": "modified_helmholtz", "k": 1.0},
+    {"type": "convection_diffusion", "diffusivity": 1.0, "velocity": [2.0, 0.0], "reaction": 1.0},
 ], ids=["helmholtz", "modified_helmholtz", "convection_diffusion"])
-def test_patched_bessel_names_are_the_ones_called(tmp_path, tracing, operator, names):
-    """Assembly reaches the kernel's Z0 through kernel_value in a Dirichlet solve
-    and its gradient's Z1 through kernel_gradient in a Neumann solve, each through
-    the name the tracer patches in the operators module (u_h's evaluation runs on
-    specfun.bessel_orders instead). The factor cache starts cold, so both solves
-    assemble whatever ran before."""
+def test_patched_bessel_names_are_the_ones_called(tmp_path, tracing, operator):
+    """No pipeline path sums kernels: a cold Dirichlet and a cold Neumann solve of each
+    kernel operator assemble from u_h's expansion, and neither calls the kernel names
+    the tracer patches on bkm. The factor cache starts cold, so both solves assemble."""
     bkm._cached_factor.cache_clear()
-    for bc_kind, z_name, kernel_name in (("dirichlet", names[0], "operators.kernel_value"),
-                                         ("neumann", names[1], "operators.kernel_gradient")):
+    for bc_kind in ("dirichlet", "neumann"):
         config = tmp_path / f"{bc_kind}.json"
         config.write_text(json.dumps({"problem": {
             "operator": operator, "domain": {"type": "circle", "radius": 1.0},
@@ -98,5 +93,6 @@ def test_patched_bessel_names_are_the_ones_called(tmp_path, tracing, operator, n
             tracer.restore()
         assert code == cli.EXIT_OK, bc_kind
         calls = {name: stat[0] for name, stat in tracer.stats.items()}
-        for name in (z_name, kernel_name):
-            assert calls.get(name, 0) > 0, (bc_kind, name)
+        assert calls.get("bkm.assemble", 0) > 0, bc_kind
+        for name in ("operators.kernel_value", "operators.kernel_gradient"):
+            assert calls.get(name, 0) == 0, (bc_kind, name)

@@ -26,14 +26,18 @@ round and the case, so both sides see the same load. The cases:
   blocks), so one run shows u_p's one-point and block costs side by side;
 - on `helmholtz_star` at knots 64 (no source, so u = u_h): evaluate and
   gradient together at one point, cycling over 50 seeded points, and
-  evaluate on one batch of 1024 seeded points inside the domain.
+  evaluate on one batch of 1024 seeded points inside the domain;
+- cold assembly of `helmholtz_star` and `convdiff_disc` at knots 256, Dirichlet
+  and Neumann: bkm.assemble right after bkm._cached_factor.cache_clear(), so
+  every call builds its collocation matrix.
 
 A batch is --calls calls (--calls // 16 + 1 at 16384 arguments, at 63 or 200
-points at grid 512, at 1024 points or of the float loop, which counts as one
-call); its time is the mean per call. Per case the summary prints the median
-over rounds of REV's and the working tree's times in microseconds, the median
-over rounds of the ratio REV / tree of one round's two batches (above 1: the
-tree is faster) and the number of rounds in which the tree read lower. Not
+points at grid 512, at 1024 points, of a cold assembly or of the float loop,
+which counts as one call); its time is the mean per call. Per case the
+summary prints the median over rounds of REV's and the working tree's times
+in microseconds, the median over rounds of the ratio REV / tree of one
+round's two batches (above 1: the tree is faster) and the number of rounds in
+which the tree read lower. Not
 part of tier-1; load still moves every number, so judge a change by the ratio
 and the count, not by one side's times.
 """
@@ -61,7 +65,7 @@ def cases(calls: int) -> dict:
     import numpy as np
 
     from quasirbf import bkm, particular, pipeline, specfun
-    from quasirbf.geometry import stack_xy
+    from quasirbf.geometry import boundary_nodes, stack_xy
     from quasirbf.presets import get_preset
 
     rng = np.random.default_rng(2026)
@@ -106,6 +110,17 @@ def cases(calls: int) -> dict:
         lambda i: (field.evaluate(*pts[i % 50]), field.gradient(*pts[i % 50])), calls)
     batch = interior("helmholtz_star", 1024).T
     out["helmholtz_star P=1024"] = (lambda i: field.evaluate(*batch), few)
+
+    def cold_assembly(op, knots, bc_kind):
+        bkm._cached_factor.cache_clear()
+        return bkm.assemble(op, knots, bc_kind, np.zeros(len(knots)))
+
+    for name in ("helmholtz_star", "convdiff_disc"):
+        problem = get_preset(name)
+        knots = boundary_nodes(problem.domain, 256)
+        for bc_kind in ("dirichlet", "neumann"):
+            out[f"{name} cold assemble N=256 {bc_kind}"] = (
+                lambda i, op=problem.operator, k=knots, bc=bc_kind: cold_assembly(op, k, bc), few)
     return out
 
 
@@ -171,12 +186,12 @@ def main(argv: list) -> int:
         finally:
             for w in workers.values():
                 w.close()
-    print(f"{'case':<38} {args.rev + ' us':>12} {'tree us':>10} {'ratio':>7} {'tree lower':>10}")
+    print(f"{'case':<42} {args.rev + ' us':>12} {'tree us':>10} {'ratio':>7} {'tree lower':>10}")
     for name, got in times.items():
         old, new = (statistics.median(got[side]) for side in ("rev", "tree"))
         ratio = statistics.median(a / b for a, b in zip(got["rev"], got["tree"]))
         lower = sum(b < a for a, b in zip(got["rev"], got["tree"]))
-        print(f"{name:<38} {old * 1e6:12.1f} {new * 1e6:10.1f} {ratio:7.2f} "
+        print(f"{name:<42} {old * 1e6:12.1f} {new * 1e6:10.1f} {ratio:7.2f} "
               f"{lower:>5}/{args.rounds}")
     return 0
 
